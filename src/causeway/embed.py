@@ -69,6 +69,7 @@ class MockEmbedder:
         self.dim = dim
         self.seed = seed
         self._rows: dict[int, np.ndarray] = {}
+        self._gram_buckets: dict[str, int] = {}
 
     def _row(self, bucket: int) -> np.ndarray:
         row = self._rows.get(bucket)
@@ -78,24 +79,35 @@ class MockEmbedder:
             self._rows[bucket] = row
         return row
 
-    @staticmethod
-    def _buckets(text: str) -> Counter:
-        if len(text) >= 3:
-            grams = [text[i : i + 3] for i in range(len(text) - 2)]
-        else:
-            grams = [text]
-        counts: Counter = Counter()
-        for gram in grams:
+    def _bucket(self, gram: str) -> int:
+        bucket = self._gram_buckets.get(gram)
+        if bucket is None:
             digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            counts[int.from_bytes(digest, "big") % _N_BUCKETS] += 1
+            bucket = self._gram_buckets[gram] = int.from_bytes(digest, "big") % _N_BUCKETS
+        return bucket
+
+    def _buckets(self, text: str) -> Counter:
+        """Trigram counts per bucket, buckets in order of first occurrence."""
+        if len(text) >= 3:
+            grams = Counter(map("".join, zip(text, text[1:], text[2:])))
+        else:
+            grams = Counter([text])
+        counts: Counter = Counter()
+        for gram, count in grams.items():
+            counts[self._bucket(gram)] += count
         return counts
 
     def embed_texts(self, texts: Sequence[str], input_type: str | None = None) -> list[np.ndarray]:
         out: list[np.ndarray] = []
         for text in texts:
-            vec = np.zeros(self.dim, dtype=np.float64)
-            for bucket, count in self._buckets(text).items():
-                vec += count * self._row(bucket)
+            counts = self._buckets(text)
+            weighted = np.array([self._row(bucket) for bucket in counts])
+            weighted *= np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[:, None]
+            # Reducing axis 0 adds one row at a time in bucket order: the same
+            # float operations as a running vec += count * row. (A single
+            # column is summed pairwise, but at dim 1 only the sign of the
+            # sum survives normalization.)
+            vec = np.add.reduce(weighted, axis=0)
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:
                 vec = self._row(0).copy()
@@ -120,13 +132,13 @@ class VectorCache:
             key.update(b"\x00")
         return self.root / f"{key.hexdigest()}.json"
 
-    def get(self, model: str | None, text: str, input_type: str | None) -> list[float] | None:
+    def get(self, model: str | None, text: str, input_type: str | None) -> np.ndarray | None:
         path = self._path(model, text, input_type)
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["vector"]
+            return np.asarray(json.loads(path.read_text(encoding="utf-8"))["vector"], dtype=np.float64)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             logger.warning("discarding unreadable cache entry %s", path)
             return None
 
@@ -141,7 +153,8 @@ class RemoteEmbedder:
     """POSTs {"texts": [...], "model": ...} and expects {"vectors": [[...]]}.
 
     Failed requests are retried with exponential backoff. Cached vectors are
-    keyed by model, input type, and exact text.
+    keyed by model, input type, and exact text; one whose shape does not
+    match dim is fetched again.
     """
 
     def __init__(
@@ -165,9 +178,17 @@ class RemoteEmbedder:
         for i, text in enumerate(texts):
             cached = self._cache.get(self.spec.model, text, input_type) if self._cache else None
             if cached is not None:
-                vectors[i] = np.asarray(cached, dtype=np.float64)
-            else:
-                pending.append(i)
+                if cached.shape == (self.spec.dim,):
+                    vectors[i] = cached
+                    continue
+                # the cache key does not include dim, so a directory reused
+                # across a dim change still holds the old vectors
+                logger.warning(
+                    "cached vector has shape %s, configured dim is %d; fetching it again",
+                    cached.shape,
+                    self.spec.dim,
+                )
+            pending.append(i)
         for start in range(0, len(pending), self.spec.batch_size):
             chunk = pending[start : start + self.spec.batch_size]
             batch = [texts[i] for i in chunk]
@@ -180,7 +201,10 @@ class RemoteEmbedder:
                 vectors[i] = arr
                 if self._cache:
                     self._cache.put(self.spec.model, texts[i], input_type, arr)
-        return [v for v in vectors if v is not None]
+        missing = [i for i, v in enumerate(vectors) if v is None]
+        if missing:
+            raise EmbedError(f"no vector returned for {len(missing)} of {len(texts)} texts")
+        return vectors
 
     def _headers(self) -> dict[str, str]:
         headers = {}

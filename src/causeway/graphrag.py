@@ -18,7 +18,9 @@ from .lexindex import (
     LexIndex,
     bm25_plus,
     extract_entities,
-    lexical_similarity,
+    lexical_similarity,  # noqa: F401  (kept as graphrag.lexical_similarity: bench/layers.py traces it)
+    lexical_profile,
+    profile_similarity,
     tokenize,
 )
 
@@ -65,6 +67,9 @@ class DocGraph:
             adj[n].sort()
         self._adjacency = adj
 
+    def __contains__(self, doc_id: object) -> bool:
+        return doc_id in self._adjacency
+
     def neighbors(self, doc_id: str) -> list[tuple[str, float]]:
         if doc_id not in self._adjacency:
             raise GraphError(f"unknown node {doc_id!r}")
@@ -96,16 +101,18 @@ def build_graph(
     params: HybridParams,
 ) -> DocGraph:
     """All-pairs hybrid weights; edges kept when the weight reaches the
-    threshold (inclusive). Cosines are clamped into [0, 1] before blending."""
+    threshold (inclusive). Cosines are clamped into [0, 1] before blending.
+    Each document's lexical profile is computed once, not once per pair."""
     ids = [d.id for d in docs]
     for doc_id in ids:
         if doc_id not in embeddings:
             raise GraphError(f"missing embedding for document {doc_id!r}")
+    profiles = {doc_id: lexical_profile(doc_id, index, bm25_params, entities) for doc_id in ids}
     edges: list[tuple[str, str, float]] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             sem = min(1.0, max(0.0, cosine(embeddings[a], embeddings[b])))
-            lex = lexical_similarity(a, b, index, bm25_params, entities)
+            lex = profile_similarity(profiles[a], profiles[b], bm25_params)
             w = hybrid_weight(sem, lex, params.alpha)
             if w >= params.edge_threshold:
                 edges.append((a, b, w))
@@ -182,7 +189,7 @@ def retrieve(query: str, entries: EntryPoints, graph: DocGraph, params: HybridPa
         provenance.setdefault(doc_id, SPARSE_ENTRY)
     order = entries.ordered()
     for doc_id in order:
-        if doc_id not in graph._adjacency:
+        if doc_id not in graph:
             raise GraphError(f"entry point {doc_id!r} is not a graph node")
     selected = list(order)
     seen = set(order)

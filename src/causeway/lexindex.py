@@ -75,6 +75,7 @@ class LexIndex:
     doc_freq: Counter
     n_docs: int
     avgdl: float
+    _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, texts: Mapping[str, str]) -> "LexIndex":
@@ -104,14 +105,50 @@ class LexIndex:
         return self.doc_freq.keys()
 
     def idf(self, term: str) -> float:
-        df = self.doc_freq.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        """Memoised per index; terms outside the vocabulary are not stored."""
+        value = self._idf.get(term)
+        if value is None:
+            df = self.doc_freq.get(term, 0)
+            if df == 0:
+                return 0.0
+            value = self._idf[term] = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        return value
 
     def _check(self, doc_id: str) -> None:
         if doc_id not in self.term_freqs:
             raise LexIndexError(f"unknown document id {doc_id!r}")
+
+
+def _length_norm(doc_id: str, index: LexIndex, params: Bm25Params) -> float:
+    dl = index.doc_lens[doc_id]
+    return params.k1 * (1.0 - params.b + (params.b * dl / index.avgdl if index.avgdl > 0 else 0.0))
+
+
+def _term_weights(
+    terms: Sequence[str], index: LexIndex, params: Bm25Params, entities: AbstractSet[str]
+) -> list[tuple[str, float]]:
+    """(term, idf * boost) for each query term the corpus knows, in order."""
+    weights = []
+    for term in terms:
+        idf = index.idf(term)
+        if idf != 0.0:
+            weights.append((term, idf * (params.entity_boost if term in entities else 1.0)))
+    return weights
+
+
+def _weighted_bm25(
+    weights: Sequence[tuple[str, float]], tf: Mapping[str, int], norm: float, params: Bm25Params
+) -> float:
+    """The BM25+ sum over pre-weighted query terms against one document's
+    term counts and length norm, accumulated in query order."""
+    gain = params.k1 + 1.0
+    delta = params.delta
+    score = 0.0
+    for term, weight in weights:
+        f = tf.get(term, 0)
+        ratio = f * gain / (f + norm) if f else 0.0
+        score += weight * (ratio + delta)
+    return score
 
 
 def bm25_plus(
@@ -128,19 +165,8 @@ def bm25_plus(
     to the corpus but absent from this document contribute the delta floor.
     """
     index._check(doc_id)
-    tf = index.term_freqs[doc_id]
-    dl = index.doc_lens[doc_id]
-    norm = params.k1 * (1.0 - params.b + (params.b * dl / index.avgdl if index.avgdl > 0 else 0.0))
-    score = 0.0
-    for term in query_terms:
-        idf = index.idf(term)
-        if idf == 0.0:
-            continue
-        boost = params.entity_boost if term in entities else 1.0
-        f = tf.get(term, 0)
-        ratio = f * (params.k1 + 1.0) / (f + norm) if f else 0.0
-        score += idf * boost * (ratio + params.delta)
-    return score
+    weights = _term_weights(query_terms, index, params, entities)
+    return _weighted_bm25(weights, index.term_freqs[doc_id], _length_norm(doc_id, index, params), params)
 
 
 def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:
@@ -149,6 +175,43 @@ def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:
     tf = index.term_freqs[doc_id]
     ranked = sorted(tf, key=lambda t: (-tf[t] * index.idf(t), t))
     return ranked[:k]
+
+
+@dataclass(frozen=True)
+class LexProfile:
+    """One document's side of `lexical_similarity`: its top terms weighted
+    for BM25+, its term counts and length norm, and its self-score."""
+
+    weights: tuple[tuple[str, float], ...]
+    tf: Mapping[str, int]
+    norm: float
+    self_score: float
+
+
+def lexical_profile(
+    doc_id: str,
+    index: LexIndex,
+    params: Bm25Params = Bm25Params(),
+    entities: AbstractSet[str] = frozenset(),
+    profile_size: int = 20,
+) -> LexProfile:
+    """Everything `profile_similarity` needs from one document, computed
+    once so that a topic's all-pairs graph pays for it once per document."""
+    weights = tuple(_term_weights(top_terms(doc_id, index, profile_size), index, params, entities))
+    tf = index.term_freqs[doc_id]
+    norm = _length_norm(doc_id, index, params)
+    return LexProfile(weights, tf, norm, _weighted_bm25(weights, tf, norm, params))
+
+
+def profile_similarity(a: LexProfile, b: LexProfile, params: Bm25Params = Bm25Params()) -> float:
+    """`lexical_similarity` of two documents from their profiles, which
+    must come from one index, entity set and params."""
+    if a.self_score <= 0.0 or b.self_score <= 0.0:
+        return 0.0
+    raw_ab = _weighted_bm25(a.weights, b.tf, b.norm, params) / a.self_score
+    raw_ba = _weighted_bm25(b.weights, a.tf, a.norm, params) / b.self_score
+    sim = 0.5 * (raw_ab + raw_ba)
+    return min(1.0, max(0.0, sim))
 
 
 def lexical_similarity(
@@ -162,13 +225,6 @@ def lexical_similarity(
     """Symmetrized, self-normalized BM25+ similarity between two documents,
     clamped to [0, 1]. If either document has a zero self-score (for example
     an empty document), the pair similarity is 0."""
-    profile_a = top_terms(a, index, profile_size)
-    profile_b = top_terms(b, index, profile_size)
-    self_a = bm25_plus(profile_a, a, index, params, entities)
-    self_b = bm25_plus(profile_b, b, index, params, entities)
-    if self_a <= 0.0 or self_b <= 0.0:
-        return 0.0
-    raw_ab = bm25_plus(profile_a, b, index, params, entities) / self_a
-    raw_ba = bm25_plus(profile_b, a, index, params, entities) / self_b
-    sim = 0.5 * (raw_ab + raw_ba)
-    return min(1.0, max(0.0, sim))
+    profile_a = lexical_profile(a, index, params, entities, profile_size)
+    profile_b = lexical_profile(b, index, params, entities, profile_size)
+    return profile_similarity(profile_a, profile_b, params)

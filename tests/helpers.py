@@ -4,12 +4,18 @@ index/statistics code paths so the tests stay a second opinion."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
 from typing import AbstractSet, Mapping, Sequence
 
+import numpy as np
+from hypothesis import strategies as st
+
 from causeway.corpus import LETTERS, QuestionRecord
+from causeway.embed import cosine
+from causeway.graphrag import hybrid_weight
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -97,6 +103,89 @@ def bm25_reference(
             part = delta
         score += idf * boost * part
     return score
+
+
+# Words for random topics: mixed case so some can be entities, with
+# stopwords and repeats so profiles tie and idf varies.
+TOPIC_WORDS = ("dam", "Dam", "rain", "valley", "flood", "river", "the", "of", "Ontario", "Lagos", "port", "x")
+
+# Random topics of 2-7 documents, empty documents included.
+topic_texts = st.lists(st.lists(st.sampled_from(TOPIC_WORDS), max_size=12).map(" ".join), min_size=2, max_size=7)
+topic_entities = st.sets(st.sampled_from(sorted({w.lower() for w in TOPIC_WORDS})))
+
+
+def lexical_similarity_reference(
+    a: str,
+    b: str,
+    doc_tokens: Mapping[str, Sequence[str]],
+    entities: AbstractSet[str] = frozenset(),
+    profile_size: int = 20,
+) -> float:
+    """Pair similarity the per-pair way: both top-term profiles and both
+    self-scores recomputed for this pair, scored by the direct formula."""
+    n_docs = len(doc_tokens)
+
+    def idf(term: str) -> float:
+        df = sum(1 for tokens in doc_tokens.values() if term in tokens)
+        return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+
+    def profile(doc_id: str) -> list[str]:
+        tf = Counter(doc_tokens[doc_id])
+        return sorted(tf, key=lambda t: (-tf[t] * idf(t), t))[:profile_size]
+
+    def score(terms: Sequence[str], doc_id: str) -> float:
+        return bm25_reference(terms, doc_tokens, doc_id, entities=entities)
+
+    profile_a, profile_b = profile(a), profile(b)
+    self_a, self_b = score(profile_a, a), score(profile_b, b)
+    if self_a <= 0.0 or self_b <= 0.0:
+        return 0.0
+    sim = 0.5 * (score(profile_a, b) / self_a + score(profile_b, a) / self_b)
+    return min(1.0, max(0.0, sim))
+
+
+def graph_edges_reference(
+    doc_tokens: Mapping[str, Sequence[str]],
+    embeddings: Mapping[str, np.ndarray],
+    entities: AbstractSet[str],
+    alpha: float,
+    edge_threshold: float,
+) -> list[tuple[str, str, float]]:
+    """All-pairs hybrid edges, every pair scored from scratch."""
+    ids = list(doc_tokens)
+    edges = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            sem = min(1.0, max(0.0, cosine(embeddings[a], embeddings[b])))
+            lex = lexical_similarity_reference(a, b, doc_tokens, entities)
+            w = hybrid_weight(sem, lex, alpha)
+            if w >= edge_threshold:
+                edges.append((a, b, w))
+    return edges
+
+
+# ---------------------------------------------------------------------------
+# Mock embedding reference: one hash per trigram occurrence, one row added
+# per bucket.
+
+
+def mock_embed_reference(text: str, dim: int, seed: int) -> np.ndarray:
+    def row(bucket: int) -> np.ndarray:
+        return np.random.default_rng([seed, bucket]).standard_normal(dim)
+
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+    counts: Counter = Counter()
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        counts[int.from_bytes(digest, "big") % 4096] += 1
+    vec = np.zeros(dim, dtype=np.float64)
+    for bucket, count in counts.items():
+        vec += count * row(bucket)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec = row(0)
+        norm = float(np.linalg.norm(vec))
+    return vec / norm
 
 
 # ---------------------------------------------------------------------------

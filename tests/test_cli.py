@@ -322,6 +322,22 @@ class TestDeterminism:
         assert digests_a == tree_digest(run_dir)
 
 
+class TestThreadedInfer:
+    def test_two_workers_match_serial_run(self, run_dir, tmp_path):
+        config = read_json(FIXTURE_DIR / "config.json")
+        config["questions"] = str(FIXTURE_DIR / config["questions"])
+        config["docs"] = str(FIXTURE_DIR / config["docs"])
+        config["llm"]["script_path"] = str(FIXTURE_DIR / config["llm"]["script_path"])
+        config["max_workers"] = 2
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        for stage in ("build-graph", "retrieve", "infer"):
+            assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0
+        for name in ("samples.jsonl", "predictions.jsonl"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
 class TestFlags:
     def test_no_heuristics_passthrough(self, run_dir, tmp_path):
         out = tmp_path / "nh"

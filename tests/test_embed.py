@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway.embed import (
     EmbedderSpec,
@@ -12,6 +16,7 @@ from causeway.embed import (
     cosine,
     make_embedder,
 )
+from helpers import mock_embed_reference
 
 
 class TestCosine:
@@ -89,6 +94,28 @@ class TestMockEmbedder:
         b = embedder.embed_texts(["t"], input_type="document")[0]
         np.testing.assert_array_equal(a, b)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=3),
+                st.text(alphabet="ab é水\n", max_size=40),
+                st.text(min_size=20, max_size=200),
+            ),
+            max_size=6,
+        ),
+        st.sampled_from([1, 2, 3, 16, 64]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_bucket_reference_exactly(self, texts, dim, seed):
+        embedder = MockEmbedder(dim=dim, seed=seed)
+        want = [mock_embed_reference(text, dim, seed) for text in texts]
+        for _ in range(2):  # the second round reads the warm memos
+            got = embedder.embed_texts(texts)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
 
 class TestVectorCache:
     def test_round_trip(self, tmp_path):
@@ -113,6 +140,8 @@ class TestVectorCache:
         cache.put("m", "query", "t", np.ones(2))
         entry = next(tmp_path.iterdir())
         entry.write_bytes(b"not a numpy file")
+        assert cache.get("m", "query", "t") is None
+        entry.write_text('{"vector": ["x", "y"]}', encoding="utf-8")
         assert cache.get("m", "query", "t") is None
 
 
@@ -231,6 +260,39 @@ class TestRemoteEmbedder:
         RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["aa", "bbb"])
         sent = [t for r in fake_server.requests for t in r["body"]["texts"]]
         assert sent == ["bbb"]
+
+
+    def test_cached_vector_of_another_dim_is_a_miss(self, fake_server, tmp_path, caplog):
+        dim = {"now": 4}
+        fake_server.set_responder(
+            lambda path, body, headers: (200, _vectors_payload(body["texts"], dim["now"]))
+        )
+        RemoteEmbedder(
+            self._spec(fake_server.url, dim=4, cache_dir=str(tmp_path)), sleep=lambda s: None
+        ).embed_texts(["hello"])
+        dim["now"] = 8
+        fake_server.requests.clear()
+        embedder = RemoteEmbedder(
+            self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path)), sleep=lambda s: None
+        )
+        with caplog.at_level(logging.WARNING, logger="causeway.embed"):
+            out = embedder.embed_texts(["hello"])
+        assert out[0].shape == (8,)
+        assert [r["body"]["texts"] for r in fake_server.requests] == [["hello"]]
+        assert "configured dim is 8" in caplog.text
+        # the refetched vector replaced the stale entry
+        again = RemoteEmbedder(
+            self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path)), sleep=lambda s: None
+        ).embed_texts(["hello"])
+        assert len(fake_server.requests) == 1
+        np.testing.assert_array_equal(again[0], out[0])
+
+    def test_missing_vector_raises_instead_of_shifting(self, fake_server, monkeypatch):
+        embedder = RemoteEmbedder(self._spec(fake_server.url), sleep=lambda s: None)
+        # a transport that drops the last vector of a batch without an error
+        monkeypatch.setattr(embedder, "_request", lambda batch, input_type: [[1.0] * 4] * (len(batch) - 1))
+        with pytest.raises(EmbedError, match="1 of 2"):
+            embedder.embed_texts(["a", "bb"])
 
 
 class TestMakeEmbedder:

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway.corpus import DocumentRecord, document_text
 from causeway.embed import MockEmbedder, cosine
@@ -24,8 +26,8 @@ from causeway.graphrag import (
     make_query,
     retrieve,
 )
-from causeway.lexindex import Bm25Params, LexIndex, extract_entities, lexical_similarity
-from helpers import component_reference, make_question
+from causeway.lexindex import Bm25Params, LexIndex, extract_entities, lexical_similarity, tokenize
+from helpers import component_reference, graph_edges_reference, make_question, topic_entities, topic_texts
 
 
 def make_doc(topic: int, doc_id: str, title: str, content: str) -> DocumentRecord:
@@ -80,6 +82,11 @@ class TestDocGraph:
     def test_unknown_node(self):
         with pytest.raises(GraphError):
             self._graph().neighbors("zzz")
+
+    def test_contains_nodes_only(self):
+        g = self._graph()
+        assert all(n in g for n in ("a", "b", "c"))
+        assert "zzz" not in g
 
     def test_json_round_trip(self):
         g = self._graph()
@@ -158,6 +165,30 @@ class TestBuildGraph:
         del embeddings["d2"]
         with pytest.raises(GraphError, match="d2"):
             build_graph(1, docs, embeddings, index, Bm25Params(), entities, HybridParams())
+
+    @given(
+        topic_texts,
+        topic_entities,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_pair_reference_exactly(self, contents, entities, alpha, pick, seed):
+        docs = [make_doc(1, f"d{i}", "", content) for i, content in enumerate(contents)]
+        texts = {d.id: document_text(d) for d in docs}
+        tokens = {doc_id: tokenize(text) for doc_id, text in texts.items()}
+        index = LexIndex.build(texts)
+        vectors = MockEmbedder(dim=8, seed=seed).embed_texts(list(texts.values()))
+        embeddings = {d.id: v for d, v in zip(docs, vectors)}
+        all_pairs = graph_edges_reference(tokens, embeddings, entities, alpha, -1.0)
+        # one pair sits exactly on the threshold, which keeps it
+        a, b, threshold = all_pairs[pick % len(all_pairs)]
+        want = graph_edges_reference(tokens, embeddings, entities, alpha, threshold)
+        params = HybridParams(alpha=alpha, edge_threshold=threshold)
+        graph = build_graph(1, docs, embeddings, index, Bm25Params(), entities, params)
+        assert graph.edges == want
+        assert (a, b, threshold) in graph.edges
 
     def test_no_self_edges(self):
         docs, index, entities, embeddings = self._topic()

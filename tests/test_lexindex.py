@@ -18,7 +18,7 @@ from causeway.lexindex import (
     tokenize,
     top_terms,
 )
-from helpers import bm25_reference
+from helpers import bm25_reference, lexical_similarity_reference, topic_entities, topic_texts
 
 
 class TestTokenize:
@@ -278,6 +278,18 @@ class TestLexicalSimilarity:
         want = 0.5 * (directed("d1", "d2") + directed("d2", "d1"))
         want = min(1.0, max(0.0, want))
         assert lexical_similarity("d1", "d2", index) == pytest.approx(want, rel=1e-12)
+
+    @given(topic_texts, topic_entities)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_pair_reference_exactly(self, docs, entities):
+        texts = {f"d{i}": text for i, text in enumerate(docs)}
+        index = LexIndex.build(texts)
+        tokens = _tokens(texts)
+        for _ in range(2):  # the second round reads the warm idf memo
+            for a in texts:
+                for b in texts:
+                    want = lexical_similarity_reference(a, b, tokens, entities)
+                    assert lexical_similarity(a, b, index, Bm25Params(), entities) == want
 
     def test_shared_vocabulary_scores_higher(self):
         texts = {
