@@ -12,7 +12,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
@@ -513,10 +513,8 @@ def cmd_agree(config: RunConfig, pred_specs: Sequence[str]) -> None:
     if len(pred_specs) < 2:
         raise SystemExit("error: agree needs at least two prediction files")
     model_preds = _parse_model_preds(pred_specs)
-    topics = None
-    if config.questions:
-        topics = {q.id: q.topic_id for q in load_questions(config.questions)}
-    report = agreement_report(model_preds, topics)
+    questions = load_questions(config.questions) if config.questions else []
+    report = agreement_report(model_preds, {q.id: q.topic_id for q in questions})
     out_dir = Path(config.out)
     report_path = out_dir / "agreement_report.json"
     _write_json(report_path, report.to_json())
@@ -534,20 +532,19 @@ def cmd_agree(config: RunConfig, pred_specs: Sequence[str]) -> None:
     print(f"  krippendorff (nom)  {report.kripp_nominal:.4f}")
     print(f"  krippendorff (jac)  {report.kripp_jaccard:.4f}")
     print(f"  unanimous rate      {report.unanimous_rate:.4f}")
-    if config.questions:
-        golds = {q.id: q.gold for q in load_questions(config.questions) if q.gold is not None}
-        if golds:
-            oracle = oracle_report(model_preds, golds)
-            bias = bias_stats(model_preds, golds)
-            oracle_path = out_dir / "oracle_report.json"
-            bias_path = out_dir / "bias_report.json"
-            _write_json(oracle_path, oracle.to_json())
-            _write_json(bias_path, bias.to_json())
-            print(f"  oracle mean         {oracle.mean:.4f}")
-            print(
-                f"  under/over selection {bias.under_selection}/{bias.over_selection} "
-                f"(pred {bias.mean_pred_cardinality:.2f} vs gold {bias.mean_gold_cardinality:.2f} letters)"
-            )
+    golds = {q.id: q.gold for q in questions if q.gold is not None}
+    if golds:
+        oracle = oracle_report(model_preds, golds)
+        bias = bias_stats(model_preds, golds)
+        oracle_path = out_dir / "oracle_report.json"
+        bias_path = out_dir / "bias_report.json"
+        _write_json(oracle_path, oracle.to_json())
+        _write_json(bias_path, bias.to_json())
+        print(f"  oracle mean         {oracle.mean:.4f}")
+        print(
+            f"  under/over selection {bias.under_selection}/{bias.over_selection} "
+            f"(pred {bias.mean_pred_cardinality:.2f} vs gold {bias.mean_gold_cardinality:.2f} letters)"
+        )
 
 
 def cmd_report(config: RunConfig) -> None:
@@ -579,6 +576,20 @@ def cmd_report(config: RunConfig) -> None:
         print(f"  rule changes   {report['consistency']['n_changes']}")
     if "stages" in report and "retrieve" in report["stages"]:
         print(f"  cache hit rate {report['stages']['retrieve']['cache_hit_rate']:.3f}")
+
+
+# Each stage is called with the config, and postprocess, score and agree also
+# with their preds argument.
+COMMANDS: dict[str, Callable[..., None]] = {
+    "ingest": cmd_ingest,
+    "build-graph": cmd_build_graph,
+    "retrieve": cmd_retrieve,
+    "infer": cmd_infer,
+    "postprocess": cmd_postprocess,
+    "score": cmd_score,
+    "agree": cmd_agree,
+    "report": cmd_report,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +662,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="causeway", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", parents=[common])
-    sub.add_parser("build-graph", parents=[common])
-    sub.add_parser("retrieve", parents=[common])
-    sub.add_parser("infer", parents=[common])
-    post = sub.add_parser("postprocess", parents=[common])
-    post.add_argument("--preds", help="predictions JSONL (default: <out>/predictions.jsonl)")
-    score = sub.add_parser("score", parents=[common])
-    score.add_argument("--preds", help="predictions JSONL (default: <out>/predictions.final.jsonl)")
-    agree = sub.add_parser("agree", parents=[common])
-    agree.add_argument("preds", nargs="+", help="model predictions as name=path or path")
-    sub.add_parser("report", parents=[common])
+    commands = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    commands["postprocess"].add_argument("--preds", help="predictions JSONL (default: <out>/predictions.jsonl)")
+    commands["score"].add_argument("--preds", help="predictions JSONL (default: <out>/predictions.final.jsonl)")
+    commands["agree"].add_argument("preds", nargs="+", help="model predictions as name=path or path")
     return parser
 
 
@@ -673,23 +677,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     config = build_config(args)
     Path(config.out).mkdir(parents=True, exist_ok=True)
+    preds = (args.preds,) if "preds" in vars(args) else ()
     try:
-        if args.command == "ingest":
-            cmd_ingest(config)
-        elif args.command == "build-graph":
-            cmd_build_graph(config)
-        elif args.command == "retrieve":
-            cmd_retrieve(config)
-        elif args.command == "infer":
-            cmd_infer(config)
-        elif args.command == "postprocess":
-            cmd_postprocess(config, args.preds)
-        elif args.command == "score":
-            cmd_score(config, args.preds)
-        elif args.command == "agree":
-            cmd_agree(config, args.preds)
-        elif args.command == "report":
-            cmd_report(config)
+        COMMANDS[args.command](config, *preds)
     except (CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,9 +43,6 @@ class QuestionRecord:
     options: dict[str, str]
     gold: frozenset[str] | None = None
 
-    def option(self, letter: str) -> str:
-        return self.options[letter]
-
 
 @dataclass(frozen=True)
 class DocumentRecord:

@@ -180,7 +180,8 @@ def krippendorff_alpha(
 ) -> float:
     """alpha = 1 - observed/expected disagreement. Units with fewer than two
     ratings are skipped (pairwise exclusion of missing data). metric is
-    'nominal' (set equality) or 'jaccard' (1 - overlap share)."""
+    'nominal' (set equality) or 'jaccard' (1 - overlap share). Expected
+    disagreement pairs the V distinct values weighted by their counts, O(V^2)."""
     if metric == "nominal":
         def distance(a: AbstractSet[str], b: AbstractSet[str]) -> float:
             return 0.0 if frozenset(a) == frozenset(b) else 1.0
@@ -200,12 +201,12 @@ def krippendorff_alpha(
         )
         d_o += within / (m - 1)
     d_o /= n_values
-    flat = [value for unit in pairable for value in unit]
+    counts = Counter(frozenset(value) for unit in pairable for value in unit)
     d_e = 0.0
-    for i in range(len(flat)):
-        for j in range(len(flat)):
-            if i != j:
-                d_e += distance(flat[i], flat[j])
+    for a, n_a in counts.items():
+        for b, n_b in counts.items():
+            if a != b:
+                d_e += n_a * n_b * distance(a, b)
     d_e /= n_values * (n_values - 1)
     if d_e == 0.0:
         return 1.0
@@ -250,16 +251,11 @@ def agreement_report(
         raise EvalError("models share no questions")
     items = [[canonical_category(model_preds[m][qid]) for m in models] for qid in qids]
     sets = [[frozenset(model_preds[m][qid]) for m in models] for qid in qids]
+    columns = dict(zip(models, zip(*items)))
     pairwise: dict[str, dict[str, float]] = {m: {} for m in models}
     for i, a in enumerate(models):
         for b in models[i:]:
-            if a == b:
-                value = 1.0
-            else:
-                value = cohen_kappa(
-                    [canonical_category(model_preds[a][qid]) for qid in qids],
-                    [canonical_category(model_preds[b][qid]) for qid in qids],
-                )
+            value = 1.0 if a == b else cohen_kappa(columns[a], columns[b])
             pairwise[a][b] = value
             pairwise[b][a] = value
     unanimous = sum(1 for row in items if len(set(row)) == 1) / len(items)

@@ -16,7 +16,8 @@ from .embed import cosine
 from .lexindex import (
     Bm25Params,
     LexIndex,
-    bm25_plus,
+    bm25_plus,  # noqa: F401  (kept as graphrag.bm25_plus: bench/layers.py traces it)
+    bm25_plus_scores,
     extract_entities,
     lexical_similarity,  # noqa: F401  (kept as graphrag.lexical_similarity: bench/layers.py traces it)
     lexical_profile,
@@ -150,10 +151,8 @@ def entry_points(
     """Top k_dense documents by query cosine plus top k_sparse by BM25+,
     each ranked descending with ties broken by ascending doc id."""
     dense_ranked = sorted(doc_ids, key=lambda d: (-cosine(query_vec, doc_vecs[d]), d))
-    terms = tokenize(query)
-    sparse_ranked = sorted(
-        doc_ids, key=lambda d: (-bm25_plus(terms, d, index, bm25_params, entities), d)
-    )
+    sparse = dict(zip(doc_ids, bm25_plus_scores(tokenize(query), doc_ids, index, bm25_params, entities)))
+    sparse_ranked = sorted(doc_ids, key=lambda d: (-sparse[d], d))
     return EntryPoints(
         dense=tuple(dense_ranked[: params.k_dense]),
         sparse=tuple(sparse_ranked[: params.k_sparse]),

@@ -164,9 +164,26 @@ def bm25_plus(
     Query terms outside the corpus vocabulary contribute nothing. Terms known
     to the corpus but absent from this document contribute the delta floor.
     """
-    index._check(doc_id)
+    return bm25_plus_scores(query_terms, [doc_id], index, params, entities)[0]
+
+
+def bm25_plus_scores(
+    query_terms: Sequence[str],
+    doc_ids: Sequence[str],
+    index: LexIndex,
+    params: Bm25Params = Bm25Params(),
+    entities: AbstractSet[str] = frozenset(),
+) -> list[float]:
+    """`bm25_plus` of one query against each document in turn, with the
+    query's term weights computed once."""
     weights = _term_weights(query_terms, index, params, entities)
-    return _weighted_bm25(weights, index.term_freqs[doc_id], _length_norm(doc_id, index, params), params)
+    scores = []
+    for doc_id in doc_ids:
+        index._check(doc_id)
+        scores.append(
+            _weighted_bm25(weights, index.term_freqs[doc_id], _length_norm(doc_id, index, params), params)
+        )
+    return scores
 
 
 def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:

@@ -250,6 +250,18 @@ def cohen_reference(a: Sequence[str], b: Sequence[str]) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
+@st.composite
+def rating_units(draw) -> list[list[frozenset]]:
+    """Units of 1-5 ratings drawn from a pool of 1-16 distinct letter sets
+    (the empty set included), so values repeat often and a pool of one gives
+    all-identical ratings. At least one unit has two or more ratings."""
+    pool = draw(st.lists(st.frozensets(st.sampled_from(LETTERS)), min_size=1, max_size=16, unique=True))
+    value = st.sampled_from(pool)
+    units = draw(st.lists(st.lists(value, min_size=1, max_size=5), max_size=25))
+    units.append(draw(st.lists(value, min_size=2, max_size=5)))
+    return units
+
+
 def krippendorff_reference(
     units: Sequence[Sequence[frozenset]],
     metric: str = "nominal",

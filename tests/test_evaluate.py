@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causeway import evaluate
+from causeway.corpus import LETTERS
 from causeway.evaluate import (
     EvalError,
     agreement_report,
@@ -22,6 +26,7 @@ from helpers import (
     cohen_reference,
     fleiss_reference,
     krippendorff_reference,
+    rating_units,
 )
 
 
@@ -231,6 +236,35 @@ class TestKrippendorffAlpha:
             got = krippendorff_alpha(units, metric)
             want = krippendorff_reference(units, metric)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @given(rating_units(), st.sampled_from(["nominal", "jaccard"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_repeated_values(self, units, metric):
+        got = krippendorff_alpha(units, metric)
+        want = krippendorff_reference(units, metric)
+        if metric == "nominal":
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
+        if len({value for unit in units if len(unit) >= 2 for value in unit}) == 1:
+            assert got == 1.0
+
+    def test_expected_disagreement_pairs_distinct_values(self, monkeypatch):
+        calls = 0
+        real = evaluate.jaccard_distance
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return real(a, b)
+
+        monkeypatch.setattr(evaluate, "jaccard_distance", counting)
+        rng = random.Random(23)
+        values = [frozenset(x for i, x in enumerate(LETTERS) if mask >> i & 1) for mask in range(16)]
+        units = [[rng.choice(values), rng.choice(values)] for _ in range(1500)]
+        krippendorff_alpha(units, "jaccard")
+        distinct = len({value for unit in units for value in unit})
+        assert calls <= sum(len(u) * (len(u) - 1) for u in units) + distinct * (distinct - 1)
 
     def test_identical_ratings_give_one(self):
         units = [[frozenset({"A"})] * 3, [frozenset({"B", "C"})] * 3]

@@ -13,6 +13,7 @@ from causeway.lexindex import (
     LexIndex,
     LexIndexError,
     bm25_plus,
+    bm25_plus_scores,
     extract_entities,
     lexical_similarity,
     tokenize,
@@ -150,6 +151,20 @@ class TestBm25Plus:
             got = bm25_plus(query, doc_id, index, entities=entities)
             want = bm25_reference(query, tokens, doc_id, entities=entities)
             assert got == pytest.approx(want, rel=1e-9), trial
+
+    @given(topic_texts, topic_entities, topic_texts)
+    @settings(max_examples=60, deadline=None)
+    def test_scores_for_many_documents_match_reference(self, contents, entities, queries):
+        texts = {f"d{i}": content for i, content in enumerate(contents)}
+        index = LexIndex.build(texts)
+        tokens = _tokens(texts)
+        query = tokenize(queries[0])
+        got = bm25_plus_scores(query, list(texts), index, entities=entities)
+        want = [bm25_reference(query, tokens, doc_id, entities=entities) for doc_id in texts]
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got == [bm25_plus(query, doc_id, index, entities=entities) for doc_id in texts]
+        with pytest.raises(LexIndexError):
+            bm25_plus_scores(query, ["d0", "nope"], index)
 
     def test_out_of_vocabulary_terms_contribute_zero(self):
         index = LexIndex.build(_toy_texts())
