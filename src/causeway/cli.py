@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -13,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
@@ -47,6 +50,9 @@ from .reason import (
 )
 
 logger = logging.getLogger(__name__)
+
+# build-graph's document vectors, relative to --out
+DOC_VECTORS = "graphs/doc_vectors.npy"
 
 
 @dataclass
@@ -91,8 +97,17 @@ class RunConfig:
         return params
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.param_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(self.param_dict())
+
+    def vectors_key(self) -> str:
+        """Hash of the embedder fields that can change a document vector."""
+        fields = ("kind", "dim", "seed", "model", "endpoint", "document_input_type")
+        return _digest({name: getattr(self.embedder, name) for name in fields})
+
+    def graph_key(self) -> str:
+        """Hash of everything a topic graph depends on besides the documents."""
+        hybrid = {"alpha": self.hybrid.alpha, "edge_threshold": self.hybrid.edge_threshold}
+        return _digest({"vectors": self.vectors_key(), "bm25": vars(self.bm25), **hybrid})
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -105,6 +120,10 @@ def _sha256_file(path: str | Path) -> str:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(_dump(obj).encode("utf-8")).hexdigest()
 
 
 def _write_jsonl(path: Path, rows: Sequence[dict]) -> None:
@@ -143,6 +162,7 @@ def _write_manifest(
     inputs: Mapping[str, str | Path],
     outputs: Sequence[Path],
     counts: Mapping[str, object],
+    keys: Mapping[str, str] | None = None,
 ) -> None:
     out_dir = Path(config.out)
     manifest = {
@@ -152,7 +172,32 @@ def _write_manifest(
         "outputs": {p.relative_to(out_dir).as_posix(): _sha256_file(p) for p in outputs},
         "counts": dict(counts),
     }
+    if keys:
+        manifest["keys"] = dict(keys)
     _write_json(out_dir / "manifests" / f"{stage}.json", manifest)
+
+
+def _read_listed(out_dir: Path, manifest: dict, rel: str) -> bytes | None:
+    """The bytes of a file the manifest lists as an output, or None when the
+    file is missing or no longer has the listed content hash."""
+    path = out_dir / rel
+    listed = manifest.get("outputs", {}).get(rel)
+    if listed is None or not path.is_file():
+        return None
+    data = path.read_bytes()
+    return data if hashlib.sha256(data).hexdigest() == listed else None
+
+
+def _save_doc_vectors(path: Path, vectors: np.ndarray) -> None:
+    """One float64 row per document, topics in sorted order and documents in
+    docs-file order, as a .npy array without pickled objects."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        np.save(fh, np.asarray(vectors, dtype=np.float64), allow_pickle=False)
+
+
+def _load_doc_vectors(data: bytes) -> np.ndarray:
+    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 def _require(value: str | None, flag: str) -> str:
@@ -216,6 +261,7 @@ def cmd_build_graph(config: RunConfig) -> None:
     embedder = make_embedder(config.embedder)
     out_dir = Path(config.out)
     outputs = []
+    vectors: list[np.ndarray] = []
     n_edges = 0
     for topic_id in sorted(topics):
         retriever = TopicRetriever(
@@ -231,36 +277,88 @@ def cmd_build_graph(config: RunConfig) -> None:
         _write_json(path, retriever.graph.to_json())
         outputs.append(path)
         n_edges += len(retriever.graph.edges)
+        vectors.extend(retriever.doc_vecs[d.id] for d in topics[topic_id])
+    vectors_path = out_dir / DOC_VECTORS
+    _save_doc_vectors(vectors_path, np.reshape(vectors, (len(vectors), config.embedder.dim)))
+    outputs.append(vectors_path)
     _write_manifest(
         config,
         "build-graph",
         {"docs": docs_path},
         outputs,
         {"n_topics": len(topics), "n_edges": n_edges},
+        keys={"vectors": config.vectors_key(), "graph": config.graph_key()},
     )
     print(f"build-graph: {len(topics)} topics, {n_edges} edges")
 
 
-def _build_retrievers(config: RunConfig, topics, needed: set[int]) -> dict[int, TopicRetriever]:
-    embedder = make_embedder(config.embedder)
+def _reusable_build(
+    config: RunConfig, docs_path: str, n_docs: int
+) -> tuple[np.ndarray | None, dict | None]:
+    """What retrieve may take over from build-graph: the document vectors,
+    when build-graph read the same docs file with the same embedder, and the
+    build-graph manifest, whose listed graphs it may load, when the graph
+    parameters match as well. Whatever does not match is recomputed, with a
+    warning."""
     out_dir = Path(config.out)
-    retrievers: dict[int, TopicRetriever] = {}
+    try:
+        manifest = json.loads((out_dir / "manifests" / "build-graph.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        logger.warning("no readable build-graph manifest: embedding the documents and building the graphs")
+        return None, None
+    keys = manifest.get("keys", {})
+    same_docs = manifest.get("inputs", {}).get("docs") == _sha256_file(docs_path)
+    if not same_docs or keys.get("vectors") != config.vectors_key():
+        logger.warning(
+            "build-graph ran on other documents or with another embedder: "
+            "embedding the documents and building the graphs again"
+        )
+        return None, None
+    data = _read_listed(out_dir, manifest, DOC_VECTORS)
+    vectors = _load_doc_vectors(data) if data is not None else None
+    if vectors is None or vectors.shape != (n_docs, config.embedder.dim):
+        logger.warning("%s is missing or does not match the documents: embedding them again", DOC_VECTORS)
+        vectors = None
+    if keys.get("graph") != config.graph_key():
+        logger.warning("build-graph ran with other graph parameters: building the graphs again")
+        return vectors, None
+    return vectors, manifest
+
+
+def _build_retrievers(
+    config: RunConfig, docs_path: str, topics, needed: set[int]
+) -> dict[int, TopicRetriever]:
     for topic_id in sorted(needed):
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
-        graph_path = out_dir / "graphs" / f"topic_{topic_id}.json"
+    embedder = make_embedder(config.embedder)
+    out_dir = Path(config.out)
+    vectors, manifest = _reusable_build(config, docs_path, sum(len(docs) for docs in topics.values()))
+    retrievers: dict[int, TopicRetriever] = {}
+    start = 0
+    for topic_id in sorted(topics):
+        docs = topics[topic_id]
+        rows = vectors[start : start + len(docs)] if vectors is not None else None
+        start += len(docs)
+        if topic_id not in needed:
+            continue
         graph = None
-        if graph_path.exists():
-            graph = DocGraph.from_json(json.loads(graph_path.read_text(encoding="utf-8")))
+        if manifest is not None:
+            data = _read_listed(out_dir, manifest, f"graphs/topic_{topic_id}.json")
+            if data is None:
+                logger.warning("graph of topic %d is missing or changed: building it again", topic_id)
+            else:
+                graph = DocGraph.from_json(json.loads(data))
         retrievers[topic_id] = TopicRetriever(
             topic_id,
-            topics[topic_id],
+            docs,
             embedder,
             bm25_params=config.bm25,
             params=config.hybrid,
             query_input_type=config.embedder.query_input_type,
             document_input_type=config.embedder.document_input_type,
             graph=graph,
+            doc_vecs=rows,
         )
     return retrievers
 
@@ -270,7 +368,7 @@ def cmd_retrieve(config: RunConfig) -> None:
     docs_path = _require(config.docs, "--docs")
     questions = load_questions(questions_path)
     topics = load_docs(docs_path)
-    retrievers = _build_retrievers(config, topics, {q.topic_id for q in questions})
+    retrievers = _build_retrievers(config, docs_path, topics, {q.topic_id for q in questions})
     cache = TopicContextCache()
     union_ctx: dict[int, RetrievalResult] = {}
     rows = []

@@ -92,7 +92,8 @@ class ConsistencyOutcome:
 
 class _QuestionFacts:
     """Precomputed per-question structure: normalized texts, rejection-style
-    letters, and duplicate classes."""
+    letters, and duplicate classes. The engine builds one per question and
+    applies the local rules through it."""
 
     def __init__(self, q: QuestionRecord):
         self.q = q
@@ -107,6 +108,33 @@ class _QuestionFacts:
 
     def is_none_only(self, pred: frozenset[str]) -> bool:
         return bool(pred) and pred <= self.none_letters
+
+    def r1(self, pred: frozenset[str]) -> frozenset[str]:
+        if pred & self.none_letters and pred - self.none_letters:
+            return pred - self.none_letters
+        return pred
+
+    def r2(self, pred: frozenset[str]) -> frozenset[str]:
+        out = set(pred)
+        for cls in self.classes:
+            if out & cls:
+                out |= cls
+        return frozenset(out)
+
+    def r3(self, pred: frozenset[str]) -> frozenset[str]:
+        if pred == FULL_SET and self.none_letters and pred - self.none_letters:
+            return pred - self.none_letters
+        return pred
+
+    def r5(self, pred: frozenset[str]) -> frozenset[str]:
+        out = set(pred)
+        for cls in self.classes:
+            if len(cls) == 3 and cls <= out:
+                out -= FULL_SET - cls
+        return frozenset(out)
+
+    def local_normalize(self, pred: frozenset[str]) -> frozenset[str]:
+        return self.r5(self.r3(self.r2(self.r1(pred))))
 
 
 class TruthAssignment:
@@ -160,47 +188,29 @@ class TruthAssignment:
 def r1_none_exclusivity(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
     """A rejection option cannot coexist with substantive picks; the
     substantive side wins."""
-    facts = _QuestionFacts(q)
-    if pred & facts.none_letters and pred - facts.none_letters:
-        return pred - facts.none_letters
-    return pred
+    return _QuestionFacts(q).r1(pred)
 
 
 def r2_duplicate_consistency(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
     """Selecting one member of a duplicate class selects the whole class."""
-    facts = _QuestionFacts(q)
-    out = set(pred)
-    for cls in facts.classes:
-        if out & cls:
-            out |= cls
-    return frozenset(out)
+    return _QuestionFacts(q).r2(pred)
 
 
 def r3_overselection_guard(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
     """All four letters selected alongside a rejection option: drop the
     rejection letters."""
-    facts = _QuestionFacts(q)
-    if pred == FULL_SET and facts.none_letters and pred - facts.none_letters:
-        return pred - facts.none_letters
-    return pred
+    return _QuestionFacts(q).r3(pred)
 
 
 def r5_triple_exclusion(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
     """Three identical options all selected: the odd letter out is dropped."""
-    facts = _QuestionFacts(q)
-    out = set(pred)
-    for cls in facts.classes:
-        if len(cls) == 3 and cls <= out:
-            out -= FULL_SET - cls
-    return frozenset(out)
+    return _QuestionFacts(q).r5(pred)
 
 
 def local_normalize(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
     """One pass of the per-question rules, used to sanitize a restored
     prediction so it still meets the output contract."""
-    return r5_triple_exclusion(
-        q, r3_overselection_guard(q, r2_duplicate_consistency(q, r1_none_exclusivity(q, pred)))
-    )
+    return _QuestionFacts(q).local_normalize(pred)
 
 
 def seed_truth(
@@ -214,11 +224,16 @@ def seed_truth(
     them. Selections are read through one local-rule pass so structural
     artifacts (rejection mixes, incomplete duplicate classes, overselected
     triples) do not seed truth."""
+    return _seed_truth([_QuestionFacts(q) for q in group], predictions, group_key)
+
+
+def _seed_truth(
+    facts: Sequence[_QuestionFacts],
+    predictions: Mapping[str, frozenset[str]],
+    group_key: tuple[int, str],
+) -> TruthAssignment:
     truth = TruthAssignment(group_key)
-    facts = [_QuestionFacts(q) for q in group]
-    normalized = {
-        f.q.id: local_normalize(f.q, predictions.get(f.q.id, frozenset())) for f in facts
-    }
+    normalized = {f.q.id: f.local_normalize(predictions.get(f.q.id, frozenset())) for f in facts}
     blocked: set[str] = set()
     for f in facts:
         if f.is_none_only(normalized[f.q.id]):
@@ -233,20 +248,20 @@ def seed_truth(
 
 
 class _GroupState:
-    def __init__(self, group: Sequence[QuestionRecord], key: tuple[int, str]):
+    def __init__(self, facts: list[_QuestionFacts], key: tuple[int, str]):
         self.key = key
-        self.facts = [_QuestionFacts(q) for q in group]
+        self.facts = facts
         self.truth: TruthAssignment | None = None
 
 
 class _Engine:
     def __init__(self, questions: Sequence[QuestionRecord], predictions: Mapping[str, frozenset[str]]):
-        self.questions = list(questions)
-        by_id = {q.id: q for q in self.questions}
+        questions = list(questions)
+        by_id = {q.id: q for q in questions}
         for qid in predictions:
             if qid not in by_id:
                 raise ConsistError(f"prediction for unknown question {qid!r}")
-        for q in self.questions:
+        for q in questions:
             pred = predictions.get(q.id)
             if pred is None:
                 raise ConsistError(f"missing prediction for question {q.id!r}")
@@ -258,9 +273,10 @@ class _Engine:
         # letters R5 removed; R4 must not reinstate them or the two rules
         # chase each other forever
         self._r5_stripped: set[tuple[str, str]] = set()
-        grouped: dict[tuple[int, str], list[QuestionRecord]] = {}
-        for q in self.questions:
-            grouped.setdefault((q.topic_id, normalize_text(q.target_event)), []).append(q)
+        self.facts = [_QuestionFacts(q) for q in questions]
+        grouped: dict[tuple[int, str], list[_QuestionFacts]] = {}
+        for f in self.facts:
+            grouped.setdefault((f.q.topic_id, normalize_text(f.q.target_event)), []).append(f)
         self.groups = [_GroupState(members, key) for key, members in grouped.items()]
         self.changes: list[ChangeRecord] = []
         self.contradictions: list[Contradiction] = []
@@ -293,9 +309,9 @@ class _Engine:
 
     def _apply_local(self, rule_name: str, fn) -> bool:
         changed = False
-        for q in self.questions:
-            after = fn(q, self.preds[q.id])
-            changed |= self._set_pred(q.id, after, rule_name)
+        for f in self.facts:
+            after = fn(f, self.preds[f.q.id])
+            changed |= self._set_pred(f.q.id, after, rule_name)
         return changed
 
     def _apply_r4(self) -> bool:
@@ -393,7 +409,7 @@ class _Engine:
                         "R8", f.q.id, "", "every option is False; prediction restored to its input"
                     )
                     if f.q.id not in self.frozen:
-                        restored = local_normalize(f.q, self.original[f.q.id])
+                        restored = f.local_normalize(self.original[f.q.id])
                         changed |= self._set_pred(f.q.id, restored, "R8", force=True)
                         self.frozen.add(f.q.id)
                 elif len(candidates) == 1:
@@ -403,7 +419,7 @@ class _Engine:
 
     def run(self, max_iterations: int = 10) -> ConsistencyOutcome:
         for state in self.groups:
-            state.truth = seed_truth([f.q for f in state.facts], self.preds, state.key)
+            state.truth = _seed_truth(state.facts, self.preds, state.key)
         converged = False
         iterations = 0
         for iteration in range(1, max_iterations + 1):
@@ -411,9 +427,9 @@ class _Engine:
             iterations = iteration
             truth_before = self._truth_size()
             changed = False
-            changed |= self._apply_local("R1", r1_none_exclusivity)
-            changed |= self._apply_local("R2", r2_duplicate_consistency)
-            changed |= self._apply_local("R3", r3_overselection_guard)
+            changed |= self._apply_local("R1", _QuestionFacts.r1)
+            changed |= self._apply_local("R2", _QuestionFacts.r2)
+            changed |= self._apply_local("R3", _QuestionFacts.r3)
             changed |= self._apply_r4()
             changed |= self._apply_r5()
             changed |= self._apply_r6()

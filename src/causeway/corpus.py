@@ -240,11 +240,3 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
             topics[topic_id] = docs
     return topics
 
-
-def question_to_row(q: QuestionRecord) -> dict:
-    row: dict = {"topic_id": q.topic_id, "id": q.id, "target_event": q.target_event}
-    for letter in LETTERS:
-        row[f"option_{letter}"] = q.options[letter]
-    if q.gold is not None:
-        row["golden_answer"] = ",".join(sorted(q.gold))
-    return row

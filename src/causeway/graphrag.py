@@ -245,7 +245,9 @@ class TopicContextCache:
 
 class TopicRetriever:
     """Bundles one topic's documents, lexical index, entities, embeddings,
-    and graph behind a query interface."""
+    and graph behind a query interface. Given doc_vecs (one row per document,
+    in document order) or a graph, it reuses them instead of embedding the
+    documents or building the graph."""
 
     def __init__(
         self,
@@ -258,6 +260,7 @@ class TopicRetriever:
         query_input_type: str | None = None,
         document_input_type: str | None = None,
         graph: DocGraph | None = None,
+        doc_vecs: np.ndarray | None = None,
     ):
         self.topic_id = topic_id
         self.docs = list(docs)
@@ -268,10 +271,15 @@ class TopicRetriever:
         texts = {d.id: document_text(d) for d in self.docs}
         self.index = LexIndex.build(texts)
         self.entities = entities if entities is not None else extract_entities(texts.values())
-        vectors = embedder.embed_texts(
-            [texts[d.id] for d in self.docs], input_type=document_input_type
-        )
-        self.doc_vecs = {d.id: v for d, v in zip(self.docs, vectors)}
+        if doc_vecs is None:
+            doc_vecs = embedder.embed_texts(
+                [texts[d.id] for d in self.docs], input_type=document_input_type
+            )
+        elif len(doc_vecs) != len(self.docs):
+            raise GraphError(
+                f"{len(doc_vecs)} document vectors for {len(self.docs)} documents in topic {topic_id}"
+            )
+        self.doc_vecs = {d.id: v for d, v in zip(self.docs, doc_vecs)}
         if graph is not None:
             if set(graph.nodes) != set(texts):
                 raise GraphError(f"graph nodes do not match topic {topic_id} documents")

@@ -39,6 +39,28 @@ def make_question(
     )
 
 
+def question_to_row(q: QuestionRecord) -> dict:
+    """The questions.jsonl row that load_questions reads back as q."""
+    row: dict = {"topic_id": q.topic_id, "id": q.id, "target_event": q.target_event}
+    for letter in LETTERS:
+        row[f"option_{letter}"] = q.options[letter]
+    if q.gold is not None:
+        row["golden_answer"] = ",".join(sorted(q.gold))
+    return row
+
+
+def record_texts(embedder, texts: list[str]):
+    """Makes embedder append every text it embeds to texts; returns it."""
+    embed_texts = embedder.embed_texts
+
+    def recording(batch, input_type=None):
+        texts.extend(batch)
+        return embed_texts(batch, input_type=input_type)
+
+    embedder.embed_texts = recording
+    return embedder
+
+
 # ---------------------------------------------------------------------------
 # Hand-scored metric table: (prediction, gold, expected score).
 

@@ -13,9 +13,14 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from causeway import cli
 from causeway.cli import build_config, load_predictions, main, _build_parser
+from causeway.corpus import document_text, load_docs
+from causeway.embed import MockEmbedder
+from helpers import record_texts
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "toy"
 STAGES = ("ingest", "build-graph", "retrieve", "infer", "postprocess", "score", "report")
@@ -336,6 +341,130 @@ class TestThreadedInfer:
             assert main([stage, "--config", str(config_path), "--out", str(out)]) == 0
         for name in ("samples.jsonl", "predictions.jsonl"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+DOC_TEXTS = {document_text(d) for docs in load_docs(FIXTURE_DIR / "docs.jsonl").values() for d in docs}
+
+
+@pytest.fixture
+def embedded(monkeypatch) -> list[str]:
+    """Every text the CLI stages embed from here on, in order."""
+    texts: list[str] = []
+    make_embedder = cli.make_embedder
+    monkeypatch.setattr(cli, "make_embedder", lambda spec: record_texts(make_embedder(spec), texts))
+    return texts
+
+
+def _relist(out: Path, rel: str) -> None:
+    """Records a file's current content hash in the build-graph manifest."""
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    manifest["outputs"][rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _drop_vectors(out: Path) -> None:
+    (out / "graphs" / "doc_vectors.npy").unlink()
+
+
+def _wrong_shape_vectors(out: Path) -> None:
+    np.save(out / "graphs" / "doc_vectors.npy", np.zeros((17, 64)), allow_pickle=False)
+
+
+def _wrong_shape_vectors_listed(out: Path) -> None:
+    _wrong_shape_vectors(out)
+    _relist(out, "graphs/doc_vectors.npy")
+
+
+def _emptied_graph(out: Path) -> None:
+    path = out / "graphs" / "topic_101.json"
+    graph = read_json(path)
+    graph["edges"] = []
+    path.write_text(json.dumps(graph), encoding="utf-8")
+
+
+def _other_docs(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    manifest["inputs"]["docs"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _no_manifest(out: Path) -> None:
+    (out / "manifests" / "build-graph.json").unlink()
+
+
+def _truncated_manifest(out: Path) -> None:
+    (out / "manifests" / "build-graph.json").write_text('{"stage": "build-', encoding="utf-8")
+
+
+class TestBuildGraphReuse:
+    """retrieve takes the document vectors and graphs from build-graph only
+    when they came from the current docs file and config; otherwise it
+    recomputes them and its output matches a run that never had them."""
+
+    def test_saved_vectors_layout(self, run_dir):
+        vectors = np.load(run_dir / "graphs" / "doc_vectors.npy", allow_pickle=False)
+        assert vectors.dtype == np.float64
+        assert vectors.shape == (18, 64)
+        topics = load_docs(FIXTURE_DIR / "docs.jsonl")
+        docs = [d for topic_id in sorted(topics) for d in topics[topic_id]]
+        embedder = MockEmbedder(dim=64, seed=0)  # the fixture config's embedder
+        assert np.array_equal(vectors, np.array(embedder.embed_texts([document_text(d) for d in docs])))
+
+    def test_retrieve_embeds_only_queries(self, run_dir, tmp_path, embedded):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph",))
+        del embedded[:]
+        run_stages(out, stages=("retrieve",))
+        assert len(embedded) == 3  # one query per topic
+        assert not DOC_TEXTS & set(embedded)
+        assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
+
+    def test_changed_edge_threshold_rebuilds_graphs(self, run_dir, tmp_path, embedded):
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        del embedded[:]
+        run_stages(stale, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        doc_texts_embedded = DOC_TEXTS & set(embedded)
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--edge-threshold", "0.05"))
+        retrieval = (stale / "retrieval.jsonl").read_bytes()
+        assert retrieval == (fresh / "retrieval.jsonl").read_bytes()
+        assert retrieval != (run_dir / "retrieval.jsonl").read_bytes()
+        assert not doc_texts_embedded  # the saved vectors still serve
+
+    def test_changed_seed_embeds_again(self, tmp_path, embedded):
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        del embedded[:]
+        run_stages(stale, stages=("retrieve",), extra=("--seed", "7"))
+        assert DOC_TEXTS <= set(embedded)
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--seed", "7"))
+        assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "tamper, embeds_docs",
+        [
+            (_drop_vectors, True),
+            (_wrong_shape_vectors, True),
+            (_wrong_shape_vectors_listed, True),
+            (_emptied_graph, False),
+            (_other_docs, True),
+            (_no_manifest, True),
+            (_truncated_manifest, True),
+        ],
+    )
+    def test_unusable_artifacts_are_recomputed(self, run_dir, tmp_path, embedded, caplog, tamper, embeds_docs):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph",))
+        tamper(out)
+        del embedded[:]
+        run_stages(out, stages=("retrieve",))
+        assert (DOC_TEXTS <= set(embedded)) == embeds_docs
+        assert any(r.levelname == "WARNING" and r.name == "causeway.cli" for r in caplog.records)
+        assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
 
 class TestFlags:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from causeway import consist
 from causeway.consist import (
     ConsistError,
     TruthAssignment,
@@ -395,6 +396,18 @@ class TestEngineProperties:
                 assert t.old is None
                 assert key not in seen
                 seen[key] = t.new
+
+    def test_each_question_normalized_once(self, monkeypatch):
+        # four option texts and the target event per question, however many
+        # passes and rules run
+        normalized: list[str] = []
+        normalize_text = consist.normalize_text
+        monkeypatch.setattr(
+            consist, "normalize_text", lambda text: normalized.append(text) or normalize_text(text)
+        )
+        questions, _, out = self._run_random(7, 15)
+        assert out.report.iterations >= 2
+        assert len(normalized) == 5 * len(questions)
 
     def test_deterministic(self):
         questions, preds, first = self._run_random(42, 12)

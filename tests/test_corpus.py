@@ -21,10 +21,9 @@ from causeway.corpus import (
     none_letters,
     normalize_text,
     parse_gold,
-    question_to_row,
     sibling_groups,
 )
-from helpers import make_question
+from helpers import make_question, question_to_row
 
 
 class TestNormalizeText:

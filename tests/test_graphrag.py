@@ -27,7 +27,14 @@ from causeway.graphrag import (
     retrieve,
 )
 from causeway.lexindex import Bm25Params, LexIndex, extract_entities, lexical_similarity, tokenize
-from helpers import component_reference, graph_edges_reference, make_question, topic_entities, topic_texts
+from helpers import (
+    component_reference,
+    graph_edges_reference,
+    make_question,
+    record_texts,
+    topic_entities,
+    topic_texts,
+)
 
 
 def make_doc(topic: int, doc_id: str, title: str, content: str) -> DocumentRecord:
@@ -443,6 +450,22 @@ class TestTopicRetriever:
         bad = DocGraph(topic_id=5, nodes=("other",), edges=[])
         with pytest.raises(GraphError):
             TopicRetriever(5, self._docs(), MockEmbedder(dim=16, seed=0), graph=bad)
+
+    def test_given_doc_vecs_replace_document_embedding(self):
+        r1 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
+        saved = np.array([r1.doc_vecs[d.id] for d in self._docs()])
+        embedded: list[str] = []
+        embedder = record_texts(MockEmbedder(dim=128, seed=0), embedded)
+        r2 = TopicRetriever(5, self._docs(), embedder, doc_vecs=saved)
+        assert embedded == []
+        assert r2.graph.edges == r1.graph.edges
+        q = make_question(qid="q", topic=5, event="Shipping delays mounted")
+        assert r2.retrieve_for_question(q).to_json() == r1.retrieve_for_question(q).to_json()
+        assert len(embedded) == 1  # the query only
+
+    def test_doc_vecs_count_mismatch(self):
+        with pytest.raises(GraphError):
+            TopicRetriever(5, self._docs(), MockEmbedder(dim=16, seed=0), doc_vecs=np.zeros((3, 16)))
 
     def test_result_shape(self):
         r = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
