@@ -21,11 +21,12 @@ from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
     LETTERS,
     CorpusError,
+    DocumentRecord,
     QuestionRecord,
-    detect_none_option,
     duplicate_classes,
     load_docs,
     load_questions,
+    none_letters,
     parse_gold,
     sibling_groups,
 )
@@ -223,12 +224,8 @@ def cmd_ingest(config: RunConfig) -> None:
         "n_topics_questions": len({q.topic_id for q in questions}),
         "n_topics_docs": len(topics),
         "n_docs": n_docs,
-        "none_option_questions": sum(
-            1 for q in questions if any(detect_none_option(q.options[l]) for l in LETTERS)
-        ),
-        "duplicate_option_questions": sum(
-            1 for q in questions if len(duplicate_classes(q)) < len(LETTERS)
-        ),
+        "none_option_questions": sum(1 for q in questions if none_letters(q)),
+        "duplicate_option_questions": sum(1 for q in questions if len(duplicate_classes(q)) < len(LETTERS)),
         "n_sibling_groups": len(groups),
         "questions_in_multi_question_groups": len(multi_group_qids),
         "gold_available": sum(1 for q in questions if q.gold is not None),
@@ -255,6 +252,19 @@ def cmd_ingest(config: RunConfig) -> None:
     print(f"ingest: {len(questions)} questions, {n_docs} docs, {len(groups)} sibling groups")
 
 
+def _topic_retriever(
+    config: RunConfig, embedder, topic_id: int, docs: Sequence[DocumentRecord],
+    graph: DocGraph | None = None, doc_vecs: np.ndarray | None = None,
+) -> TopicRetriever:
+    """A topic's retriever under the run's BM25+, hybrid and input-type settings."""
+    spec = config.embedder
+    return TopicRetriever(
+        topic_id, docs, embedder, bm25_params=config.bm25, params=config.hybrid,
+        query_input_type=spec.query_input_type, document_input_type=spec.document_input_type,
+        graph=graph, doc_vecs=doc_vecs,
+    )
+
+
 def cmd_build_graph(config: RunConfig) -> None:
     docs_path = _require(config.docs, "--docs")
     topics = load_docs(docs_path)
@@ -264,15 +274,7 @@ def cmd_build_graph(config: RunConfig) -> None:
     vectors: list[np.ndarray] = []
     n_edges = 0
     for topic_id in sorted(topics):
-        retriever = TopicRetriever(
-            topic_id,
-            topics[topic_id],
-            embedder,
-            bm25_params=config.bm25,
-            params=config.hybrid,
-            query_input_type=config.embedder.query_input_type,
-            document_input_type=config.embedder.document_input_type,
-        )
+        retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id])
         path = out_dir / "graphs" / f"topic_{topic_id}.json"
         _write_json(path, retriever.graph.to_json())
         outputs.append(path)
@@ -349,17 +351,7 @@ def _build_retrievers(
                 logger.warning("graph of topic %d is missing or changed: building it again", topic_id)
             else:
                 graph = DocGraph.from_json(json.loads(data))
-        retrievers[topic_id] = TopicRetriever(
-            topic_id,
-            docs,
-            embedder,
-            bm25_params=config.bm25,
-            params=config.hybrid,
-            query_input_type=config.embedder.query_input_type,
-            document_input_type=config.embedder.document_input_type,
-            graph=graph,
-            doc_vecs=rows,
-        )
+        retrievers[topic_id] = _topic_retriever(config, embedder, topic_id, docs, graph, rows)
     return retrievers
 
 
@@ -379,25 +371,9 @@ def cmd_retrieve(config: RunConfig) -> None:
             # the running union of everything retrieved so far
             cache.misses += 1
             result = retriever.retrieve_for_question(q)
-            merged = union_ctx.get(q.topic_id)
-            if merged is None:
-                merged = result
-            else:
-                selected = list(merged.selected)
-                provenance = dict(merged.provenance)
-                for doc_id in result.selected:
-                    if doc_id not in provenance:
-                        selected.append(doc_id)
-                        provenance[doc_id] = result.provenance[doc_id]
-                merged = RetrievalResult(
-                    topic_id=q.topic_id,
-                    query_text=merged.query_text,
-                    selected=selected,
-                    provenance=provenance,
-                    excluded=sorted(set(retriever.graph.nodes) - set(selected)),
-                )
-            union_ctx[q.topic_id] = merged
-            result = merged
+            if q.topic_id in union_ctx:
+                result = union_ctx[q.topic_id].union(result, retriever.graph)
+            union_ctx[q.topic_id] = result
         else:
             result = cache.get_or_compute(
                 q.topic_id, lambda q=q: retrievers[q.topic_id].retrieve_for_question(q)

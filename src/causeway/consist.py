@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 from .corpus import (
     LETTERS,
     QuestionRecord,
-    detect_none_option,
+    letter_classes,
+    none_letters,
     normalize_text,
 )
 
@@ -98,11 +99,8 @@ class _QuestionFacts:
     def __init__(self, q: QuestionRecord):
         self.q = q
         self.text = {l: normalize_text(q.options[l]) for l in LETTERS}
-        self.none_letters = frozenset(l for l in LETTERS if detect_none_option(q.options[l]))
-        by_text: dict[str, list[str]] = {}
-        for letter in LETTERS:
-            by_text.setdefault(self.text[letter], []).append(letter)
-        self.classes = [frozenset(group) for group in sorted(by_text.values())]
+        self.none_letters = none_letters(q)
+        self.classes = letter_classes(self.text)
         self.substantive = frozenset(LETTERS) - self.none_letters
         self.substantive_texts = sorted({self.text[l] for l in self.substantive})
 

@@ -97,13 +97,18 @@ def none_letters(q: QuestionRecord) -> frozenset[str]:
     return frozenset(l for l in LETTERS if detect_none_option(q.options[l]))
 
 
-def duplicate_classes(q: QuestionRecord) -> tuple[frozenset[str], ...]:
-    """Partition of the four letters by normalized option text, ordered by
-    first member letter."""
+def letter_classes(texts: dict[str, str]) -> tuple[frozenset[str], ...]:
+    """Partition of the four letters by their already-normalized option
+    texts, ordered by first member letter."""
     by_text: dict[str, list[str]] = {}
     for letter in LETTERS:
-        by_text.setdefault(normalize_text(q.options[letter]), []).append(letter)
+        by_text.setdefault(texts[letter], []).append(letter)
     return tuple(frozenset(group) for group in sorted(by_text.values()))
+
+
+def duplicate_classes(q: QuestionRecord) -> tuple[frozenset[str], ...]:
+    """letter_classes of the question's normalized option texts."""
+    return letter_classes({l: normalize_text(q.options[l]) for l in LETTERS})
 
 
 def sibling_groups(questions: list[QuestionRecord]) -> list[SiblingGroup]:

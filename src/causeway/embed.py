@@ -16,15 +16,15 @@ from typing import Callable, Sequence
 import numpy as np
 import requests
 
+from .remote import RemoteError, post_with_retry
+
 logger = logging.getLogger(__name__)
 
 _N_BUCKETS = 4096
 
 
-class EmbedError(RuntimeError):
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
+class EmbedError(RemoteError):
+    """An embedding request that failed, or vectors that do not fit the spec."""
 
 
 @dataclass(frozen=True)
@@ -206,37 +206,20 @@ class RemoteEmbedder:
             raise EmbedError(f"no vector returned for {len(missing)} of {len(texts)} texts")
         return vectors
 
-    def _headers(self) -> dict[str, str]:
-        headers = {}
-        if self.spec.auth_env:
-            token = os.environ.get(self.spec.auth_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def _request(self, batch: list[str], input_type: str | None) -> list[list[float]]:
         payload: dict = {"texts": batch, "model": self.spec.model}
         if input_type:
             payload["input_type"] = input_type
-        last: Exception | None = None
-        for attempt in range(1, self.spec.max_retries + 1):
-            try:
-                resp = self.session.post(
-                    self.spec.endpoint, json=payload, headers=self._headers(), timeout=60
-                )
-                resp.raise_for_status()
-                vectors = resp.json()["vectors"]
-                if len(vectors) != len(batch):
-                    raise KeyError("vector count does not match batch size")
-                return vectors
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last = exc
-                logger.warning("embedding request attempt %d failed: %s", attempt, exc)
-                if attempt < self.spec.max_retries:
-                    self._sleep(self.spec.backoff_base * (2 ** (attempt - 1)))
-        raise EmbedError(
-            f"embedding request failed after {self.spec.max_retries} attempts: {last}",
-            attempts=self.spec.max_retries,
+
+        def read(body: dict) -> list[list[float]]:
+            vectors = body["vectors"]
+            if len(vectors) != len(batch):
+                raise KeyError("vector count does not match batch size")
+            return vectors
+
+        return post_with_retry(
+            self.session, self.spec, payload, read,
+            timeout=60, sleep=self._sleep, error=EmbedError, label="embedding",
         )
 
 

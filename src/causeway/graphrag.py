@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -176,6 +176,18 @@ class RetrievalResult:
             "excluded": list(self.excluded),
         }
 
+    def union(self, other: "RetrievalResult", graph: DocGraph) -> "RetrievalResult":
+        """This result's documents, then those of other it lacks, each with the
+        provenance of the result it came from; the rest of graph is excluded."""
+        selected = list(self.selected)
+        provenance = dict(self.provenance)
+        for doc_id in other.selected:
+            if doc_id not in provenance:
+                selected.append(doc_id)
+                provenance[doc_id] = other.provenance[doc_id]
+        excluded = sorted(set(graph.nodes) - set(selected))
+        return replace(self, selected=selected, provenance=provenance, excluded=excluded)
+
 
 def retrieve(query: str, entries: EntryPoints, graph: DocGraph, params: HybridParams) -> RetrievalResult:
     """Breadth-first expansion from the entry points over edges at or above
@@ -256,7 +268,6 @@ class TopicRetriever:
         embedder,
         bm25_params: Bm25Params | None = None,
         params: HybridParams | None = None,
-        entities: frozenset[str] | None = None,
         query_input_type: str | None = None,
         document_input_type: str | None = None,
         graph: DocGraph | None = None,
@@ -270,7 +281,7 @@ class TopicRetriever:
         self.query_input_type = query_input_type
         texts = {d.id: document_text(d) for d in self.docs}
         self.index = LexIndex.build(texts)
-        self.entities = entities if entities is not None else extract_entities(texts.values())
+        self.entities = extract_entities(texts.values())
         if doc_vecs is None:
             doc_vecs = embedder.embed_texts(
                 [texts[d.id] for d in self.docs], input_type=document_input_type

@@ -5,7 +5,6 @@ tallying, and threshold aggregation."""
 from __future__ import annotations
 
 import logging
-import os
 import re
 import threading
 import time
@@ -17,6 +16,7 @@ import requests
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, none_letters
 from .lexindex import tokenize
+from .remote import RemoteError, post_with_retry
 
 logger = logging.getLogger(__name__)
 
@@ -101,10 +101,8 @@ _ANALYSIS_RE = re.compile(r"<analysis>(.*?)</analysis>", re.DOTALL | re.IGNORECA
 _TOKEN_SPLIT_RE = re.compile(r"[\s,;]+")
 
 
-class LlmError(RuntimeError):
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
+class LlmError(RemoteError):
+    """An LLM request that failed on every attempt."""
 
 
 @dataclass(frozen=True)
@@ -273,14 +271,6 @@ class RemoteChatClient:
         self.session = session or requests.Session()
         self._sleep = sleep
 
-    def _headers(self) -> dict[str, str]:
-        headers = {}
-        if self.spec.auth_env:
-            token = os.environ.get(self.spec.auth_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def complete(
         self,
         prompt: str,
@@ -293,22 +283,9 @@ class RemoteChatClient:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        last: Exception | None = None
-        for attempt in range(1, self.spec.max_retries + 1):
-            try:
-                resp = self.session.post(
-                    self.spec.endpoint, json=payload, headers=self._headers(), timeout=120
-                )
-                resp.raise_for_status()
-                return str(resp.json()["content"])
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last = exc
-                logger.warning("LLM request attempt %d failed: %s", attempt, exc)
-                if attempt < self.spec.max_retries:
-                    self._sleep(self.spec.backoff_base * (2 ** (attempt - 1)))
-        raise LlmError(
-            f"LLM request failed after {self.spec.max_retries} attempts: {last}",
-            attempts=self.spec.max_retries,
+        return post_with_retry(
+            self.session, self.spec, payload, lambda body: str(body["content"]),
+            timeout=120, sleep=self._sleep, error=LlmError, label="LLM",
         )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from causeway.corpus import LETTERS, QuestionRecord
 from causeway.embed import cosine
-from causeway.graphrag import hybrid_weight
+from causeway.graphrag import RetrievalResult, hybrid_weight
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -242,6 +242,27 @@ def component_reference(
             ds.union(a, b)
     roots = {ds.find(e) for e in entries}
     return {n for n in nodes if ds.find(n) in roots}
+
+
+def topic_union_reference(
+    merged: RetrievalResult, result: RetrievalResult, nodes: Sequence[str]
+) -> RetrievalResult:
+    """The topic-union merge as a plain loop: merged's documents and
+    provenance, then result's new documents with result's provenance, and
+    excluded recomputed from the graph's nodes."""
+    selected = list(merged.selected)
+    provenance = dict(merged.provenance)
+    for doc_id in result.selected:
+        if doc_id not in provenance:
+            selected.append(doc_id)
+            provenance[doc_id] = result.provenance[doc_id]
+    return RetrievalResult(
+        topic_id=merged.topic_id,
+        query_text=merged.query_text,
+        selected=selected,
+        provenance=provenance,
+        excluded=sorted(set(nodes) - set(selected)),
+    )
 
 
 # ---------------------------------------------------------------------------

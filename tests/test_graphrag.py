@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 import threading
 
@@ -18,6 +19,7 @@ from causeway.graphrag import (
     EntryPoints,
     GraphError,
     HybridParams,
+    RetrievalResult,
     TopicContextCache,
     TopicRetriever,
     build_graph,
@@ -34,6 +36,7 @@ from helpers import (
     record_texts,
     topic_entities,
     topic_texts,
+    topic_union_reference,
 )
 
 
@@ -366,6 +369,44 @@ class TestRetrieve:
                 if previous is not None:
                     assert current <= previous
                 previous = current
+
+
+@st.composite
+def union_cases(draw):
+    """A topic's nodes and three retrieval results over them, each with a
+    random selection in random order and random provenances."""
+    nodes = [f"d{i}" for i in range(draw(st.integers(min_value=1, max_value=10)))]
+
+    def result(query: str) -> RetrievalResult:
+        selected = draw(st.lists(st.sampled_from(nodes), unique=True))
+        provenance = {d: draw(st.sampled_from((DENSE_ENTRY, SPARSE_ENTRY, TRAVERSAL))) for d in selected}
+        excluded = sorted(set(nodes) - set(selected))
+        return RetrievalResult(7, query, selected, provenance, excluded)
+
+    return nodes, [result(f"query {i}") for i in range(3)]
+
+
+class TestRetrievalResultUnion:
+    @given(union_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_inline_merge_reference(self, case):
+        nodes, (first, second, third) = case
+        graph = DocGraph(7, tuple(nodes), [])
+        before = copy.deepcopy((first, second))
+        merged = first.union(second, graph)
+        assert merged == topic_union_reference(first, second, nodes)
+        assert (first, second) == before
+        assert merged.union(third, graph) == topic_union_reference(merged, third, nodes)
+
+    def test_keeps_first_provenance_and_query(self):
+        graph = DocGraph(7, ("a", "b", "c", "d"), [])
+        first = RetrievalResult(7, "q1", ["b"], {"b": DENSE_ENTRY}, ["a", "c", "d"])
+        second = RetrievalResult(7, "q2", ["c", "b"], {"c": SPARSE_ENTRY, "b": TRAVERSAL}, ["a", "d"])
+        merged = first.union(second, graph)
+        assert merged.query_text == "q1"
+        assert merged.selected == ["b", "c"]
+        assert merged.provenance == {"b": DENSE_ENTRY, "c": SPARSE_ENTRY}
+        assert merged.excluded == ["a", "d"]
 
 
 class TestTopicContextCache:
