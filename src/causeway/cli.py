@@ -1,6 +1,6 @@
 """Command line pipeline: ingest, build-graph, retrieve, infer, postprocess,
 score, agree, report. Each stage reads the previous stage's files from the
-output directory and records a manifest with config and input hashes."""
+output directory and records a manifest with config, input and output hashes."""
 
 from __future__ import annotations
 
@@ -140,42 +140,39 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_dump(obj) + "\n", encoding="utf-8")
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
-
-
 def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
     """Reads {"id": ..., "prediction": "A,C"} lines."""
     preds: dict[str, frozenset[str]] = {}
-    for row in _read_jsonl(Path(path)):
-        preds[str(row["id"])] = parse_gold(str(row["prediction"]))
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                row = json.loads(line)
+                preds[str(row["id"])] = parse_gold(str(row["prediction"]))
     return preds
 
 
-def _write_manifest(
-    config: RunConfig,
-    stage: str,
-    inputs: Mapping[str, str | Path],
-    outputs: Sequence[Path],
-    counts: Mapping[str, object],
-    keys: Mapping[str, str] | None = None,
-) -> None:
+def _write_manifest(config: RunConfig, stage: str, inputs: Mapping[str, str], result: StageResult) -> None:
+    """Records the input hashes given, the content hash of each file the
+    stage wrote, named relative to --out, and the stage's counts and keys."""
     out_dir = Path(config.out)
     manifest = {
         "stage": stage,
         "config_hash": config.config_hash(),
-        "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
-        "outputs": {p.relative_to(out_dir).as_posix(): _sha256_file(p) for p in outputs},
-        "counts": dict(counts),
+        "inputs": dict(inputs),
+        "outputs": {rel: _sha256_file(out_dir / rel) for rel in result.outputs},
+        "counts": result.counts,
     }
-    if keys:
-        manifest["keys"] = dict(keys)
+    if result.keys:
+        manifest["keys"] = result.keys
     _write_json(out_dir / "manifests" / f"{stage}.json", manifest)
+
+
+def _read_manifest(out_dir: Path, stage: str) -> dict | None:
+    """A stage's manifest, or None when it is missing or not valid JSON."""
+    try:
+        return json.loads((out_dir / "manifests" / f"{stage}.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        return None
 
 
 def _read_listed(out_dir: Path, manifest: dict, rel: str) -> bytes | None:
@@ -201,21 +198,38 @@ def _load_doc_vectors(data: bytes) -> np.ndarray:
     return np.load(io.BytesIO(data), allow_pickle=False)
 
 
-def _require(value: str | None, flag: str) -> str:
-    if not value:
-        raise SystemExit(f"error: {flag} is required (flag or config file)")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # stages
 
 
-def cmd_ingest(config: RunConfig) -> None:
-    questions_path = _require(config.questions, "--questions")
-    docs_path = _require(config.docs, "--docs")
-    questions = load_questions(questions_path)
-    topics = load_docs(docs_path)
+@dataclass
+class StageInput:
+    """What run_stage hands a stage body: the config, the config files the
+    stage reads, loaded, with their content hashes, and the preds argument
+    (postprocess and score: one optional path; agree: name=path specs)."""
+
+    config: RunConfig
+    questions: list[QuestionRecord] | None
+    topics: dict[int, list[DocumentRecord]] | None
+    hashes: dict[str, str]
+    preds: str | Sequence[str] | None
+
+
+@dataclass
+class StageResult:
+    """What a stage body returns for run_stage to write and print. Each
+    output is named by its path under --out. counts is None for report,
+    which records no manifest of its own."""
+
+    outputs: dict[str, object]
+    counts: dict[str, object] | None
+    inputs: dict[str, str] = field(default_factory=dict)  # content hashes of read files beyond the config's
+    keys: dict[str, str] = field(default_factory=dict)
+    lines: list[str] = field(default_factory=list)
+
+
+def _ingest(run: StageInput) -> StageResult:
+    questions, topics = run.questions, run.topics
     groups = sibling_groups(questions)
     multi_group_qids = {qid for g in groups if len(g.question_ids) > 1 for qid in g.question_ids}
     n_docs = sum(len(v) for v in topics.values())
@@ -231,25 +245,14 @@ def cmd_ingest(config: RunConfig) -> None:
         "gold_available": sum(1 for q in questions if q.gold is not None),
         "multi_gold_questions": sum(1 for q in questions if q.gold and len(q.gold) > 1),
     }
-    out_dir = Path(config.out)
-    sib_path = out_dir / "ingest" / "siblings.jsonl"
-    structure_path = out_dir / "ingest" / "structure.json"
-    _write_jsonl(
-        sib_path,
-        [
-            {"topic_id": g.topic_id, "event_key": g.event_key, "question_ids": list(g.question_ids)}
-            for g in groups
-        ],
-    )
-    _write_json(structure_path, structure)
-    _write_manifest(
-        config,
-        "ingest",
-        {"questions": questions_path, "docs": docs_path},
-        [sib_path, structure_path],
+    siblings = [
+        {"topic_id": g.topic_id, "event_key": g.event_key, "question_ids": list(g.question_ids)} for g in groups
+    ]
+    return StageResult(
+        {"ingest/siblings.jsonl": siblings, "ingest/structure.json": structure},
         structure,
+        lines=[f"ingest: {len(questions)} questions, {n_docs} docs, {len(groups)} sibling groups"],
     )
-    print(f"ingest: {len(questions)} questions, {n_docs} docs, {len(groups)} sibling groups")
 
 
 def _topic_retriever(
@@ -265,37 +268,28 @@ def _topic_retriever(
     )
 
 
-def cmd_build_graph(config: RunConfig) -> None:
-    docs_path = _require(config.docs, "--docs")
-    topics = load_docs(docs_path)
+def _build_graph(run: StageInput) -> StageResult:
+    config, topics = run.config, run.topics
     embedder = make_embedder(config.embedder)
-    out_dir = Path(config.out)
-    outputs = []
+    outputs: dict[str, object] = {}
     vectors: list[np.ndarray] = []
     n_edges = 0
     for topic_id in sorted(topics):
         retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id])
-        path = out_dir / "graphs" / f"topic_{topic_id}.json"
-        _write_json(path, retriever.graph.to_json())
-        outputs.append(path)
+        outputs[f"graphs/topic_{topic_id}.json"] = retriever.graph.to_json()
         n_edges += len(retriever.graph.edges)
         vectors.extend(retriever.doc_vecs[d.id] for d in topics[topic_id])
-    vectors_path = out_dir / DOC_VECTORS
-    _save_doc_vectors(vectors_path, np.reshape(vectors, (len(vectors), config.embedder.dim)))
-    outputs.append(vectors_path)
-    _write_manifest(
-        config,
-        "build-graph",
-        {"docs": docs_path},
+    outputs[DOC_VECTORS] = np.reshape(vectors, (len(vectors), config.embedder.dim))
+    return StageResult(
         outputs,
         {"n_topics": len(topics), "n_edges": n_edges},
         keys={"vectors": config.vectors_key(), "graph": config.graph_key()},
+        lines=[f"build-graph: {len(topics)} topics, {n_edges} edges"],
     )
-    print(f"build-graph: {len(topics)} topics, {n_edges} edges")
 
 
 def _reusable_build(
-    config: RunConfig, docs_path: str, n_docs: int
+    config: RunConfig, docs_hash: str, n_docs: int
 ) -> tuple[np.ndarray | None, dict | None]:
     """What retrieve may take over from build-graph: the document vectors,
     when build-graph read the same docs file with the same embedder, and the
@@ -303,13 +297,12 @@ def _reusable_build(
     parameters match as well. Whatever does not match is recomputed, with a
     warning."""
     out_dir = Path(config.out)
-    try:
-        manifest = json.loads((out_dir / "manifests" / "build-graph.json").read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
+    manifest = _read_manifest(out_dir, "build-graph")
+    if manifest is None:
         logger.warning("no readable build-graph manifest: embedding the documents and building the graphs")
         return None, None
     keys = manifest.get("keys", {})
-    same_docs = manifest.get("inputs", {}).get("docs") == _sha256_file(docs_path)
+    same_docs = manifest.get("inputs", {}).get("docs") == docs_hash
     if not same_docs or keys.get("vectors") != config.vectors_key():
         logger.warning(
             "build-graph ran on other documents or with another embedder: "
@@ -328,14 +321,14 @@ def _reusable_build(
 
 
 def _build_retrievers(
-    config: RunConfig, docs_path: str, topics, needed: set[int]
+    config: RunConfig, docs_hash: str, topics, needed: set[int]
 ) -> dict[int, TopicRetriever]:
     for topic_id in sorted(needed):
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
     embedder = make_embedder(config.embedder)
     out_dir = Path(config.out)
-    vectors, manifest = _reusable_build(config, docs_path, sum(len(docs) for docs in topics.values()))
+    vectors, manifest = _reusable_build(config, docs_hash, sum(len(docs) for docs in topics.values()))
     retrievers: dict[int, TopicRetriever] = {}
     start = 0
     for topic_id in sorted(topics):
@@ -355,12 +348,9 @@ def _build_retrievers(
     return retrievers
 
 
-def cmd_retrieve(config: RunConfig) -> None:
-    questions_path = _require(config.questions, "--questions")
-    docs_path = _require(config.docs, "--docs")
-    questions = load_questions(questions_path)
-    topics = load_docs(docs_path)
-    retrievers = _build_retrievers(config, docs_path, topics, {q.topic_id for q in questions})
+def _retrieve(run: StageInput) -> StageResult:
+    config, questions = run.config, run.questions
+    retrievers = _build_retrievers(config, run.hashes["docs"], run.topics, {q.topic_id for q in questions})
     cache = TopicContextCache()
     union_ctx: dict[int, RetrievalResult] = {}
     rows = []
@@ -369,7 +359,6 @@ def cmd_retrieve(config: RunConfig) -> None:
         if config.topic_union:
             # every question pays for its own retrieval; the topic context is
             # the running union of everything retrieved so far
-            cache.misses += 1
             result = retriever.retrieve_for_question(q)
             if q.topic_id in union_ctx:
                 result = union_ctx[q.topic_id].union(result, retriever.graph)
@@ -379,25 +368,20 @@ def cmd_retrieve(config: RunConfig) -> None:
                 q.topic_id, lambda q=q: retrievers[q.topic_id].retrieve_for_question(q)
             )
         rows.append({"id": q.id, **result.to_json()})
-    out_path = Path(config.out) / "retrieval.jsonl"
-    _write_jsonl(out_path, rows)
+    # every question the cache did not serve paid for a retrieval
+    hits = cache.hits
+    hit_rate = hits / len(questions) if questions else 0.0
     counts = {
         "n_questions": len(questions),
         "n_topics": len(retrievers),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_hit_rate": cache.hit_rate,
+        "cache_hits": hits,
+        "cache_misses": len(questions) - hits,
+        "cache_hit_rate": hit_rate,
     }
-    _write_manifest(
-        config,
-        "retrieve",
-        {"questions": questions_path, "docs": docs_path},
-        [out_path],
+    return StageResult(
+        {"retrieval.jsonl": rows},
         counts,
-    )
-    print(
-        f"retrieve: {len(questions)} questions, cache hit rate "
-        f"{cache.hit_rate:.3f} ({cache.hits}/{cache.hits + cache.misses})"
+        lines=[f"retrieve: {len(questions)} questions, cache hit rate {hit_rate:.3f} ({hits}/{len(questions)})"],
     )
 
 
@@ -409,16 +393,17 @@ def _make_llm_client(config: RunConfig):
     return make_client(spec)
 
 
-def cmd_infer(config: RunConfig) -> None:
-    questions_path = _require(config.questions, "--questions")
-    docs_path = _require(config.docs, "--docs")
-    questions = load_questions(questions_path)
-    topics = load_docs(docs_path)
-    trace_path = Path(config.out) / "retrieval.jsonl"
-    if not trace_path.exists():
-        raise SystemExit("error: run the retrieve stage first (retrieval.jsonl is missing)")
-    traces = {row["id"]: row for row in _read_jsonl(trace_path)}
-    doc_lookup = {tid: {d.id: d for d in docs} for tid, docs in topics.items()}
+def _infer(run: StageInput) -> StageResult:
+    config, questions = run.config, run.questions
+    out_dir = Path(config.out)
+    manifest = _read_manifest(out_dir, "retrieve")
+    data = _read_listed(out_dir, manifest, "retrieval.jsonl") if manifest is not None else None
+    if data is None:
+        raise SystemExit("error: retrieval.jsonl is missing or not the file its manifest lists: run the retrieve stage")
+    if any(manifest.get("inputs", {}).get(name) != run.hashes[name] for name in ("questions", "docs")):
+        raise SystemExit("error: retrieve ran on other questions or documents: run the retrieve stage again")
+    traces = {row["id"]: row for row in map(json.loads, data.splitlines())}
+    doc_lookup = {tid: {d.id: d for d in docs} for tid, docs in run.topics.items()}
     client = _make_llm_client(config)
     agg = AggregationParams(theta=config.theta)
 
@@ -453,46 +438,40 @@ def cmd_infer(config: RunConfig) -> None:
             )
             n_invalid += 0 if s.valid else 1
         pred_rows.append({"id": q.id, "prediction": ",".join(sorted(pred))})
-    out_dir = Path(config.out)
-    samples_path = out_dir / "samples.jsonl"
-    preds_path = out_dir / "predictions.jsonl"
-    _write_jsonl(samples_path, sample_rows)
-    _write_jsonl(preds_path, pred_rows)
     counts = {
         "n_questions": len(questions),
         "k": config.sampling.k,
         "theta": config.theta,
         "invalid_samples": n_invalid,
     }
-    inputs = {"questions": questions_path, "docs": docs_path, "retrieval": trace_path}
+    inputs = {"retrieval": manifest["outputs"]["retrieval.jsonl"]}
     if config.script_path:
-        inputs["script"] = config.script_path
-    _write_manifest(config, "infer", inputs, [samples_path, preds_path], counts)
-    print(f"infer: {len(questions)} questions, {n_invalid} invalid samples")
+        inputs["script"] = _sha256_file(config.script_path)
+    return StageResult(
+        {"samples.jsonl": sample_rows, "predictions.jsonl": pred_rows},
+        counts,
+        inputs,
+        lines=[f"infer: {len(questions)} questions, {n_invalid} invalid samples"],
+    )
 
 
-def cmd_postprocess(config: RunConfig, preds_path: str | None = None) -> None:
-    questions_path = _require(config.questions, "--questions")
-    questions = load_questions(questions_path)
-    out_dir = Path(config.out)
-    source = Path(preds_path) if preds_path else out_dir / "predictions.jsonl"
+def _postprocess(run: StageInput) -> StageResult:
+    config, questions = run.config, run.questions
+    source = Path(run.preds) if run.preds else Path(config.out) / "predictions.jsonl"
     preds = load_predictions(source)
     scoped = [q for q in questions if q.id in preds]
     dropped = len(questions) - len(scoped)
     if dropped:
         logger.warning("%d questions have no prediction and are left untouched", dropped)
-    final_path = out_dir / "predictions.final.jsonl"
-    audit_path = out_dir / "audit.jsonl"
-    summary_path = out_dir / "consistency.json"
+    final = dict(preds)
     if not config.heuristics_enabled:
-        final = dict(preds)
-        _write_jsonl(audit_path, [])
+        audit = []
         summary = {"enabled": False, "iterations": 0, "converged": True, "rule_counts": {}, "contradictions": []}
+        line = "postprocess: heuristics disabled, predictions copied through"
     else:
         outcome = run_to_fixed_point(scoped, {q.id: preds[q.id] for q in scoped}, config.heuristics_max_iterations)
-        final = dict(preds)
         final.update(outcome.predictions)
-        _write_jsonl(audit_path, [c.to_json() for c in outcome.report.changes])
+        audit = [c.to_json() for c in outcome.report.changes]
         summary = {
             "enabled": True,
             "iterations": outcome.report.iterations,
@@ -502,77 +481,56 @@ def cmd_postprocess(config: RunConfig, preds_path: str | None = None) -> None:
             "contradictions": [c.to_json() for c in outcome.report.contradictions],
             "violations": output_validity_violations(scoped, outcome.predictions),
         }
-    _write_jsonl(
-        final_path,
-        [{"id": qid, "prediction": ",".join(sorted(final[qid]))} for qid in preds],
-    )
-    _write_json(summary_path, summary)
-    _write_manifest(
-        config,
-        "postprocess",
-        {"questions": questions_path, "predictions": source},
-        [final_path, audit_path, summary_path],
-        {k: v for k, v in summary.items() if k in ("enabled", "iterations", "converged", "n_changes")},
-    )
-    if config.heuristics_enabled:
-        print(
+        line = (
             f"postprocess: {summary['n_changes']} changes in {summary['iterations']} iterations, "
             f"rule counts {summary['rule_counts']}"
         )
-    else:
-        print("postprocess: heuristics disabled, predictions copied through")
+    outputs = {
+        "predictions.final.jsonl": [{"id": qid, "prediction": ",".join(sorted(final[qid]))} for qid in preds],
+        "audit.jsonl": audit,
+        "consistency.json": summary,
+    }
+    counts = {k: v for k, v in summary.items() if k in ("enabled", "iterations", "converged", "n_changes")}
+    return StageResult(outputs, counts, {"predictions": _sha256_file(source)}, lines=[line])
 
 
-def _golds(questions: Sequence[QuestionRecord]) -> dict[str, frozenset[str]]:
-    golds = {q.id: q.gold for q in questions if q.gold is not None}
-    if not golds:
-        raise SystemExit("error: the questions file carries no gold answers")
-    return golds
-
-
-def cmd_score(config: RunConfig, preds_path: str | None = None) -> None:
-    questions_path = _require(config.questions, "--questions")
-    questions = load_questions(questions_path)
-    out_dir = Path(config.out)
-    if preds_path:
-        source = Path(preds_path)
+def _score(run: StageInput) -> StageResult:
+    out_dir = Path(run.config.out)
+    if run.preds:
+        source = Path(run.preds)
     else:
         source = out_dir / "predictions.final.jsonl"
         if not source.exists():
             source = out_dir / "predictions.jsonl"
     preds = load_predictions(source)
-    report = score_run(preds, _golds(questions))
-    report_path = out_dir / "score_report.json"
-    _write_json(report_path, report.to_json())
-    _write_manifest(
-        config,
-        "score",
-        {"questions": questions_path, "predictions": source},
-        [report_path],
-        {"mean": report.mean, "n": report.n},
-    )
-    print(f"score: mean {report.mean:.4f} over {report.n} questions")
-    rows = [
-        ("exact", report.exact),
-        ("partial", report.partial),
-        ("zero", report.zero),
-        ("missing", len(report.missing_prediction_ids)),
-    ]
-    for name, value in rows:
-        print(f"  {name:<8} {value}")
-    print(
-        f"  single-answer exact rate {report.single.exact_rate:.4f} "
-        f"({report.single.count} questions)"
-    )
-    print(
+    golds = {q.id: q.gold for q in run.questions if q.gold is not None}
+    if not golds:
+        raise SystemExit("error: the questions file carries no gold answers")
+    report = score_run(preds, golds)
+    lines = [
+        f"score: mean {report.mean:.4f} over {report.n} questions",
+        f"  exact    {report.exact}",
+        f"  partial  {report.partial}",
+        f"  zero     {report.zero}",
+        f"  missing  {len(report.missing_prediction_ids)}",
+        f"  single-answer exact rate {report.single.exact_rate:.4f} ({report.single.count} questions)",
         f"  multi-answer exact rate  {report.multi.exact_rate:.4f} "
-        f"({report.multi.count} questions), gap {report.exact_gap:.4f}"
+        f"({report.multi.count} questions), gap {report.exact_gap:.4f}",
+    ]
+    return StageResult(
+        {"score_report.json": report.to_json()},
+        {"mean": report.mean, "n": report.n},
+        {"predictions": _sha256_file(source)},
+        lines=lines,
     )
 
 
-def _parse_model_preds(specs: Sequence[str]) -> dict[str, dict[str, frozenset[str]]]:
+def _agree(run: StageInput) -> StageResult:
+    if len(run.preds) < 2:
+        raise SystemExit("error: agree needs at least two prediction files")
     model_preds: dict[str, dict[str, frozenset[str]]] = {}
-    for spec in specs:
+    inputs: dict[str, str] = {}
+    for spec in run.preds:
         if "=" in spec:
             name, _, path = spec.partition("=")
         else:
@@ -580,49 +538,33 @@ def _parse_model_preds(specs: Sequence[str]) -> dict[str, dict[str, frozenset[st
         if name in model_preds:
             raise SystemExit(f"error: duplicate model name {name!r}")
         model_preds[name] = load_predictions(path)
-    return model_preds
-
-
-def cmd_agree(config: RunConfig, pred_specs: Sequence[str]) -> None:
-    if len(pred_specs) < 2:
-        raise SystemExit("error: agree needs at least two prediction files")
-    model_preds = _parse_model_preds(pred_specs)
-    questions = load_questions(config.questions) if config.questions else []
+        inputs[f"predictions:{name}"] = _sha256_file(path)
+    questions = load_questions(run.config.questions) if run.config.questions else []
     report = agreement_report(model_preds, {q.id: q.topic_id for q in questions})
-    out_dir = Path(config.out)
-    report_path = out_dir / "agreement_report.json"
-    _write_json(report_path, report.to_json())
-    inputs = {f"predictions:{name}": spec.partition("=")[2] if "=" in spec else spec
-              for name, spec in zip(model_preds, pred_specs)}
-    _write_manifest(
-        config,
-        "agree",
-        inputs,
-        [report_path],
-        {"n_models": len(model_preds), "n_questions": report.n_questions},
-    )
-    print(f"agree: {len(model_preds)} models on {report.n_questions} questions")
-    print(f"  fleiss kappa        {report.fleiss:.4f}")
-    print(f"  krippendorff (nom)  {report.kripp_nominal:.4f}")
-    print(f"  krippendorff (jac)  {report.kripp_jaccard:.4f}")
-    print(f"  unanimous rate      {report.unanimous_rate:.4f}")
+    outputs = {"agreement_report.json": report.to_json()}
+    lines = [
+        f"agree: {len(model_preds)} models on {report.n_questions} questions",
+        f"  fleiss kappa        {report.fleiss:.4f}",
+        f"  krippendorff (nom)  {report.kripp_nominal:.4f}",
+        f"  krippendorff (jac)  {report.kripp_jaccard:.4f}",
+        f"  unanimous rate      {report.unanimous_rate:.4f}",
+    ]
     golds = {q.id: q.gold for q in questions if q.gold is not None}
     if golds:
         oracle = oracle_report(model_preds, golds)
         bias = bias_stats(model_preds, golds)
-        oracle_path = out_dir / "oracle_report.json"
-        bias_path = out_dir / "bias_report.json"
-        _write_json(oracle_path, oracle.to_json())
-        _write_json(bias_path, bias.to_json())
-        print(f"  oracle mean         {oracle.mean:.4f}")
-        print(
+        outputs["oracle_report.json"] = oracle.to_json()
+        outputs["bias_report.json"] = bias.to_json()
+        lines += [
+            f"  oracle mean         {oracle.mean:.4f}",
             f"  under/over selection {bias.under_selection}/{bias.over_selection} "
-            f"(pred {bias.mean_pred_cardinality:.2f} vs gold {bias.mean_gold_cardinality:.2f} letters)"
-        )
+            f"(pred {bias.mean_pred_cardinality:.2f} vs gold {bias.mean_gold_cardinality:.2f} letters)",
+        ]
+    return StageResult(outputs, {"n_models": len(model_preds), "n_questions": report.n_questions}, inputs, lines=lines)
 
 
-def cmd_report(config: RunConfig) -> None:
-    out_dir = Path(config.out)
+def _report(run: StageInput) -> StageResult:
+    out_dir = Path(run.config.out)
     report: dict = {}
     for name, rel in (
         ("ingest", "ingest/structure.json"),
@@ -636,34 +578,62 @@ def cmd_report(config: RunConfig) -> None:
         if path.exists():
             report[name] = json.loads(path.read_text(encoding="utf-8"))
     for stage in ("retrieve", "infer"):
-        path = out_dir / "manifests" / f"{stage}.json"
-        if path.exists():
-            report.setdefault("stages", {})[stage] = json.loads(path.read_text(encoding="utf-8"))["counts"]
-    report_path = out_dir / "report.json"
-    _write_json(report_path, report)
-    print(f"report: wrote {report_path}")
+        manifest = _read_manifest(out_dir, stage)
+        if manifest is not None:
+            report.setdefault("stages", {})[stage] = manifest["counts"]
+    lines = [f"report: wrote {out_dir / 'report.json'}"]
     if "score" in report:
-        print(f"  mean score     {report['score']['mean']:.4f}")
+        lines.append(f"  mean score     {report['score']['mean']:.4f}")
     if "agreement" in report:
-        print(f"  fleiss kappa   {report['agreement']['fleiss']:.4f}")
+        lines.append(f"  fleiss kappa   {report['agreement']['fleiss']:.4f}")
     if "consistency" in report and report["consistency"].get("enabled"):
-        print(f"  rule changes   {report['consistency']['n_changes']}")
+        lines.append(f"  rule changes   {report['consistency']['n_changes']}")
     if "stages" in report and "retrieve" in report["stages"]:
-        print(f"  cache hit rate {report['stages']['retrieve']['cache_hit_rate']:.3f}")
+        lines.append(f"  cache hit rate {report['stages']['retrieve']['cache_hit_rate']:.3f}")
+    return StageResult({"report.json": report}, None, lines=lines)
 
 
-# Each stage is called with the config, and postprocess, score and agree also
-# with their preds argument.
-COMMANDS: dict[str, Callable[..., None]] = {
-    "ingest": cmd_ingest,
-    "build-graph": cmd_build_graph,
-    "retrieve": cmd_retrieve,
-    "infer": cmd_infer,
-    "postprocess": cmd_postprocess,
-    "score": cmd_score,
-    "agree": cmd_agree,
-    "report": cmd_report,
+# Each stage's body and the config files it reads, in the order they are
+# required. run_stage does the loading, writing and manifest for all of them.
+STAGES: dict[str, tuple[Callable[[StageInput], StageResult], tuple[str, ...]]] = {
+    "ingest": (_ingest, ("questions", "docs")),
+    "build-graph": (_build_graph, ("docs",)),
+    "retrieve": (_retrieve, ("questions", "docs")),
+    "infer": (_infer, ("questions", "docs")),
+    "postprocess": (_postprocess, ("questions",)),
+    "score": (_score, ("questions",)),
+    "agree": (_agree, ()),
+    "report": (_report, ()),
 }
+
+
+def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = None) -> None:
+    """Loads the stage's config files, runs its body, writes each output
+    (an array as .npy, a list as JSONL, anything else as JSON) and the
+    manifest of exactly those files, then prints the stage's lines."""
+    body, reads = STAGES[name]
+    paths = {key: getattr(config, key) for key in reads}
+    for key, path in paths.items():
+        if not path:
+            raise SystemExit(f"error: --{key} is required (flag or config file)")
+    # load_questions and load_docs are looked up here, at call time, so that
+    # names patched on this module take effect
+    questions = load_questions(paths["questions"]) if "questions" in paths else None
+    topics = load_docs(paths["docs"]) if "docs" in paths else None
+    hashes = {key: _sha256_file(path) for key, path in paths.items()}
+    result = body(StageInput(config, questions, topics, hashes, preds))
+    out_dir = Path(config.out)
+    for rel, content in result.outputs.items():
+        if isinstance(content, np.ndarray):
+            _save_doc_vectors(out_dir / rel, content)
+        elif isinstance(content, list):
+            _write_jsonl(out_dir / rel, content)
+        else:
+            _write_json(out_dir / rel, content)
+    if result.counts is not None:
+        _write_manifest(config, name, {**hashes, **result.inputs}, result)
+    for line in result.lines:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +706,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="causeway", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    commands = {name: sub.add_parser(name, parents=[common]) for name in STAGES}
     commands["postprocess"].add_argument("--preds", help="predictions JSONL (default: <out>/predictions.jsonl)")
     commands["score"].add_argument("--preds", help="predictions JSONL (default: <out>/predictions.final.jsonl)")
     commands["agree"].add_argument("preds", nargs="+", help="model predictions as name=path or path")
@@ -751,9 +721,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     config = build_config(args)
     Path(config.out).mkdir(parents=True, exist_ok=True)
-    preds = (args.preds,) if "preds" in vars(args) else ()
     try:
-        COMMANDS[args.command](config, *preds)
+        run_stage(args.command, config, getattr(args, "preds", None))
     except (CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

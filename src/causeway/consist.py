@@ -18,6 +18,7 @@ from .corpus import (
     letter_classes,
     none_letters,
     normalize_text,
+    sibling_groups,
 )
 
 logger = logging.getLogger(__name__)
@@ -272,10 +273,11 @@ class _Engine:
         # chase each other forever
         self._r5_stripped: set[tuple[str, str]] = set()
         self.facts = [_QuestionFacts(q) for q in questions]
-        grouped: dict[tuple[int, str], list[_QuestionFacts]] = {}
-        for f in self.facts:
-            grouped.setdefault((f.q.topic_id, normalize_text(f.q.target_event)), []).append(f)
-        self.groups = [_GroupState(members, key) for key, members in grouped.items()]
+        facts_by_id = {f.q.id: f for f in self.facts}
+        self.groups = [
+            _GroupState([facts_by_id[qid] for qid in g.question_ids], (g.topic_id, g.event_key))
+            for g in sibling_groups(questions)
+        ]
         self.changes: list[ChangeRecord] = []
         self.contradictions: list[Contradiction] = []
         self._seen_contradictions: set[tuple[str, str, str]] = set()

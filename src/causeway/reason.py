@@ -127,23 +127,9 @@ class SamplingParams:
     max_retries_on_parse_failure: int = 2
 
 
-STRATEGY_THETAS = {
-    "union": 0.33,
-    "majority": 0.5,
-    "strict": 0.67,
-    "intersection": 1.0,
-}
-
-
 @dataclass(frozen=True)
 class AggregationParams:
     theta: float = 0.5
-
-    @classmethod
-    def from_strategy(cls, name: str) -> "AggregationParams":
-        if name not in STRATEGY_THETAS:
-            raise ValueError(f"unknown aggregation strategy {name!r}")
-        return cls(theta=STRATEGY_THETAS[name])
 
 
 @dataclass(frozen=True)

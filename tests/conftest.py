@@ -29,7 +29,8 @@ class FakeServer:
     def __init__(self):
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
         self._server.responder = lambda path, body, headers: (200, {})
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval keeps shutdown() from waiting out the 0.5 s default
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
         self._thread.start()
         self.requests: list[dict] = []
 

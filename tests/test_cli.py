@@ -467,6 +467,63 @@ class TestBuildGraphReuse:
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
 
+@pytest.fixture
+def llm_calls(monkeypatch) -> list[str]:
+    """The question id of every LLM call the CLI stages make from here on."""
+    calls: list[str] = []
+    make_client = cli.make_client
+
+    def counting(spec):
+        client = make_client(spec)
+        complete = client.complete
+
+        def recording(prompt, *args, **kwargs):
+            calls.append(kwargs.get("question_id"))
+            return complete(prompt, *args, **kwargs)
+
+        client.complete = recording
+        return client
+
+    monkeypatch.setattr(cli, "make_client", counting)
+    return calls
+
+
+def _edited_retrieval(out: Path) -> None:
+    path = out / "retrieval.jsonl"
+    rows = read_jsonl(path)
+    rows[0]["selected"] = rows[0]["selected"][:1]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _retrieval_for_other_questions(out: Path) -> None:
+    lines = (FIXTURE_DIR / "questions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    other = out.parent / "reversed.jsonl"
+    other.write_text("".join(reversed(lines)), encoding="utf-8")
+    run_stages(out, stages=("retrieve",), extra=("--questions", str(other)))
+
+
+def _no_retrieve_manifest(out: Path) -> None:
+    (out / "manifests" / "retrieve.json").unlink()
+
+
+class TestInferChecksRetrieval:
+    """infer reads retrieval.jsonl only when the retrieve manifest lists the
+    file as it is and retrieve read the same questions and docs files;
+    otherwise it stops before its first LLM call."""
+
+    @pytest.mark.parametrize("tamper", [_edited_retrieval, _retrieval_for_other_questions, _no_retrieve_manifest])
+    def test_unvouched_retrieval_is_refused(self, run_dir, tmp_path, llm_calls, tamper):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph", "retrieve"))
+        tamper(out)
+        with pytest.raises(SystemExit, match="retrieve"):
+            run_stages(out, stages=("infer",))
+        assert llm_calls == []
+        run_stages(out, stages=("retrieve", "infer"))
+        assert llm_calls
+        assert (out / "predictions.jsonl").read_bytes() == (run_dir / "predictions.jsonl").read_bytes()
+
+
 class TestFlags:
     def test_no_heuristics_passthrough(self, run_dir, tmp_path):
         out = tmp_path / "nh"

@@ -398,8 +398,8 @@ class TestEngineProperties:
                 seen[key] = t.new
 
     def test_each_question_normalized_once(self, monkeypatch):
-        # four option texts and the target event per question, however many
-        # passes and rules run
+        # the four option texts per question, however many passes and rules
+        # run; corpus.sibling_groups normalizes the target event
         normalized: list[str] = []
         normalize_text = consist.normalize_text
         monkeypatch.setattr(
@@ -407,7 +407,7 @@ class TestEngineProperties:
         )
         questions, _, out = self._run_random(7, 15)
         assert out.report.iterations >= 2
-        assert len(normalized) == 5 * len(questions)
+        assert len(normalized) == 4 * len(questions)
 
     def test_deterministic(self):
         questions, preds, first = self._run_random(42, 12)

@@ -443,11 +443,3 @@ class TestAggregate:
         k = max(sum(counts), 1)
         votes = _tally(*counts, k=k)
         assert threshold_votes(votes, upper) <= threshold_votes(votes, lower)
-
-    def test_strategy_names(self):
-        assert AggregationParams.from_strategy("union").theta == 0.33
-        assert AggregationParams.from_strategy("majority").theta == 0.5
-        assert AggregationParams.from_strategy("strict").theta == 0.67
-        assert AggregationParams.from_strategy("intersection").theta == 1.0
-        with pytest.raises(ValueError):
-            AggregationParams.from_strategy("plurality")
