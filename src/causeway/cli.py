@@ -25,9 +25,10 @@ from .corpus import (
     QuestionRecord,
     duplicate_classes,
     load_docs,
+    load_predictions,
     load_questions,
     none_letters,
-    parse_gold,
+    parse_predictions,
     sibling_groups,
 )
 from .embed import EmbedderSpec, make_embedder
@@ -61,7 +62,6 @@ class RunConfig:
     questions: str | None = None
     docs: str | None = None
     out: str = "out"
-    seed: int = 0
     embedder: EmbedderSpec = field(default_factory=EmbedderSpec)
     llm: LlmClientSpec = field(default_factory=LlmClientSpec)
     script_path: str | None = None
@@ -78,7 +78,6 @@ class RunConfig:
         """Parameters that define the run semantics. Input and output paths
         stay out; the LLM script participates through its content hash."""
         params = {
-            "seed": self.seed,
             "embedder": {k: v for k, v in vars(self.embedder).items() if k != "cache_dir"},
             "llm": {
                 "kind": self.llm.kind,
@@ -140,17 +139,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_dump(obj) + "\n", encoding="utf-8")
 
 
-def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
-    """Reads {"id": ..., "prediction": "A,C"} lines."""
-    preds: dict[str, frozenset[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                preds[str(row["id"])] = parse_gold(str(row["prediction"]))
-    return preds
-
-
 def _write_manifest(config: RunConfig, stage: str, inputs: Mapping[str, str], result: StageResult) -> None:
     """Records the input hashes given, the content hash of each file the
     stage wrote, named relative to --out, and the stage's counts and keys."""
@@ -175,11 +163,11 @@ def _read_manifest(out_dir: Path, stage: str) -> dict | None:
         return None
 
 
-def _read_listed(out_dir: Path, manifest: dict, rel: str) -> bytes | None:
-    """The bytes of a file the manifest lists as an output, or None when the
-    file is missing or no longer has the listed content hash."""
+def _read_listed(out_dir: Path, manifest: dict | None, rel: str) -> bytes | None:
+    """The bytes of a file the manifest, if any, lists as an output, or None
+    when the file is missing or no longer has the listed content hash."""
     path = out_dir / rel
-    listed = manifest.get("outputs", {}).get(rel)
+    listed = manifest.get("outputs", {}).get(rel) if manifest is not None else None
     if listed is None or not path.is_file():
         return None
     data = path.read_bytes()
@@ -393,15 +381,23 @@ def _make_llm_client(config: RunConfig):
     return make_client(spec)
 
 
+def _upstream(run: StageInput, stage: str, rel: str) -> tuple[bytes, str]:
+    """The bytes of rel and their hash, as the latest manifest of stage lists
+    them. Refuses a missing or unreadable manifest, a file that is not the
+    listed one, and a stage run on other config files than this stage reads."""
+    out_dir = Path(run.config.out)
+    manifest = _read_manifest(out_dir, stage)
+    data = _read_listed(out_dir, manifest, rel)
+    if data is None:
+        raise SystemExit(f"error: {rel} is missing or not the file its manifest lists: run the {stage} stage")
+    if any(manifest.get("inputs", {}).get(name) != digest for name, digest in run.hashes.items()):
+        raise SystemExit(f"error: {stage} ran on other questions or documents: run the {stage} stage again")
+    return data, manifest["outputs"][rel]
+
+
 def _infer(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
-    out_dir = Path(config.out)
-    manifest = _read_manifest(out_dir, "retrieve")
-    data = _read_listed(out_dir, manifest, "retrieval.jsonl") if manifest is not None else None
-    if data is None:
-        raise SystemExit("error: retrieval.jsonl is missing or not the file its manifest lists: run the retrieve stage")
-    if any(manifest.get("inputs", {}).get(name) != run.hashes[name] for name in ("questions", "docs")):
-        raise SystemExit("error: retrieve ran on other questions or documents: run the retrieve stage again")
+    data, retrieval_hash = _upstream(run, "retrieve", "retrieval.jsonl")
     traces = {row["id"]: row for row in map(json.loads, data.splitlines())}
     doc_lookup = {tid: {d.id: d for d in docs} for tid, docs in run.topics.items()}
     client = _make_llm_client(config)
@@ -444,7 +440,7 @@ def _infer(run: StageInput) -> StageResult:
         "theta": config.theta,
         "invalid_samples": n_invalid,
     }
-    inputs = {"retrieval": manifest["outputs"]["retrieval.jsonl"]}
+    inputs = {"retrieval": retrieval_hash}
     if config.script_path:
         inputs["script"] = _sha256_file(config.script_path)
     return StageResult(
@@ -455,10 +451,18 @@ def _infer(run: StageInput) -> StageResult:
     )
 
 
+def _predictions(run: StageInput, stage: str, rel: str) -> tuple[dict[str, frozenset[str]], str]:
+    """The --preds file as it is, or else rel as stage's manifest lists it, parsed, and its hash."""
+    if run.preds:
+        return load_predictions(run.preds), _sha256_file(run.preds)
+    data, digest = _upstream(run, stage, rel)
+    lines = io.StringIO(data.decode("utf-8"), newline=None)
+    return parse_predictions(Path(run.config.out) / rel, lines), digest
+
+
 def _postprocess(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
-    source = Path(run.preds) if run.preds else Path(config.out) / "predictions.jsonl"
-    preds = load_predictions(source)
+    preds, preds_hash = _predictions(run, "infer", "predictions.jsonl")
     scoped = [q for q in questions if q.id in preds]
     dropped = len(questions) - len(scoped)
     if dropped:
@@ -491,18 +495,14 @@ def _postprocess(run: StageInput) -> StageResult:
         "consistency.json": summary,
     }
     counts = {k: v for k, v in summary.items() if k in ("enabled", "iterations", "converged", "n_changes")}
-    return StageResult(outputs, counts, {"predictions": _sha256_file(source)}, lines=[line])
+    return StageResult(outputs, counts, {"predictions": preds_hash}, lines=[line])
 
 
 def _score(run: StageInput) -> StageResult:
-    out_dir = Path(run.config.out)
-    if run.preds:
-        source = Path(run.preds)
+    if (Path(run.config.out) / "manifests" / "postprocess.json").exists():
+        preds, preds_hash = _predictions(run, "postprocess", "predictions.final.jsonl")
     else:
-        source = out_dir / "predictions.final.jsonl"
-        if not source.exists():
-            source = out_dir / "predictions.jsonl"
-    preds = load_predictions(source)
+        preds, preds_hash = _predictions(run, "infer", "predictions.jsonl")
     golds = {q.id: q.gold for q in run.questions if q.gold is not None}
     if not golds:
         raise SystemExit("error: the questions file carries no gold answers")
@@ -520,7 +520,7 @@ def _score(run: StageInput) -> StageResult:
     return StageResult(
         {"score_report.json": report.to_json()},
         {"mean": report.mean, "n": report.n},
-        {"predictions": _sha256_file(source)},
+        {"predictions": preds_hash},
         lines=lines,
     )
 
@@ -566,17 +566,17 @@ def _agree(run: StageInput) -> StageResult:
 def _report(run: StageInput) -> StageResult:
     out_dir = Path(run.config.out)
     report: dict = {}
-    for name, rel in (
-        ("ingest", "ingest/structure.json"),
-        ("score", "score_report.json"),
-        ("agreement", "agreement_report.json"),
-        ("oracle", "oracle_report.json"),
-        ("bias", "bias_report.json"),
-        ("consistency", "consistency.json"),
+    for name, stage, rel in (
+        ("ingest", "ingest", "ingest/structure.json"),
+        ("score", "score", "score_report.json"),
+        ("agreement", "agree", "agreement_report.json"),
+        ("oracle", "agree", "oracle_report.json"),
+        ("bias", "agree", "bias_report.json"),
+        ("consistency", "postprocess", "consistency.json"),
     ):
-        path = out_dir / rel
-        if path.exists():
-            report[name] = json.loads(path.read_text(encoding="utf-8"))
+        data = _read_listed(out_dir, _read_manifest(out_dir, stage), rel)
+        if data is not None:
+            report[name] = json.loads(data)
     for stage in ("retrieve", "infer"):
         manifest = _read_manifest(out_dir, stage)
         if manifest is not None:
@@ -640,68 +640,60 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
 # config and argument plumbing
 
 
-def _spec_from_dict(cls, data: dict, **overrides):
-    kwargs = {k: v for k, v in data.items() if k in cls.__dataclass_fields__}
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**kwargs)
+# Each override flag, the dotted config key it sets and its argparse options.
+# A flag that is given beats the config file, which beats the default.
+FLAGS: tuple[tuple[str, str, dict], ...] = (
+    ("--questions", "questions", {"help": "questions JSONL"}),
+    ("--docs", "docs", {"help": "documents JSONL"}),
+    ("--out", "out", {"help": "output directory (default: out)"}),
+    ("--model", "llm.model", {"help": "remote model name"}),
+    ("--k", "sampling.k", {"type": int, "help": "samples per question"}),
+    ("--theta", "theta", {"type": float, "help": "vote share threshold"}),
+    ("--alpha", "hybrid.alpha", {"type": float, "help": "semantic weight in the hybrid blend"}),
+    ("--edge-threshold", "hybrid.edge_threshold", {"type": float, "help": "graph edge cutoff"}),
+    ("--no-heuristics", "heuristics.enabled", {"action": "store_const", "const": False}),
+    ("--topic-union", "topic_union", {"action": "store_const", "const": True}),
+    ("--seed", "embedder.seed", {"type": int, "help": "mock embedder seed"}),
+)
+
+
+def _spec_from_dict(cls, data: dict):
+    return cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    embedder_data = dict(data.get("embedder", {}))
-    if args.seed is not None:
-        embedder_data["seed"] = args.seed
-    llm_data = dict(data.get("llm", {}))
-    script_path = llm_data.pop("script_path", None)
-    if getattr(args, "model", None):
-        llm_data["model"] = args.model
-    hybrid_data = dict(data.get("hybrid", {}))
-    if getattr(args, "alpha", None) is not None:
-        hybrid_data["alpha"] = args.alpha
-    if getattr(args, "edge_threshold", None) is not None:
-        hybrid_data["edge_threshold"] = args.edge_threshold
-    sampling_data = dict(data.get("sampling", {}))
-    if getattr(args, "k", None) is not None:
-        sampling_data["k"] = args.k
-    heuristics = dict(data.get("heuristics", {}))
-    config = RunConfig(
-        questions=args.questions or data.get("questions"),
-        docs=args.docs or data.get("docs"),
-        out=args.out or data.get("out", "out"),
-        seed=args.seed if args.seed is not None else data.get("seed", 0),
-        embedder=_spec_from_dict(EmbedderSpec, embedder_data),
-        llm=_spec_from_dict(LlmClientSpec, llm_data),
-        script_path=script_path,
-        hybrid=_spec_from_dict(HybridParams, hybrid_data),
-        bm25=_spec_from_dict(Bm25Params, dict(data.get("bm25", {}))),
-        sampling=_spec_from_dict(SamplingParams, sampling_data),
-        theta=args.theta if getattr(args, "theta", None) is not None else data.get("theta", 0.5),
-        heuristics_enabled=(
-            False if getattr(args, "no_heuristics", False) else heuristics.get("enabled", True)
-        ),
+    for flag, key, _ in FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            section, _, name = key.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[name] = value
+    heuristics = data.get("heuristics", {})
+    return RunConfig(
+        questions=data.get("questions"),
+        docs=data.get("docs"),
+        out=data.get("out", "out"),
+        embedder=_spec_from_dict(EmbedderSpec, data.get("embedder", {})),
+        llm=_spec_from_dict(LlmClientSpec, data.get("llm", {})),
+        script_path=data.get("llm", {}).get("script_path"),
+        hybrid=_spec_from_dict(HybridParams, data.get("hybrid", {})),
+        bm25=_spec_from_dict(Bm25Params, data.get("bm25", {})),
+        sampling=_spec_from_dict(SamplingParams, data.get("sampling", {})),
+        theta=data.get("theta", 0.5),
+        heuristics_enabled=heuristics.get("enabled", True),
         heuristics_max_iterations=heuristics.get("max_iterations", 10),
-        topic_union=bool(getattr(args, "topic_union", False) or data.get("topic_union", False)),
+        topic_union=bool(data.get("topic_union", False)),
         max_workers=int(data.get("max_workers", 1)),
     )
-    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--questions", help="questions JSONL")
-    common.add_argument("--docs", help="documents JSONL")
-    common.add_argument("--out", help="output directory (default: out)")
-    common.add_argument("--model", help="remote model name")
-    common.add_argument("--k", type=int, help="samples per question")
-    common.add_argument("--theta", type=float, help="vote share threshold")
-    common.add_argument("--alpha", type=float, help="semantic weight in the hybrid blend")
-    common.add_argument("--edge-threshold", dest="edge_threshold", type=float, help="graph edge cutoff")
-    common.add_argument("--no-heuristics", dest="no_heuristics", action="store_true")
-    common.add_argument("--topic-union", dest="topic_union", action="store_true")
-    common.add_argument("--seed", type=int, help="mock embedder seed")
+    for flag, _, options in FLAGS:
+        common.add_argument(flag, **options)
     common.add_argument("-v", "--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(prog="causeway", description=__doc__)

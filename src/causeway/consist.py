@@ -9,7 +9,7 @@ contradiction and never applied.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import (
@@ -58,12 +58,7 @@ class Contradiction:
     detail: str
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "question_id": self.question_id,
-            "text": self.text,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -340,18 +335,14 @@ class _Engine:
             truth = state.truth
             for f in state.facts:
                 pred = self.preds[f.q.id]
-                for cls in f.classes:
-                    if len(cls) != 3 or not cls <= pred:
-                        continue
-                    for odd in sorted(pred - cls):
-                        if odd in f.substantive and truth.value(f.text[odd]) is True:
-                            self._contradict(
-                                "R5", f.q.id, f.text[odd], "stripped letter's text is True in the group"
-                            )
-                        pred = pred - {odd}
-                        self._r5_stripped.add((f.q.id, odd))
-                if pred != self.preds[f.q.id]:
-                    changed |= self._set_pred(f.q.id, pred, "R5")
+                after = f.r5(pred)
+                for odd in sorted(pred - after):
+                    if odd in f.substantive and truth.value(f.text[odd]) is True:
+                        self._contradict(
+                            "R5", f.q.id, f.text[odd], "stripped letter's text is True in the group"
+                        )
+                    self._r5_stripped.add((f.q.id, odd))
+                changed |= self._set_pred(f.q.id, after, "R5")
         return changed
 
     def _apply_r6(self) -> bool:

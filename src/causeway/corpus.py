@@ -9,6 +9,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -138,6 +139,23 @@ def document_text(doc: DocumentRecord) -> str:
     return doc.content
 
 
+def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
+    """Each non-blank JSONL line of the file at path, parsed, with its "<path>:
+    line N" for messages. Malformed JSON and missing fields are fatal."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
+        missing = [k for k in fields if k not in row]
+        if missing:
+            raise CorpusError(f"{where}: missing required fields {missing}")
+        yield where, row
+
+
 def load_questions(path: str | Path) -> list[QuestionRecord]:
     """Read one question per JSONL line.
 
@@ -150,29 +168,20 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
     seen_ids: set[str] = set()
     known = set(_QUESTION_FIELDS) | {"golden_answer"}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
-            missing = [k for k in _QUESTION_FIELDS if k not in row]
-            if missing:
-                raise CorpusError(f"{path}: line {lineno}: missing required fields {missing}")
+        for where, row in _rows(path, fh, _QUESTION_FIELDS):
             extra = sorted(set(row) - known)
             if extra:
-                logger.info("%s: line %d: ignoring unknown fields %s", path, lineno, extra)
+                logger.info("%s: ignoring unknown fields %s", where, extra)
             qid = str(row["id"])
             if qid in seen_ids:
-                raise CorpusError(f"{path}: line {lineno}: duplicate question id {qid!r}")
+                raise CorpusError(f"{where}: duplicate question id {qid!r}")
             seen_ids.add(qid)
             gold = None
             if row.get("golden_answer") is not None:
                 try:
                     gold = parse_gold(str(row["golden_answer"]))
                 except CorpusError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+                    raise CorpusError(f"{where}: {exc}") from exc
             records.append(
                 QuestionRecord(
                     topic_id=int(row["topic_id"]),
@@ -194,39 +203,21 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
     """
     topics: dict[int, list[DocumentRecord]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
-            for key in ("topic_id", "docs"):
-                if key not in row:
-                    raise CorpusError(f"{path}: line {lineno}: missing required field {key!r}")
+        for where, row in _rows(path, fh, ("topic_id", "docs")):
             topic_id = int(row["topic_id"])
             if topic_id in topics:
-                raise CorpusError(f"{path}: line {lineno}: duplicate topic_id {topic_id}")
+                raise CorpusError(f"{where}: duplicate topic_id {topic_id}")
             docs: list[DocumentRecord] = []
             seen_ids: set[str] = set()
             for pos, item in enumerate(row["docs"]):
                 missing = [k for k in _DOC_FIELDS if k not in item]
                 if missing:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: doc #{pos}: missing required fields {missing}"
-                    )
+                    raise CorpusError(f"{where}: doc #{pos}: missing required fields {missing}")
                 doc_id = str(item["id"])
                 if doc_id in seen_ids:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: duplicate doc id {doc_id!r} in topic {topic_id}"
-                    )
+                    raise CorpusError(f"{where}: duplicate doc id {doc_id!r} in topic {topic_id}")
                 if not str(item["content"]).strip():
-                    logger.warning(
-                        "%s: line %d: doc %s has whitespace-only content, skipped",
-                        path,
-                        lineno,
-                        doc_id,
-                    )
+                    logger.warning("%s: doc %s has whitespace-only content, skipped", where, doc_id)
                     continue
                 seen_ids.add(doc_id)
                 docs.append(
@@ -241,7 +232,24 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
                     )
                 )
             if not docs:
-                logger.warning("%s: line %d: topic %d has no usable documents", path, lineno, topic_id)
+                logger.warning("%s: topic %d has no usable documents", where, topic_id)
             topics[topic_id] = docs
     return topics
 
+
+def parse_predictions(path: str | Path, lines: Iterable[str]) -> dict[str, frozenset[str]]:
+    """{"id": ..., "prediction": "A,C"} rows, read from the lines of the
+    file at path."""
+    preds: dict[str, frozenset[str]] = {}
+    for where, row in _rows(path, lines, ("id", "prediction")):
+        try:
+            preds[str(row["id"])] = parse_gold(str(row["prediction"]))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
+    return preds
+
+
+def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
+    """Reads {"id": ..., "prediction": "A,C"} lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_predictions(path, fh)

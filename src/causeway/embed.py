@@ -7,16 +7,15 @@ import hashlib
 import json
 import logging
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import requests
 
-from .remote import RemoteError, post_with_retry
+from .remote import RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
 
@@ -149,7 +148,7 @@ class VectorCache:
         os.replace(tmp, path)
 
 
-class RemoteEmbedder:
+class RemoteEmbedder(RemoteClient):
     """POSTs {"texts": [...], "model": ...} and expects {"vectors": [[...]]}.
 
     Failed requests are retried with exponential backoff. Cached vectors are
@@ -157,18 +156,13 @@ class RemoteEmbedder:
     match dim is fetched again.
     """
 
-    def __init__(
-        self,
-        spec: EmbedderSpec,
-        session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if not spec.endpoint:
-            raise ValueError("remote embedder requires an endpoint")
-        self.spec = spec
+    error = EmbedError
+    label = "embedding"
+    timeout = 60
+
+    def __init__(self, spec: EmbedderSpec, *args, **kwargs):
+        super().__init__(spec, *args, **kwargs)
         self.dim = spec.dim
-        self.session = session or requests.Session()
-        self._sleep = sleep
         self._cache = VectorCache(spec.cache_dir) if spec.cache_dir else None
 
     def embed_texts(self, texts: Sequence[str], input_type: str | None = None) -> list[np.ndarray]:
@@ -217,10 +211,7 @@ class RemoteEmbedder:
                 raise KeyError("vector count does not match batch size")
             return vectors
 
-        return post_with_retry(
-            self.session, self.spec, payload, read,
-            timeout=60, sleep=self._sleep, error=EmbedError, label="embedding",
-        )
+        return self._post(payload, read)
 
 
 def make_embedder(spec: EmbedderSpec, session: requests.Session | None = None):

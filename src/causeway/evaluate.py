@@ -5,7 +5,7 @@ oracle selection, and selection-bias counts."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import AbstractSet, Mapping, Sequence
 
 from .corpus import LETTERS
@@ -56,19 +56,7 @@ class ScoreReport:
     exact_gap: float
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "n": self.n,
-            "exact": self.exact,
-            "partial": self.partial,
-            "zero": self.zero,
-            "per_question": dict(self.per_question),
-            "missing_prediction_ids": list(self.missing_prediction_ids),
-            "extra_prediction_ids": list(self.extra_prediction_ids),
-            "single": vars(self.single),
-            "multi": vars(self.multi),
-            "exact_gap": self.exact_gap,
-        }
+        return asdict(self)
 
 
 def _slice(scores: list[float]) -> CardinalitySlice:
@@ -303,20 +291,10 @@ def oracle_report(
     if not model_preds:
         raise EvalError("no models")
     models = sorted(model_preds)
-    per_question: dict[str, tuple[str, float]] = {}
-    for qid, gold in golds.items():
-        best_model = None
-        best_score = -1.0
-        for m in models:
-            pred = model_preds[m].get(qid)
-            score = score_question(pred, gold) if pred is not None else 0.0
-            if score > best_score:
-                best_model = m
-                best_score = score
-        per_question[qid] = (best_model or models[0], best_score)
-    model_means = {
-        m: score_run(model_preds[m], golds).mean for m in models
-    }
+    runs = {m: score_run(model_preds[m], golds) for m in models}
+    best = {qid: max(models, key=lambda m: runs[m].per_question[qid]) for qid in golds}
+    per_question = {qid: (m, runs[m].per_question[qid]) for qid, m in best.items()}
+    model_means = {m: runs[m].mean for m in models}
     mean = sum(s for _, s in per_question.values()) / len(per_question) if per_question else 0.0
     return OracleReport(mean=mean, per_question=per_question, model_means=model_means)
 
@@ -330,7 +308,7 @@ class BiasReport:
     mean_gold_cardinality: float
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return asdict(self)
 
 
 def bias_stats(

@@ -131,11 +131,7 @@ class EntryPoints:
     sparse: tuple[str, ...]
 
     def ordered(self) -> list[str]:
-        seen: list[str] = []
-        for doc_id in (*self.dense, *self.sparse):
-            if doc_id not in seen:
-                seen.append(doc_id)
-        return seen
+        return list(dict.fromkeys((*self.dense, *self.sparse)))
 
 
 def entry_points(

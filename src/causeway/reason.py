@@ -7,16 +7,15 @@ from __future__ import annotations
 import logging
 import re
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, unescape
 
 import requests
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, none_letters
 from .lexindex import tokenize
-from .remote import RemoteError, post_with_retry
+from .remote import RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
 
@@ -241,21 +240,13 @@ class OverlapMockClient:
         )
 
 
-class RemoteChatClient:
+class RemoteChatClient(RemoteClient):
     """POSTs {"model", "messages", "temperature"} and expects {"content"}.
     The prompt travels as a single user message."""
 
-    def __init__(
-        self,
-        spec: LlmClientSpec,
-        session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if not spec.endpoint:
-            raise ValueError("remote LLM client requires an endpoint")
-        self.spec = spec
-        self.session = session or requests.Session()
-        self._sleep = sleep
+    error = LlmError
+    label = "LLM"
+    timeout = 120
 
     def complete(
         self,
@@ -269,10 +260,7 @@ class RemoteChatClient:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        return post_with_retry(
-            self.session, self.spec, payload, lambda body: str(body["content"]),
-            timeout=120, sleep=self._sleep, error=LlmError, label="LLM",
-        )
+        return self._post(payload, lambda body: str(body["content"]))
 
 
 def make_client(spec: LlmClientSpec, session: requests.Session | None = None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -634,3 +635,105 @@ class TestLoadPredictions:
         preds = load_predictions(run_dir / "predictions.final.jsonl")
         assert preds["q101c"] == frozenset({"A", "B", "C"})
         assert preds["q103a"] == frozenset({"D"})
+
+
+def _copy_run(run_dir: Path, tmp_path: Path) -> Path:
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    return out
+
+
+def _drop_first_line(path: Path) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[1:]), encoding="utf-8")
+
+
+class TestPredictionsChecked:
+    """Without --preds, postprocess and score read predictions only as the
+    manifest of the stage that wrote them lists them, and only when that
+    stage read the same questions file."""
+
+    def test_edited_predictions_are_refused_by_postprocess(self, run_dir, tmp_path):
+        out = _copy_run(run_dir, tmp_path)
+        _drop_first_line(out / "predictions.jsonl")
+        with pytest.raises(SystemExit, match="infer"):
+            run_stages(out, stages=("postprocess",))
+
+    def test_infer_on_other_questions_is_refused_by_postprocess(self, run_dir, tmp_path):
+        out = _copy_run(run_dir, tmp_path)
+        lines = (FIXTURE_DIR / "questions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        other = tmp_path / "reversed.jsonl"
+        other.write_text("".join(reversed(lines)), encoding="utf-8")
+        run_stages(out, stages=("retrieve", "infer"), extra=("--questions", str(other)))
+        with pytest.raises(SystemExit, match="infer"):
+            run_stages(out, stages=("postprocess",))
+
+    def test_edited_final_predictions_are_refused_by_score(self, run_dir, tmp_path):
+        out = _copy_run(run_dir, tmp_path)
+        _drop_first_line(out / "predictions.final.jsonl")
+        with pytest.raises(SystemExit, match="postprocess"):
+            run_stages(out, stages=("score",))
+
+    def test_score_without_postprocess_manifest_reads_infer_predictions(self, run_dir, tmp_path):
+        out = _copy_run(run_dir, tmp_path)
+        (out / "manifests" / "postprocess.json").unlink()
+        run_stages(out, stages=("score",))
+        assert read_json(out / "score_report.json")["mean"] == pytest.approx(9.5 / 12)
+        inputs = read_json(out / "manifests" / "score.json")["inputs"]
+        assert inputs["predictions"] == hashlib.sha256((out / "predictions.jsonl").read_bytes()).hexdigest()
+
+
+class TestMalformedPreds:
+    @pytest.mark.parametrize("stage", ["postprocess", "score"])
+    @pytest.mark.parametrize(
+        "row, problem",
+        [('{"id": "q101b"', "malformed JSON"), ('{"id": "q101b"}', "missing required fields ['prediction']")],
+        ids=["bad-json", "missing-field"],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, stage, row, problem):
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text('{"id": "q101a", "prediction": "A,B"}\n' + row + "\n", encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)
+        code = main([stage, "--config", "config.json", "--out", str(tmp_path / "out"), "--preds", str(preds)])
+        assert code == 2
+        assert f"error: {preds}: line 2: {problem}" in capsys.readouterr().err
+
+
+class TestReportReadsListedFiles:
+    def test_files_the_latest_agree_does_not_list_are_left_out(self, run_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        preds = [f"raw={run_dir / 'predictions.jsonl'}", f"final={run_dir / 'predictions.final.jsonl'}"]
+        monkeypatch.chdir(FIXTURE_DIR)
+        assert main(["agree", "--config", "config.json", "--out", str(out), *preds]) == 0
+        assert (out / "oracle_report.json").is_file()
+        assert main(["agree", "--out", str(out), *preds]) == 0  # no questions, so no gold answers
+        assert main(["report", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["agreement"] == read_json(out / "agreement_report.json")
+        assert "oracle" not in report
+        assert "bias" not in report
+
+
+class TestConfigKeys:
+    def test_every_flag_sets_its_config_key(self):
+        argv = [
+            "infer", "--questions", "q.jsonl", "--docs", "d.jsonl", "--out", "o", "--model", "m",
+            "--k", "5", "--theta", "0.9", "--alpha", "0.2", "--edge-threshold", "0.3",
+            "--no-heuristics", "--topic-union", "--seed", "7",
+        ]
+        config = build_config(_build_parser().parse_args(argv))
+        assert (config.questions, config.docs, config.out) == ("q.jsonl", "d.jsonl", "o")
+        assert (config.llm.model, config.sampling.k, config.theta) == ("m", 5, 0.9)
+        assert (config.hybrid.alpha, config.hybrid.edge_threshold) == (0.2, 0.3)
+        assert (config.heuristics_enabled, config.topic_union, config.embedder.seed) == (False, True, 7)
+
+    def test_top_level_seed_leaves_the_config_hash_alone(self, tmp_path, monkeypatch):
+        config = read_json(FIXTURE_DIR / "config.json")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's script path is relative
+        hashes = []
+        for seed in (0, 7):
+            path = tmp_path / f"config{seed}.json"
+            path.write_text(json.dumps({**config, "seed": seed}), encoding="utf-8")
+            args = _build_parser().parse_args(["score", "--config", str(path)])
+            hashes.append(build_config(args).config_hash())
+        assert hashes[0] == hashes[1]
