@@ -18,6 +18,7 @@ from .corpus import (
 )
 from .lexindex import Bm25Params, LexIndex, bm25_plus, extract_entities, lexical_similarity, tokenize
 from .embed import EmbedderSpec, MockEmbedder, RemoteEmbedder, cosine, make_embedder
+from .remote import ConfigError
 from .graphrag import (
     DocGraph,
     EntryPoints,

@@ -50,11 +50,13 @@ from .reason import (
     sample_question,
     tally,
 )
+from .remote import ConfigError
 
 logger = logging.getLogger(__name__)
 
-# build-graph's document vectors, relative to --out
+# build-graph's document vectors and each topic's sorted entity list, relative to --out
 DOC_VECTORS = "graphs/doc_vectors.npy"
+ENTITIES = "graphs/entities.json"
 
 
 @dataclass
@@ -245,14 +247,14 @@ def _ingest(run: StageInput) -> StageResult:
 
 def _topic_retriever(
     config: RunConfig, embedder, topic_id: int, docs: Sequence[DocumentRecord],
-    graph: DocGraph | None = None, doc_vecs: np.ndarray | None = None,
+    graph: DocGraph | None = None, doc_vecs: np.ndarray | None = None, entities: Sequence[str] | None = None,
 ) -> TopicRetriever:
     """A topic's retriever under the run's BM25+, hybrid and input-type settings."""
     spec = config.embedder
     return TopicRetriever(
         topic_id, docs, embedder, bm25_params=config.bm25, params=config.hybrid,
         query_input_type=spec.query_input_type, document_input_type=spec.document_input_type,
-        graph=graph, doc_vecs=doc_vecs,
+        graph=graph, doc_vecs=doc_vecs, entities=entities,
     )
 
 
@@ -261,13 +263,16 @@ def _build_graph(run: StageInput) -> StageResult:
     embedder = make_embedder(config.embedder)
     outputs: dict[str, object] = {}
     vectors: list[np.ndarray] = []
+    entities: dict[str, list[str]] = {}
     n_edges = 0
     for topic_id in sorted(topics):
         retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id])
         outputs[f"graphs/topic_{topic_id}.json"] = retriever.graph.to_json()
         n_edges += len(retriever.graph.edges)
         vectors.extend(retriever.doc_vecs[d.id] for d in topics[topic_id])
+        entities[str(topic_id)] = sorted(retriever.entities)
     outputs[DOC_VECTORS] = np.reshape(vectors, (len(vectors), config.embedder.dim))
+    outputs[ENTITIES] = entities
     return StageResult(
         outputs,
         {"n_topics": len(topics), "n_edges": n_edges},
@@ -276,19 +281,26 @@ def _build_graph(run: StageInput) -> StageResult:
     )
 
 
-def _reusable_build(
-    config: RunConfig, docs_hash: str, n_docs: int
-) -> tuple[np.ndarray | None, dict | None]:
-    """What retrieve may take over from build-graph: the document vectors,
-    when build-graph read the same docs file with the same embedder, and the
-    build-graph manifest, whose listed graphs it may load, when the graph
-    parameters match as well. Whatever does not match is recomputed, with a
-    warning."""
+@dataclass
+class _Reusable:
+    """What retrieve takes over from build-graph; None where it recomputes."""
+
+    vectors: np.ndarray | None = None
+    entities: dict[str, list[str]] | None = None  # ENTITIES as build-graph wrote it
+    manifest: dict | None = None  # build-graph's, whose listed graphs retrieve may load
+
+
+def _reusable_build(config: RunConfig, docs_hash: str, n_docs: int) -> _Reusable:
+    """What retrieve may take over from build-graph: the document vectors and
+    the entity lists, when build-graph read the same docs file with the same
+    embedder, and the build-graph manifest, whose listed graphs it may load,
+    when the graph parameters match as well. Whatever does not match is
+    recomputed, with a warning."""
     out_dir = Path(config.out)
     manifest = _read_manifest(out_dir, "build-graph")
     if manifest is None:
         logger.warning("no readable build-graph manifest: embedding the documents and building the graphs")
-        return None, None
+        return _Reusable()
     keys = manifest.get("keys", {})
     same_docs = manifest.get("inputs", {}).get("docs") == docs_hash
     if not same_docs or keys.get("vectors") != config.vectors_key():
@@ -296,16 +308,20 @@ def _reusable_build(
             "build-graph ran on other documents or with another embedder: "
             "embedding the documents and building the graphs again"
         )
-        return None, None
+        return _Reusable()
     data = _read_listed(out_dir, manifest, DOC_VECTORS)
     vectors = _load_doc_vectors(data) if data is not None else None
     if vectors is None or vectors.shape != (n_docs, config.embedder.dim):
         logger.warning("%s is missing or does not match the documents: embedding them again", DOC_VECTORS)
         vectors = None
+    data = _read_listed(out_dir, manifest, ENTITIES)
+    if data is None:
+        logger.warning("%s is missing or changed: extracting the entities again", ENTITIES)
+    entities = json.loads(data) if data is not None else None
     if keys.get("graph") != config.graph_key():
         logger.warning("build-graph ran with other graph parameters: building the graphs again")
-        return vectors, None
-    return vectors, manifest
+        return _Reusable(vectors, entities)
+    return _Reusable(vectors, entities, manifest)
 
 
 def _build_retrievers(
@@ -316,23 +332,28 @@ def _build_retrievers(
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
     embedder = make_embedder(config.embedder)
     out_dir = Path(config.out)
-    vectors, manifest = _reusable_build(config, docs_hash, sum(len(docs) for docs in topics.values()))
+    reuse = _reusable_build(config, docs_hash, sum(len(docs) for docs in topics.values()))
     retrievers: dict[int, TopicRetriever] = {}
     start = 0
     for topic_id in sorted(topics):
         docs = topics[topic_id]
-        rows = vectors[start : start + len(docs)] if vectors is not None else None
+        rows = reuse.vectors[start : start + len(docs)] if reuse.vectors is not None else None
         start += len(docs)
         if topic_id not in needed:
             continue
         graph = None
-        if manifest is not None:
-            data = _read_listed(out_dir, manifest, f"graphs/topic_{topic_id}.json")
+        if reuse.manifest is not None:
+            data = _read_listed(out_dir, reuse.manifest, f"graphs/topic_{topic_id}.json")
             if data is None:
                 logger.warning("graph of topic %d is missing or changed: building it again", topic_id)
             else:
                 graph = DocGraph.from_json(json.loads(data))
-        retrievers[topic_id] = _topic_retriever(config, embedder, topic_id, docs, graph, rows)
+        entities = None
+        if reuse.entities is not None:
+            entities = reuse.entities.get(str(topic_id))
+            if entities is None:
+                logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
+        retrievers[topic_id] = _topic_retriever(config, embedder, topic_id, docs, graph, rows, entities)
     return retrievers
 
 
@@ -483,7 +504,7 @@ def _postprocess(run: StageInput) -> StageResult:
             "rule_counts": outcome.report.rule_counts,
             "n_changes": len(outcome.report.changes),
             "contradictions": [c.to_json() for c in outcome.report.contradictions],
-            "violations": output_validity_violations(scoped, outcome.predictions),
+            "violations": output_validity_violations(scoped, outcome.predictions, outcome.facts),
         }
         line = (
             f"postprocess: {summary['n_changes']} changes in {summary['iterations']} iterations, "
@@ -715,7 +736,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     Path(config.out).mkdir(parents=True, exist_ok=True)
     try:
         run_stage(args.command, config, getattr(args, "preds", None))
-    except (CorpusError, OSError) as exc:
+    except (CorpusError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -85,6 +85,8 @@ class FixedPointReport:
 class ConsistencyOutcome:
     predictions: dict[str, frozenset[str]]
     report: FixedPointReport
+    # the engine's per-question facts, by question id, for output_validity_violations
+    facts: Mapping[str, _QuestionFacts] = field(default_factory=dict, repr=False, compare=False)
 
 
 class _QuestionFacts:
@@ -268,9 +270,9 @@ class _Engine:
         # chase each other forever
         self._r5_stripped: set[tuple[str, str]] = set()
         self.facts = [_QuestionFacts(q) for q in questions]
-        facts_by_id = {f.q.id: f for f in self.facts}
+        self.facts_by_id = {f.q.id: f for f in self.facts}
         self.groups = [
-            _GroupState([facts_by_id[qid] for qid in g.question_ids], (g.topic_id, g.event_key))
+            _GroupState([self.facts_by_id[qid] for qid in g.question_ids], (g.topic_id, g.event_key))
             for g in sibling_groups(questions)
         ]
         self.changes: list[ChangeRecord] = []
@@ -458,7 +460,7 @@ class _Engine:
             contradictions=self.contradictions,
             truth_log=truth_log,
         )
-        return ConsistencyOutcome(predictions=dict(self.preds), report=report)
+        return ConsistencyOutcome(predictions=dict(self.preds), report=report, facts=self.facts_by_id)
 
 
 def run_to_fixed_point(
@@ -473,11 +475,15 @@ def run_to_fixed_point(
 
 
 def output_validity_violations(
-    questions: Sequence[QuestionRecord], predictions: Mapping[str, frozenset[str]]
+    questions: Sequence[QuestionRecord],
+    predictions: Mapping[str, frozenset[str]],
+    facts: Mapping[str, _QuestionFacts] | None = None,
 ) -> list[str]:
     """Checks the output contract: non-empty subsets of A-D, no rejection
     letter mixed with substantive letters, duplicate classes all-in or
-    all-out."""
+    all-out. facts, a ConsistencyOutcome's for these questions, spares
+    normalizing every option text again."""
+    facts = facts or {}
     problems: list[str] = []
     for q in questions:
         pred = predictions.get(q.id)
@@ -488,10 +494,10 @@ def output_validity_violations(
             problems.append(f"{q.id}: empty prediction")
         if not set(pred) <= set(LETTERS):
             problems.append(f"{q.id}: letters outside A-D: {sorted(pred)}")
-        facts = _QuestionFacts(q)
-        if pred & facts.none_letters and pred - facts.none_letters:
+        f = facts.get(q.id) or _QuestionFacts(q)
+        if pred & f.none_letters and pred - f.none_letters:
             problems.append(f"{q.id}: rejection letter mixed with substantive letters")
-        for cls in facts.classes:
+        for cls in f.classes:
             if pred & cls and not cls <= pred:
                 problems.append(f"{q.id}: duplicate class {sorted(cls)} partially selected")
     return problems

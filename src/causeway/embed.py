@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .remote import RemoteClient, RemoteError
+from .remote import ConfigError, RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ class MockEmbedder:
 
     def __init__(self, dim: int = 256, seed: int = 0):
         if dim <= 0:
-            raise ValueError("dim must be positive")
+            raise ConfigError("embedder dim must be positive")
         self.dim = dim
         self.seed = seed
         self._rows: dict[int, np.ndarray] = {}
@@ -116,17 +116,20 @@ class MockEmbedder:
 
 
 class VectorCache:
-    """One JSON file per (model, input type, text) key. Writes go through a
-    temp file and an atomic rename, so concurrent readers never see partial
-    content and the last writer wins."""
+    """One JSON file per (endpoint, dim, model, input type, text) key, with
+    the endpoint and dim fixed per cache, so that embedders of another dim or
+    at another endpoint keep their own entries in a shared directory. Writes
+    go through a temp file and an atomic rename, so concurrent readers never
+    see partial content and the last writer wins."""
 
-    def __init__(self, root: str | Path):
+    def __init__(self, root: str | Path, endpoint: str | None = None, dim: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._scope = (endpoint or "", str(dim or ""))
 
     def _path(self, model: str | None, text: str, input_type: str | None) -> Path:
         key = hashlib.sha256()
-        for part in (model or "", input_type or "", text):
+        for part in (*self._scope, model or "", input_type or "", text):
             key.update(part.encode("utf-8"))
             key.update(b"\x00")
         return self.root / f"{key.hexdigest()}.json"
@@ -152,8 +155,8 @@ class RemoteEmbedder(RemoteClient):
     """POSTs {"texts": [...], "model": ...} and expects {"vectors": [[...]]}.
 
     Failed requests are retried with exponential backoff. Cached vectors are
-    keyed by model, input type, and exact text; one whose shape does not
-    match dim is fetched again.
+    keyed by endpoint, dim, model, input type, and exact text; an entry whose
+    shape does not match dim anyway is fetched again.
     """
 
     error = EmbedError
@@ -163,7 +166,7 @@ class RemoteEmbedder(RemoteClient):
     def __init__(self, spec: EmbedderSpec, *args, **kwargs):
         super().__init__(spec, *args, **kwargs)
         self.dim = spec.dim
-        self._cache = VectorCache(spec.cache_dir) if spec.cache_dir else None
+        self._cache = VectorCache(spec.cache_dir, spec.endpoint, spec.dim) if spec.cache_dir else None
 
     def embed_texts(self, texts: Sequence[str], input_type: str | None = None) -> list[np.ndarray]:
         texts = list(texts)
@@ -175,8 +178,7 @@ class RemoteEmbedder(RemoteClient):
                 if cached.shape == (self.spec.dim,):
                     vectors[i] = cached
                     continue
-                # the cache key does not include dim, so a directory reused
-                # across a dim change still holds the old vectors
+                # only a damaged or hand-written entry has another shape
                 logger.warning(
                     "cached vector has shape %s, configured dim is %d; fetching it again",
                     cached.shape,
@@ -219,4 +221,4 @@ def make_embedder(spec: EmbedderSpec, session: requests.Session | None = None):
         return MockEmbedder(dim=spec.dim, seed=spec.seed)
     if spec.kind == "remote":
         return RemoteEmbedder(spec, session=session)
-    raise ValueError(f"unknown embedder kind {spec.kind!r}")
+    raise ConfigError(f"unknown embedder kind {spec.kind!r}")

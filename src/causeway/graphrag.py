@@ -7,7 +7,7 @@ import logging
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,16 +103,21 @@ def build_graph(
 ) -> DocGraph:
     """All-pairs hybrid weights; edges kept when the weight reaches the
     threshold (inclusive). Cosines are clamped into [0, 1] before blending.
-    Each document's lexical profile is computed once, not once per pair."""
+    Each document's lexical profile and vector norm are computed once, not
+    once per pair; each pair's cosine is then the same float as `cosine`'s."""
     ids = [d.id for d in docs]
     for doc_id in ids:
         if doc_id not in embeddings:
             raise GraphError(f"missing embedding for document {doc_id!r}")
     profiles = {doc_id: lexical_profile(doc_id, index, bm25_params, entities) for doc_id in ids}
+    vecs = {doc_id: np.asarray(embeddings[doc_id], dtype=np.float64) for doc_id in ids}
+    norms = {doc_id: float(np.linalg.norm(v)) for doc_id, v in vecs.items()}
     edges: list[tuple[str, str, float]] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            sem = min(1.0, max(0.0, cosine(embeddings[a], embeddings[b])))
+            na, nb = norms[a], norms[b]
+            cos = 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(vecs[a], vecs[b]) / (na * nb))
+            sem = min(1.0, max(0.0, cos))
             lex = profile_similarity(profiles[a], profiles[b], bm25_params)
             w = hybrid_weight(sem, lex, params.alpha)
             if w >= params.edge_threshold:
@@ -254,8 +259,8 @@ class TopicContextCache:
 class TopicRetriever:
     """Bundles one topic's documents, lexical index, entities, embeddings,
     and graph behind a query interface. Given doc_vecs (one row per document,
-    in document order) or a graph, it reuses them instead of embedding the
-    documents or building the graph."""
+    in document order), a graph or the entity set, it reuses them instead of
+    embedding the documents, building the graph or extracting the entities."""
 
     def __init__(
         self,
@@ -268,6 +273,7 @@ class TopicRetriever:
         document_input_type: str | None = None,
         graph: DocGraph | None = None,
         doc_vecs: np.ndarray | None = None,
+        entities: Iterable[str] | None = None,
     ):
         self.topic_id = topic_id
         self.docs = list(docs)
@@ -277,7 +283,7 @@ class TopicRetriever:
         self.query_input_type = query_input_type
         texts = {d.id: document_text(d) for d in self.docs}
         self.index = LexIndex.build(texts)
-        self.entities = extract_entities(texts.values())
+        self.entities = frozenset(entities) if entities is not None else extract_entities(texts.values())
         if doc_vecs is None:
             doc_vecs = embedder.embed_texts(
                 [texts[d.id] for d in self.docs], input_type=document_input_type

@@ -23,7 +23,10 @@ STOPWORDS = frozenset(
 
 _LEAD_TRIM = "\"'“”‘’([{<«"
 _TAIL_TRIM = "\"'“”‘’)]}>»"
-_SENTENCE_END = (".", "!", "?", "…")
+# a sentence end: punctuation, closing quotes or brackets, then whitespace;
+# the group captures the word that follows (str.split and re agree on what
+# whitespace is)
+_AFTER_SENTENCE_END = re.compile("[.!?…][" + re.escape(_TAIL_TRIM) + r"]*\s+(?=(\S+))")
 
 
 class LexIndexError(KeyError):
@@ -48,20 +51,24 @@ def extract_entities(texts: Iterable[str], stopwords: AbstractSet[str] = STOPWOR
     least once, excluding stopwords.
 
     Sentence starts are the first word of each line and any word following
-    sentence-ending punctuation.
+    sentence-ending punctuation. A word is judged by its string alone, so the
+    scan only counts: a distinct word that occurs after the first of its line
+    more often than it follows a sentence end has a non-initial occurrence.
     """
-    entities: set[str] = set()
+    after_first: Counter = Counter()
+    after_end: Counter = Counter()
     for text in texts:
         for line in text.splitlines():
-            at_start = True
-            for word in line.split():
-                core = word.strip(_LEAD_TRIM + _TAIL_TRIM)
-                if core:
-                    if core[0].isalpha() and core[0].isupper() and not at_start:
-                        tokens = tokenize(core)
-                        if tokens and tokens[0] not in stopwords:
-                            entities.add(tokens[0])
-                at_start = word.rstrip(_TAIL_TRIM).endswith(_SENTENCE_END)
+            after_first.update(line.split()[1:])
+            after_end.update(_AFTER_SENTENCE_END.findall(line))
+    entities: set[str] = set()
+    for word, n in after_first.items():
+        if n > after_end[word]:
+            core = word.strip(_LEAD_TRIM + _TAIL_TRIM)
+            if core and core[0].isalpha() and core[0].isupper():
+                tokens = tokenize(core)
+                if tokens and tokens[0] not in stopwords:
+                    entities.add(tokens[0])
     return frozenset(entities)
 
 

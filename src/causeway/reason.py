@@ -15,7 +15,7 @@ import requests
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, none_letters
 from .lexindex import tokenize
-from .remote import RemoteClient, RemoteError
+from .remote import ConfigError, RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
 
@@ -270,7 +270,7 @@ def make_client(spec: LlmClientSpec, session: requests.Session | None = None):
         return OverlapMockClient()
     if spec.kind == "remote":
         return RemoteChatClient(spec, session=session)
-    raise ValueError(f"unknown LLM client kind {spec.kind!r}")
+    raise ConfigError(f"unknown LLM client kind {spec.kind!r}")
 
 
 def sample_question(

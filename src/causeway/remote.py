@@ -1,5 +1,6 @@
 """The one HTTP path of the remote clients: a JSON POST with a bearer token
-from the environment, retried with exponential backoff."""
+from the environment, retried with exponential backoff. Also the error of a
+client spec that cannot make a client."""
 
 from __future__ import annotations
 
@@ -13,6 +14,11 @@ import requests
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+
+class ConfigError(ValueError):
+    """A client spec that names no usable client: an unknown kind, a remote
+    kind without an endpoint, or a dimension that is not positive."""
 
 
 class RemoteError(RuntimeError):
@@ -34,7 +40,7 @@ class RemoteClient:
 
     def __init__(self, spec, session: requests.Session | None = None, sleep: Callable[[float], None] = time.sleep):
         if not spec.endpoint:
-            raise ValueError(f"remote {self.label} client requires an endpoint")
+            raise ConfigError(f"remote {self.label} client requires an endpoint")
         self.spec = spec
         self.session = session or requests.Session()
         self._sleep = sleep

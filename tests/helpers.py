@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from typing import AbstractSet, Mapping, Sequence
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from causeway.corpus import LETTERS, QuestionRecord
 from causeway.embed import cosine
 from causeway.graphrag import RetrievalResult, hybrid_weight
+from causeway.lexindex import STOPWORDS
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -86,6 +88,56 @@ METRIC_CASES = [
     (set(), {"A", "B"}, 0.0),
     ({"B", "D"}, {"B", "C"}, 0.0),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Entity extraction reference: the word-by-word scan that tracks whether
+# each word starts a sentence.
+
+_LEAD_TRIM = "\"'“”‘’([{<«"
+_TAIL_TRIM = "\"'“”‘’)]}>»"
+_SENTENCE_END = (".", "!", "?", "…")
+
+
+def extract_entities_reference(texts: Sequence[str], stopwords: AbstractSet[str] = STOPWORDS) -> frozenset[str]:
+    entities: set[str] = set()
+    for text in texts:
+        for line in text.splitlines():
+            at_start = True
+            for word in line.split():
+                core = word.strip(_LEAD_TRIM + _TAIL_TRIM)
+                if core:
+                    if core[0].isalpha() and core[0].isupper() and not at_start:
+                        tokens = re.findall(r"[^\W_]+", core.lower())
+                        if tokens and tokens[0] not in stopwords:
+                            entities.add(tokens[0])
+                at_start = word.rstrip(_TAIL_TRIM).endswith(_SENTENCE_END)
+    return frozenset(entities)
+
+
+# Entity-scan input: words in several scripts and cases (stopwords, dotted
+# capital I, titlecase, Greek capitals), each maybe behind opening quotes or
+# brackets and before a sentence end with closing ones, or arbitrary text;
+# each word is followed by ASCII or non-ASCII whitespace or by one of the
+# str.splitlines boundaries, which also make empty lines.
+_ENTITY_WORDS = ("Ontario", "lagos", "The", "He", "x", "İstanbul", "ǅemal", "ΣΟΦΙΑ", "Ébola", "Co_op", "U.S.", "3M")
+_SPACES = (
+    " ", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\u2028", "\u2029", "\xa0", "\u3000", "\u2009",
+)
+_entity_word = st.one_of(
+    st.builds(
+        lambda lead, word, end: lead + word + end,
+        st.text(_LEAD_TRIM, max_size=2),
+        st.sampled_from(_ENTITY_WORDS),
+        st.one_of(st.just(""), st.builds(str.__add__, st.sampled_from(_SENTENCE_END), st.text(_TAIL_TRIM, max_size=3))),
+    ),
+    st.text(max_size=3),
+)
+entity_texts = st.lists(
+    st.lists(st.tuples(_entity_word, st.sampled_from(_SPACES)).map("".join), max_size=30).map("".join),
+    max_size=4,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causeway import cli
+from causeway import cli, consist, graphrag
 from causeway.cli import build_config, load_predictions, main, _build_parser
 from causeway.corpus import document_text, load_docs
 from causeway.embed import MockEmbedder
+from causeway.lexindex import extract_entities
 from helpers import record_texts
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "toy"
@@ -204,6 +205,16 @@ class TestPostprocess:
         assert summary["rule_counts"] == {
             "R1": 0, "R2": 1, "R3": 0, "R4": 3, "R5": 0, "R6": 1, "R7": 0, "R8": 0,
         }
+
+    def test_each_option_normalized_once(self, run_dir, tmp_path, monkeypatch):
+        # the output check reads the consistency engine's facts
+        out = _copy_run(run_dir, tmp_path)
+        normalized: list[str] = []
+        normalize_text = consist.normalize_text
+        monkeypatch.setattr(consist, "normalize_text", lambda text: normalized.append(text) or normalize_text(text))
+        run_stages(out, stages=("postprocess",))
+        assert len(normalized) == 4 * 12
+        assert (out / "consistency.json").read_bytes() == (run_dir / "consistency.json").read_bytes()
 
     def test_audit_log_sequence(self, run_dir):
         rows = read_jsonl(run_dir / "audit.jsonl")
@@ -399,10 +410,59 @@ def _truncated_manifest(out: Path) -> None:
     (out / "manifests" / "build-graph.json").write_text('{"stage": "build-', encoding="utf-8")
 
 
+@pytest.fixture
+def extracted(monkeypatch) -> list[int]:
+    """The document count of every entity extraction from here on."""
+    counts: list[int] = []
+    extract = graphrag.extract_entities
+
+    def counting(texts, *args):
+        texts = list(texts)
+        counts.append(len(texts))
+        return extract(texts, *args)
+
+    monkeypatch.setattr(graphrag, "extract_entities", counting)
+    return counts
+
+
+def _drop_entities(out: Path) -> None:
+    (out / "graphs" / "entities.json").unlink()
+
+
+def _edited_entities(out: Path) -> None:
+    path = out / "graphs" / "entities.json"
+    entities = read_json(path)
+    entities["101"] = entities["101"][1:]
+    path.write_text(json.dumps(entities), encoding="utf-8")
+
+
+def _unlisted_entities(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    del manifest["outputs"]["graphs/entities.json"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _entities_lacking_a_topic(out: Path) -> None:
+    path = out / "graphs" / "entities.json"
+    entities = read_json(path)
+    del entities["102"]
+    path.write_text(json.dumps(entities), encoding="utf-8")
+    _relist(out, "graphs/entities.json")
+
+
+def _other_embedder(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    manifest["keys"]["vectors"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 class TestBuildGraphReuse:
-    """retrieve takes the document vectors and graphs from build-graph only
-    when they came from the current docs file and config; otherwise it
-    recomputes them and its output matches a run that never had them."""
+    """retrieve takes the document vectors, entity lists and graphs from
+    build-graph only when they came from the current docs file and config;
+    otherwise it recomputes them and its output matches a run that never had
+    them."""
 
     def test_saved_vectors_layout(self, run_dir):
         vectors = np.load(run_dir / "graphs" / "doc_vectors.npy", allow_pickle=False)
@@ -412,6 +472,45 @@ class TestBuildGraphReuse:
         docs = [d for topic_id in sorted(topics) for d in topics[topic_id]]
         embedder = MockEmbedder(dim=64, seed=0)  # the fixture config's embedder
         assert np.array_equal(vectors, np.array(embedder.embed_texts([document_text(d) for d in docs])))
+
+    def test_saved_entities_layout(self, run_dir):
+        topics = load_docs(FIXTURE_DIR / "docs.jsonl")
+        want = {
+            str(topic_id): sorted(extract_entities(document_text(d) for d in docs)) for topic_id, docs in topics.items()
+        }
+        assert read_json(run_dir / "graphs" / "entities.json") == want
+        assert all(want.values())
+        assert "graphs/entities.json" in read_json(run_dir / "manifests" / "build-graph.json")["outputs"]
+
+    def test_retrieve_extracts_no_entities(self, run_dir, tmp_path, extracted):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph",))
+        assert extracted == [6, 6, 6]
+        del extracted[:]
+        run_stages(out, stages=("retrieve",))
+        assert extracted == []
+        assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "tamper, n_extracted",
+        [
+            (_drop_entities, 3),
+            (_edited_entities, 3),
+            (_unlisted_entities, 3),
+            (_entities_lacking_a_topic, 1),
+            (_other_docs, 3),
+            (_other_embedder, 3),
+        ],
+    )
+    def test_unusable_entities_are_extracted_again(self, run_dir, tmp_path, extracted, caplog, tamper, n_extracted):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph",))
+        tamper(out)
+        del extracted[:]
+        run_stages(out, stages=("retrieve",))
+        assert len(extracted) == n_extracted
+        assert any(r.levelname == "WARNING" and r.name == "causeway.cli" for r in caplog.records)
+        assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
     def test_retrieve_embeds_only_queries(self, run_dir, tmp_path, embedded):
         out = tmp_path / "out"
@@ -614,6 +713,27 @@ class TestErrors:
         )
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, spec, stage, message",
+        [
+            ("embedder", {"kind": "remote", "dim": 64}, "build-graph", "remote embedding client requires an endpoint"),
+            ("embedder", {"kind": "nope", "dim": 64}, "build-graph", "unknown embedder kind 'nope'"),
+            ("embedder", {"kind": "mock", "dim": 0}, "build-graph", "embedder dim must be positive"),
+            ("llm", {"kind": "nope", "script_path": "script.json"}, "infer", "unknown LLM client kind 'nope'"),
+        ],
+        ids=["remote-embedder-without-endpoint", "unknown-embedder-kind", "zero-dim", "unknown-llm-kind"],
+    )
+    def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, section, spec, stage, message):
+        out = tmp_path / "out"
+        if stage == "infer":
+            run_stages(out, stages=("build-graph", "retrieve"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**read_json(FIXTURE_DIR / "config.json"), section: spec}), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        capsys.readouterr()
+        assert main([stage, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_required_flag_is_fatal(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -267,23 +267,54 @@ class TestRemoteEmbedder:
         fake_server.set_responder(
             lambda path, body, headers: (200, _vectors_payload(body["texts"], dim["now"]))
         )
-        RemoteEmbedder(
-            self._spec(fake_server.url, dim=4, cache_dir=str(tmp_path)), sleep=lambda s: None
-        ).embed_texts(["hello"])
-        dim["now"] = 8
+
+        def embed(d: int) -> np.ndarray:
+            dim["now"] = d
+            spec = self._spec(fake_server.url, dim=d, cache_dir=str(tmp_path))
+            return RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])[0]
+
+        first = embed(4)
         fake_server.requests.clear()
-        embedder = RemoteEmbedder(
-            self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path)), sleep=lambda s: None
-        )
         with caplog.at_level(logging.WARNING, logger="causeway.embed"):
-            out = embedder.embed_texts(["hello"])
-        assert out[0].shape == (8,)
+            out = embed(8)
+        assert out.shape == (8,)
         assert [r["body"]["texts"] for r in fake_server.requests] == [["hello"]]
+        assert "configured dim" not in caplog.text
+        # each dim keeps its own entry in the shared directory
+        np.testing.assert_array_equal(embed(4), first)
+        np.testing.assert_array_equal(embed(8), out)
+        assert len(fake_server.requests) == 1
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_cached_vector_of_another_endpoint_is_a_miss(self, fake_server, tmp_path):
+        # each endpoint answers with its own vectors
+        fake_server.set_responder(
+            lambda path, body, headers: (200, {"vectors": [[len(t), len(path), 0.0, 1.0] for t in body["texts"]]})
+        )
+
+        def embed(path: str) -> np.ndarray:
+            # the same model name at either endpoint
+            spec = self._spec(fake_server.url, endpoint=fake_server.url + path, cache_dir=str(tmp_path))
+            return RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])[0]
+
+        first_a, first_b = embed("/embed"), embed("/v2/embed")
+        assert not np.array_equal(first_a, first_b)
+        assert [r["path"] for r in fake_server.requests] == ["/embed", "/v2/embed"]
+        np.testing.assert_array_equal(embed("/embed"), first_a)
+        np.testing.assert_array_equal(embed("/v2/embed"), first_b)
+        assert len(fake_server.requests) == 2
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_cached_entry_of_the_wrong_shape_is_fetched_again(self, fake_server, tmp_path, caplog):
+        fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"], 8)))
+        spec = self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path))
+        VectorCache(tmp_path, spec.endpoint, 8).put(spec.model, "hello", None, np.ones(4))
+        with caplog.at_level(logging.WARNING, logger="causeway.embed"):
+            out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
+        assert out[0].shape == (8,)
         assert "configured dim is 8" in caplog.text
-        # the refetched vector replaced the stale entry
-        again = RemoteEmbedder(
-            self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path)), sleep=lambda s: None
-        ).embed_texts(["hello"])
+        # the refetched vector replaced the damaged entry
+        again = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
         assert len(fake_server.requests) == 1
         np.testing.assert_array_equal(again[0], out[0])
 

@@ -170,6 +170,15 @@ class TestBuildGraph:
         lex = lexical_similarity("d1", "d2", index)
         assert w == pytest.approx(hybrid_weight(0.0, lex))
 
+    def test_unnormalized_and_zero_vectors_match_per_pair_cosine(self):
+        docs, index, entities, _ = self._topic()
+        rng = np.random.default_rng(5)
+        embeddings = {"d1": 3.7 * rng.standard_normal(16), "d2": 0.01 * rng.standard_normal(16), "d3": np.zeros(16)}
+        tokens = {d.id: tokenize(document_text(d)) for d in docs}
+        want = graph_edges_reference(tokens, embeddings, entities, 0.7, -1.0)
+        graph = build_graph(1, docs, embeddings, index, Bm25Params(), entities, HybridParams(edge_threshold=-1.0))
+        assert graph.edges == want
+
     def test_missing_embedding_raises(self):
         docs, index, entities, embeddings = self._topic()
         del embeddings["d2"]

@@ -19,7 +19,14 @@ from causeway.lexindex import (
     tokenize,
     top_terms,
 )
-from helpers import bm25_reference, lexical_similarity_reference, topic_entities, topic_texts
+from helpers import (
+    bm25_reference,
+    entity_texts,
+    extract_entities_reference,
+    lexical_similarity_reference,
+    topic_entities,
+    topic_texts,
+)
 
 
 class TestTokenize:
@@ -84,6 +91,19 @@ class TestExtractEntities:
 
     def test_stopword_list_size(self):
         assert len(STOPWORDS) == 50
+
+    def test_sentence_end_inside_closing_quotes_and_brackets(self):
+        ents = extract_entities(['He said "it closed." Ontario shrugged. (Prices rose.) Lagos waited'])
+        assert ents == frozenset()
+
+    def test_non_ascii_whitespace_separates_words(self):
+        ents = extract_entities(["prices rose.\u3000Ontario waited\xa0while Lagos slept"])
+        assert ents == frozenset({"lagos"})
+
+    @given(entity_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_word_by_word_reference(self, texts):
+        assert extract_entities(texts) == extract_entities_reference(texts)
 
 
 def _toy_texts() -> dict[str, str]:
