@@ -23,6 +23,7 @@ from .corpus import (
     CorpusError,
     DocumentRecord,
     QuestionRecord,
+    document_text,
     duplicate_classes,
     load_docs,
     load_predictions,
@@ -40,6 +41,7 @@ from .graphrag import (
     RetrievalResult,
     TopicContextCache,
     TopicRetriever,
+    make_query,
 )
 from .reason import (
     AggregationParams,
@@ -258,20 +260,52 @@ def _topic_retriever(
     )
 
 
+class _DocumentTexts(Sequence[str]):
+    """Each document's text, made when it is read. A list of every text
+    would hold them all at once, and freeing it leaves the heap larger."""
+
+    def __init__(self, docs: Sequence[DocumentRecord]):
+        self.docs = docs
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def __getitem__(self, i: int) -> str:
+        return document_text(self.docs[i])
+
+
+def _embed_documents(config: RunConfig, embedder, topics, topic_ids: Sequence[int]) -> np.ndarray:
+    """One vector per document of topic_ids, topics in that order and
+    documents in docs-file order, from one embed_texts call."""
+    texts = _DocumentTexts([d for topic_id in topic_ids for d in topics[topic_id]])
+    vectors = embedder.embed_texts(texts, input_type=config.embedder.document_input_type)
+    return np.reshape(vectors, (len(texts), config.embedder.dim))
+
+
+def _topic_rows(vectors: np.ndarray, topics, topic_ids: Sequence[int]) -> dict[int, np.ndarray]:
+    """vectors, one row per document of topic_ids in that order, split by topic."""
+    rows: dict[int, np.ndarray] = {}
+    start = 0
+    for topic_id in topic_ids:
+        rows[topic_id] = vectors[start : start + len(topics[topic_id])]
+        start += len(topics[topic_id])
+    return rows
+
+
 def _build_graph(run: StageInput) -> StageResult:
     config, topics = run.config, run.topics
     embedder = make_embedder(config.embedder)
+    topic_ids = sorted(topics)
+    vectors = _embed_documents(config, embedder, topics, topic_ids)
     outputs: dict[str, object] = {}
-    vectors: list[np.ndarray] = []
     entities: dict[str, list[str]] = {}
     n_edges = 0
-    for topic_id in sorted(topics):
-        retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id])
+    for topic_id, doc_vecs in _topic_rows(vectors, topics, topic_ids).items():
+        retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id], doc_vecs=doc_vecs)
         outputs[f"graphs/topic_{topic_id}.json"] = retriever.graph.to_json()
         n_edges += len(retriever.graph.edges)
-        vectors.extend(retriever.doc_vecs[d.id] for d in topics[topic_id])
         entities[str(topic_id)] = sorted(retriever.entities)
-    outputs[DOC_VECTORS] = np.reshape(vectors, (len(vectors), config.embedder.dim))
+    outputs[DOC_VECTORS] = vectors
     outputs[ENTITIES] = entities
     return StageResult(
         outputs,
@@ -325,22 +359,20 @@ def _reusable_build(config: RunConfig, docs_hash: str, n_docs: int) -> _Reusable
 
 
 def _build_retrievers(
-    config: RunConfig, docs_hash: str, topics, needed: set[int]
+    config: RunConfig, embedder, docs_hash: str, topics, needed: set[int]
 ) -> dict[int, TopicRetriever]:
-    for topic_id in sorted(needed):
+    topic_ids = sorted(needed)
+    for topic_id in topic_ids:
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
-    embedder = make_embedder(config.embedder)
     out_dir = Path(config.out)
     reuse = _reusable_build(config, docs_hash, sum(len(docs) for docs in topics.values()))
+    if reuse.vectors is not None:
+        rows = _topic_rows(reuse.vectors, topics, sorted(topics))
+    else:
+        rows = _topic_rows(_embed_documents(config, embedder, topics, topic_ids), topics, topic_ids)
     retrievers: dict[int, TopicRetriever] = {}
-    start = 0
-    for topic_id in sorted(topics):
-        docs = topics[topic_id]
-        rows = reuse.vectors[start : start + len(docs)] if reuse.vectors is not None else None
-        start += len(docs)
-        if topic_id not in needed:
-            continue
+    for topic_id in topic_ids:
         graph = None
         if reuse.manifest is not None:
             data = _read_listed(out_dir, reuse.manifest, f"graphs/topic_{topic_id}.json")
@@ -353,13 +385,29 @@ def _build_retrievers(
             entities = reuse.entities.get(str(topic_id))
             if entities is None:
                 logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
-        retrievers[topic_id] = _topic_retriever(config, embedder, topic_id, docs, graph, rows, entities)
+        retrievers[topic_id] = _topic_retriever(
+            config, embedder, topic_id, topics[topic_id], graph, rows[topic_id], entities
+        )
     return retrievers
 
 
 def _retrieve(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
-    retrievers = _build_retrievers(config, run.hashes["docs"], run.topics, {q.topic_id for q in questions})
+    embedder = make_embedder(config.embedder)
+    needed = {q.topic_id for q in questions}
+    retrievers = _build_retrievers(config, embedder, run.hashes["docs"], run.topics, needed)
+    # the questions that pay for a retrieval, their queries embedded in one
+    # call: every question under topic_union, else each topic's first, whose
+    # result the cache then serves to the rest of the topic
+    paying = questions
+    if not config.topic_union:
+        firsts: dict[int, QuestionRecord] = {}
+        for q in questions:
+            firsts.setdefault(q.topic_id, q)
+        paying = list(firsts.values())
+    texts = [make_query(q) for q in paying]
+    vectors = embedder.embed_texts(texts, input_type=config.embedder.query_input_type)
+    query_vecs = {q.id: v for q, v in zip(paying, vectors)}
     cache = TopicContextCache()
     union_ctx: dict[int, RetrievalResult] = {}
     rows = []
@@ -368,14 +416,12 @@ def _retrieve(run: StageInput) -> StageResult:
         if config.topic_union:
             # every question pays for its own retrieval; the topic context is
             # the running union of everything retrieved so far
-            result = retriever.retrieve_for_question(q)
+            result = retriever.retrieve_for_question(q, query_vecs[q.id])
             if q.topic_id in union_ctx:
                 result = union_ctx[q.topic_id].union(result, retriever.graph)
             union_ctx[q.topic_id] = result
         else:
-            result = cache.get_or_compute(
-                q.topic_id, lambda q=q: retrievers[q.topic_id].retrieve_for_question(q)
-            )
+            result = cache.get_or_compute(q.topic_id, lambda: retriever.retrieve_for_question(q, query_vecs[q.id]))
         rows.append({"id": q.id, **result.to_json()})
     # every question the cache did not serve paid for a retrieval
     hits = cache.hits
@@ -675,6 +721,7 @@ FLAGS: tuple[tuple[str, str, dict], ...] = (
     ("--no-heuristics", "heuristics.enabled", {"action": "store_const", "const": False}),
     ("--topic-union", "topic_union", {"action": "store_const", "const": True}),
     ("--seed", "embedder.seed", {"type": int, "help": "mock embedder seed"}),
+    ("--max-workers", "max_workers", {"type": int, "help": "infer worker threads (default: 1)"}),
 )
 
 
@@ -692,6 +739,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             section, _, name = key.rpartition(".")
             (data.setdefault(section, {}) if section else data)[name] = value
     heuristics = data.get("heuristics", {})
+    max_workers = int(data.get("max_workers", 1))
+    if max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
     return RunConfig(
         questions=data.get("questions"),
         docs=data.get("docs"),
@@ -706,7 +756,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         heuristics_enabled=heuristics.get("enabled", True),
         heuristics_max_iterations=heuristics.get("max_iterations", 10),
         topic_union=bool(data.get("topic_union", False)),
-        max_workers=int(data.get("max_workers", 1)),
+        max_workers=max_workers,
     )
 
 
@@ -732,9 +782,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = build_config(args)
-    Path(config.out).mkdir(parents=True, exist_ok=True)
     try:
+        config = build_config(args)
+        Path(config.out).mkdir(parents=True, exist_ok=True)
         run_stage(args.command, config, getattr(args, "preds", None))
     except (CorpusError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,14 +169,21 @@ class RemoteEmbedder(RemoteClient):
         self._cache = VectorCache(spec.cache_dir, spec.endpoint, spec.dim) if spec.cache_dir else None
 
     def embed_texts(self, texts: Sequence[str], input_type: str | None = None) -> list[np.ndarray]:
+        """One vector per text, in order. Each distinct text is looked up in
+        the cache and, when missing, requested once per call, in batches of
+        batch_size; every position it holds gets that one vector."""
         texts = list(texts)
-        vectors: list[np.ndarray | None] = [None] * len(texts)
-        pending: list[int] = []
+        positions: dict[str, list[int]] = {}
         for i, text in enumerate(texts):
+            positions.setdefault(text, []).append(i)
+        vectors: list[np.ndarray | None] = [None] * len(texts)
+        pending: list[str] = []
+        for text, where in positions.items():
             cached = self._cache.get(self.spec.model, text, input_type) if self._cache else None
             if cached is not None:
                 if cached.shape == (self.spec.dim,):
-                    vectors[i] = cached
+                    for i in where:
+                        vectors[i] = cached
                     continue
                 # only a damaged or hand-written entry has another shape
                 logger.warning(
@@ -184,19 +191,19 @@ class RemoteEmbedder(RemoteClient):
                     cached.shape,
                     self.spec.dim,
                 )
-            pending.append(i)
+            pending.append(text)
         for start in range(0, len(pending), self.spec.batch_size):
-            chunk = pending[start : start + self.spec.batch_size]
-            batch = [texts[i] for i in chunk]
-            for i, raw in zip(chunk, self._request(batch, input_type)):
+            batch = pending[start : start + self.spec.batch_size]
+            for text, raw in zip(batch, self._request(batch, input_type)):
                 arr = np.asarray(raw, dtype=np.float64)
                 if arr.shape != (self.spec.dim,):
                     raise EmbedError(
                         f"embedding has dimension {arr.shape}, configured dim is {self.spec.dim}"
                     )
-                vectors[i] = arr
+                for i in positions[text]:
+                    vectors[i] = arr
                 if self._cache:
-                    self._cache.put(self.spec.model, texts[i], input_type, arr)
+                    self._cache.put(self.spec.model, text, input_type, arr)
         missing = [i for i, v in enumerate(vectors) if v is None]
         if missing:
             raise EmbedError(f"no vector returned for {len(missing)} of {len(texts)} texts")

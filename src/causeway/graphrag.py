@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
-from .embed import cosine
+from .embed import cosine  # noqa: F401  (kept as graphrag.cosine: bench/layers.py traces it)
 from .lexindex import (
     Bm25Params,
     LexIndex,
@@ -92,6 +92,17 @@ class DocGraph:
         )
 
 
+def _norms(vecs: Mapping[str, np.ndarray]) -> dict[str, float]:
+    """Each vector's L2 norm, as `cosine` computes it."""
+    return {key: float(np.linalg.norm(v)) for key, v in vecs.items()}
+
+
+def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
+    """`cosine(u, v)` of two float64 vectors whose norms are given: the same
+    float, without computing the norms again."""
+    return 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
+
+
 def build_graph(
     topic_id: int,
     docs: Sequence[DocumentRecord],
@@ -111,13 +122,11 @@ def build_graph(
             raise GraphError(f"missing embedding for document {doc_id!r}")
     profiles = {doc_id: lexical_profile(doc_id, index, bm25_params, entities) for doc_id in ids}
     vecs = {doc_id: np.asarray(embeddings[doc_id], dtype=np.float64) for doc_id in ids}
-    norms = {doc_id: float(np.linalg.norm(v)) for doc_id, v in vecs.items()}
+    norms = _norms(vecs)
     edges: list[tuple[str, str, float]] = []
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            na, nb = norms[a], norms[b]
-            cos = 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(vecs[a], vecs[b]) / (na * nb))
-            sem = min(1.0, max(0.0, cos))
+            sem = min(1.0, max(0.0, _cosine(vecs[a], norms[a], vecs[b], norms[b])))
             lex = profile_similarity(profiles[a], profiles[b], bm25_params)
             w = hybrid_weight(sem, lex, params.alpha)
             if w >= params.edge_threshold:
@@ -148,10 +157,17 @@ def entry_points(
     bm25_params: Bm25Params,
     entities: frozenset[str],
     params: HybridParams,
+    doc_norms: Mapping[str, float] | None = None,
 ) -> EntryPoints:
     """Top k_dense documents by query cosine plus top k_sparse by BM25+,
-    each ranked descending with ties broken by ascending doc id."""
-    dense_ranked = sorted(doc_ids, key=lambda d: (-cosine(query_vec, doc_vecs[d]), d))
+    each ranked descending with ties broken by ascending doc id. The query's
+    norm is computed once and each document's is taken from doc_norms when
+    given, so each cosine is the same float as `cosine`'s."""
+    q = np.asarray(query_vec, dtype=np.float64)
+    nq = float(np.linalg.norm(q))
+    vecs = {d: np.asarray(doc_vecs[d], dtype=np.float64) for d in doc_ids}
+    norms = doc_norms if doc_norms is not None else _norms(vecs)
+    dense_ranked = sorted(doc_ids, key=lambda d: (-_cosine(q, nq, vecs[d], norms[d]), d))
     sparse = dict(zip(doc_ids, bm25_plus_scores(tokenize(query), doc_ids, index, bm25_params, entities)))
     sparse_ranked = sorted(doc_ids, key=lambda d: (-sparse[d], d))
     return EntryPoints(
@@ -292,7 +308,8 @@ class TopicRetriever:
             raise GraphError(
                 f"{len(doc_vecs)} document vectors for {len(self.docs)} documents in topic {topic_id}"
             )
-        self.doc_vecs = {d.id: v for d, v in zip(self.docs, doc_vecs)}
+        self.doc_vecs = {d.id: np.asarray(v, dtype=np.float64) for d, v in zip(self.docs, doc_vecs)}
+        self.doc_norms = _norms(self.doc_vecs)
         if graph is not None:
             if set(graph.nodes) != set(texts):
                 raise GraphError(f"graph nodes do not match topic {topic_id} documents")
@@ -302,8 +319,10 @@ class TopicRetriever:
                 topic_id, self.docs, self.doc_vecs, self.index, self.bm25_params, self.entities, self.params
             )
 
-    def retrieve_query(self, query: str) -> RetrievalResult:
-        query_vec = self.embedder.embed_texts([query], input_type=self.query_input_type)[0]
+    def retrieve_query(self, query: str, query_vec: np.ndarray | None = None) -> RetrievalResult:
+        """Retrieval for query, embedding it unless its vector is given."""
+        if query_vec is None:
+            query_vec = self.embedder.embed_texts([query], input_type=self.query_input_type)[0]
         entries = entry_points(
             query,
             [d.id for d in self.docs],
@@ -313,8 +332,9 @@ class TopicRetriever:
             self.bm25_params,
             self.entities,
             self.params,
+            self.doc_norms,
         )
         return retrieve(query, entries, self.graph, self.params)
 
-    def retrieve_for_question(self, q: QuestionRecord) -> RetrievalResult:
-        return self.retrieve_query(make_query(q))
+    def retrieve_for_question(self, q: QuestionRecord, query_vec: np.ndarray | None = None) -> RetrievalResult:
+        return self.retrieve_query(make_query(q), query_vec)

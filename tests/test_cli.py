@@ -19,7 +19,7 @@ import pytest
 
 from causeway import cli, consist, graphrag
 from causeway.cli import build_config, load_predictions, main, _build_parser
-from causeway.corpus import document_text, load_docs
+from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
 from causeway.lexindex import extract_entities
 from helpers import record_texts
@@ -567,6 +567,55 @@ class TestBuildGraphReuse:
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
 
+class TestOneEmbeddingPass:
+    """Each stage embeds its texts in one embed_texts call, which a remote
+    embedder splits into batch_size requests that span topics. The endpoint
+    here answers with the fixture's mock vectors, so the outputs equal the
+    mock run's."""
+
+    @pytest.fixture
+    def remote(self, tmp_path, fake_server, monkeypatch):
+        """Runs a stage with the fixture config's embedder behind fake_server."""
+        embedder = MockEmbedder(dim=64, seed=0)  # the fixture config's embedder
+        fake_server.set_responder(
+            lambda path, body, headers: (200, {"vectors": [v.tolist() for v in embedder.embed_texts(body["texts"])]})
+        )
+        config = read_json(FIXTURE_DIR / "config.json")
+        config["embedder"] = {"kind": "remote", "dim": 64, "endpoint": fake_server.url + "/embed", "model": "m"}
+        config_path = tmp_path / "remote.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+
+        def run(stage: str, out: Path, *extra: str) -> list[int]:
+            """The text count of each request the stage sent."""
+            del fake_server.requests[:]
+            assert main([stage, "--config", str(config_path), "--out", str(out), *extra]) == 0
+            return [len(r["body"]["texts"]) for r in fake_server.requests]
+
+        return run
+
+    def test_one_request_per_stage(self, run_dir, tmp_path, remote):
+        out = tmp_path / "out"
+        assert remote("build-graph", out) == [18]  # 18 documents in 3 topics
+        assert remote("retrieve", out) == [3]  # the first question of each topic
+        for rel in ("retrieval.jsonl", "graphs/doc_vectors.npy"):
+            assert (out / rel).read_bytes() == (run_dir / rel).read_bytes()
+
+    def test_recomputed_documents_take_one_request(self, run_dir, tmp_path, remote):
+        out = tmp_path / "out"
+        assert remote("retrieve", out) == [18, 3]  # no build-graph to reuse
+        assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
+
+    def test_topic_union_embeds_every_query_at_once(self, tmp_path, remote):
+        mock = tmp_path / "mock"
+        run_stages(mock, stages=("build-graph", "retrieve"), extra=("--topic-union",))
+        out = tmp_path / "out"
+        remote("build-graph", out)
+        queries = {graphrag.make_query(q) for q in load_questions(FIXTURE_DIR / "questions.jsonl")}
+        assert remote("retrieve", out, "--topic-union") == [len(queries)]
+        assert (out / "retrieval.jsonl").read_bytes() == (mock / "retrieval.jsonl").read_bytes()
+
+
 @pytest.fixture
 def llm_calls(monkeypatch) -> list[str]:
     """The question id of every LLM call the CLI stages make from here on."""
@@ -735,6 +784,19 @@ class TestErrors:
         assert main([stage, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_max_workers_below_1_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        config_path = tmp_path / "config.json"
+        config = read_json(FIXTURE_DIR / "config.json")
+        extra = ["--max-workers", "0"]
+        if source == "config":
+            config["max_workers"], extra = 0, []
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config_path), "--out", str(tmp_path / "out"), *extra]) == 2
+        assert capsys.readouterr().err == "error: max_workers must be at least 1, got 0\n"
+
     def test_missing_required_flag_is_fatal(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["ingest", "--out", str(tmp_path / "out")])
@@ -839,13 +901,14 @@ class TestConfigKeys:
         argv = [
             "infer", "--questions", "q.jsonl", "--docs", "d.jsonl", "--out", "o", "--model", "m",
             "--k", "5", "--theta", "0.9", "--alpha", "0.2", "--edge-threshold", "0.3",
-            "--no-heuristics", "--topic-union", "--seed", "7",
+            "--no-heuristics", "--topic-union", "--seed", "7", "--max-workers", "3",
         ]
         config = build_config(_build_parser().parse_args(argv))
         assert (config.questions, config.docs, config.out) == ("q.jsonl", "d.jsonl", "o")
         assert (config.llm.model, config.sampling.k, config.theta) == ("m", 5, 0.9)
         assert (config.hybrid.alpha, config.hybrid.edge_threshold) == (0.2, 0.3)
         assert (config.heuristics_enabled, config.topic_union, config.embedder.seed) == (False, True, 7)
+        assert config.max_workers == 3
 
     def test_top_level_seed_leaves_the_config_hash_alone(self, tmp_path, monkeypatch):
         config = read_json(FIXTURE_DIR / "config.json")

@@ -261,6 +261,18 @@ class TestRemoteEmbedder:
         sent = [t for r in fake_server.requests for t in r["body"]["texts"]]
         assert sent == ["bbb"]
 
+    def test_repeated_text_is_requested_once(self, fake_server, tmp_path):
+        fake_server.set_responder(
+            lambda path, body, headers: (200, _vectors_payload(body["texts"]))
+        )
+        spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
+        out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["a", "bb", "a"])
+        # batch_size=2 would split three texts into two requests
+        assert [r["body"]["texts"] for r in fake_server.requests] == [["a", "bb"]]
+        np.testing.assert_array_equal(out[0], out[2])
+        assert not np.array_equal(out[0], out[1])
+        assert len(list(tmp_path.iterdir())) == 2  # one cache file per distinct text
+
 
     def test_cached_vector_of_another_dim_is_a_miss(self, fake_server, tmp_path, caplog):
         dim = {"now": 4}

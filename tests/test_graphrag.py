@@ -257,6 +257,27 @@ class TestEntryPoints:
         assert eps.sparse[0] == "d3"
         assert len(eps.sparse) == 2
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_ranking_matches_cosine(self, seed):
+        # unnormalized vectors, zero vectors, scaled copies (equal cosines up
+        # to rounding) and a zero query: the ranking must be `cosine`'s exactly
+        rng = np.random.default_rng(seed)
+        doc_ids = [f"d{i}" for i in range(12)]
+        doc_vecs = {d: rng.standard_normal(8) * rng.uniform(0.1, 10.0) for d in doc_ids}
+        doc_vecs["d3"] = np.zeros(8)
+        doc_vecs["d7"] = np.zeros(8)
+        doc_vecs["d5"] = 3.0 * doc_vecs["d1"]
+        index = LexIndex.build({d: "flood warning" for d in doc_ids})
+        params = HybridParams(k_dense=len(doc_ids))
+        for query_vec in (rng.standard_normal(8), doc_vecs["d1"], np.zeros(8)):
+            want = sorted(doc_ids, key=lambda d: (-cosine(query_vec, doc_vecs[d]), d))
+            norms = {d: float(np.linalg.norm(v)) for d, v in doc_vecs.items()}
+            for doc_norms in (None, norms):
+                eps = entry_points(
+                    "flood", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), params, doc_norms
+                )
+                assert list(eps.dense) == want
+
     def test_ordered_deduplicates(self):
         eps = EntryPoints(dense=("a", "b"), sparse=("b", "c"))
         assert eps.ordered() == ["a", "b", "c"]
@@ -512,6 +533,17 @@ class TestTopicRetriever:
         q = make_question(qid="q", topic=5, event="Shipping delays mounted")
         assert r2.retrieve_for_question(q).to_json() == r1.retrieve_for_question(q).to_json()
         assert len(embedded) == 1  # the query only
+
+    def test_given_query_vec_replaces_query_embedding(self):
+        q = make_question(qid="q", topic=5, event="Shipping delays mounted")
+        embedded: list[str] = []
+        r = TopicRetriever(5, self._docs(), record_texts(MockEmbedder(dim=128, seed=0), embedded))
+        want = r.retrieve_for_question(q).to_json()
+        assert embedded[-1] == make_query(q)
+        del embedded[:]
+        query_vec = MockEmbedder(dim=128, seed=0).embed_texts([make_query(q)])[0]
+        assert r.retrieve_for_question(q, query_vec).to_json() == want
+        assert embedded == []
 
     def test_doc_vecs_count_mismatch(self):
         with pytest.raises(GraphError):
