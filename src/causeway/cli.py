@@ -315,78 +315,57 @@ def _build_graph(run: StageInput) -> StageResult:
     )
 
 
-@dataclass
-class _Reusable:
-    """What retrieve takes over from build-graph; None where it recomputes."""
-
-    vectors: np.ndarray | None = None
-    entities: dict[str, list[str]] | None = None  # ENTITIES as build-graph wrote it
-    manifest: dict | None = None  # build-graph's, whose listed graphs retrieve may load
-
-
-def _reusable_build(config: RunConfig, docs_hash: str, n_docs: int) -> _Reusable:
-    """What retrieve may take over from build-graph: the document vectors and
-    the entity lists, when build-graph read the same docs file with the same
-    embedder, and the build-graph manifest, whose listed graphs it may load,
-    when the graph parameters match as well. Whatever does not match is
-    recomputed, with a warning."""
-    out_dir = Path(config.out)
-    manifest = _read_manifest(out_dir, "build-graph")
-    if manifest is None:
-        logger.warning("no readable build-graph manifest: embedding the documents and building the graphs")
-        return _Reusable()
-    keys = manifest.get("keys", {})
-    same_docs = manifest.get("inputs", {}).get("docs") == docs_hash
-    if not same_docs or keys.get("vectors") != config.vectors_key():
-        logger.warning(
-            "build-graph ran on other documents or with another embedder: "
-            "embedding the documents and building the graphs again"
-        )
-        return _Reusable()
-    data = _read_listed(out_dir, manifest, DOC_VECTORS)
-    vectors = _load_doc_vectors(data) if data is not None else None
-    if vectors is None or vectors.shape != (n_docs, config.embedder.dim):
-        logger.warning("%s is missing or does not match the documents: embedding them again", DOC_VECTORS)
-        vectors = None
-    data = _read_listed(out_dir, manifest, ENTITIES)
-    if data is None:
-        logger.warning("%s is missing or changed: extracting the entities again", ENTITIES)
-    entities = json.loads(data) if data is not None else None
-    if keys.get("graph") != config.graph_key():
-        logger.warning("build-graph ran with other graph parameters: building the graphs again")
-        return _Reusable(vectors, entities)
-    return _Reusable(vectors, entities, manifest)
-
-
 def _build_retrievers(
     config: RunConfig, embedder, docs_hash: str, topics, needed: set[int]
 ) -> dict[int, TopicRetriever]:
+    """Each needed topic's retriever. It takes build-graph's document vectors
+    and entity lists when build-graph read the same docs file with the same
+    embedder, and the topic's graph when the graph parameters match as well.
+    Whatever it does not take it recomputes, with a warning."""
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
     out_dir = Path(config.out)
-    reuse = _reusable_build(config, docs_hash, sum(len(docs) for docs in topics.values()))
-    if reuse.vectors is not None:
-        rows = _topic_rows(reuse.vectors, topics, sorted(topics))
-    else:
+    manifest = _read_manifest(out_dir, "build-graph") or {}
+    keys = manifest.get("keys", {})
+    if manifest.get("inputs", {}).get("docs") != docs_hash or keys.get("vectors") != config.vectors_key():
+        logger.warning(
+            "no build-graph manifest for these documents and this embedder: "
+            "embedding the documents and building the graphs again"
+        )
+        manifest = None
+
+    def listed(rel: str, redo: str) -> bytes | None:
+        """rel as the manifest lists it, or None, with a warning unless the manifest was dropped."""
+        data = _read_listed(out_dir, manifest, rel)
+        if data is None and manifest is not None:
+            logger.warning("%s is missing or changed: %s", rel, redo)
+        return data
+
+    data = listed(DOC_VECTORS, "embedding the documents again")
+    vectors = None if data is None else _load_doc_vectors(data)
+    if vectors is not None and vectors.shape != (sum(map(len, topics.values())), config.embedder.dim):
+        logger.warning("%s does not match the documents: embedding them again", DOC_VECTORS)
+        vectors = None
+    if vectors is None:
         rows = _topic_rows(_embed_documents(config, embedder, topics, topic_ids), topics, topic_ids)
+    else:
+        rows = _topic_rows(vectors, topics, sorted(topics))
+    data = listed(ENTITIES, "extracting the entities again")
+    entities = None if data is None else json.loads(data)
+    same_graphs = manifest is not None and keys.get("graph") == config.graph_key()
+    if manifest is not None and not same_graphs:
+        logger.warning("build-graph ran with other graph parameters: building the graphs again")
     retrievers: dict[int, TopicRetriever] = {}
     for topic_id in topic_ids:
-        graph = None
-        if reuse.manifest is not None:
-            data = _read_listed(out_dir, reuse.manifest, f"graphs/topic_{topic_id}.json")
-            if data is None:
-                logger.warning("graph of topic %d is missing or changed: building it again", topic_id)
-            else:
-                graph = DocGraph.from_json(json.loads(data))
-        entities = None
-        if reuse.entities is not None:
-            entities = reuse.entities.get(str(topic_id))
-            if entities is None:
-                logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
+        data = listed(f"graphs/topic_{topic_id}.json", "building it again") if same_graphs else None
+        graph = None if data is None else DocGraph.from_json(json.loads(data))
+        topic_entities = None if entities is None else entities.get(str(topic_id))
+        if entities is not None and topic_entities is None:
+            logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
         retrievers[topic_id] = _topic_retriever(
-            config, embedder, topic_id, topics[topic_id], graph, rows[topic_id], entities
+            config, embedder, topic_id, topics[topic_id], graph, rows[topic_id], topic_entities
         )
     return retrievers
 
@@ -730,34 +709,39 @@ def _spec_from_dict(cls, data: dict):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The run's config: a flag that is given beats the --config file, which
+    beats RunConfig's defaults. A file that is not a JSON object and a value
+    out of range are ConfigErrors."""
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
     for flag, key, _ in FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             section, _, name = key.rpartition(".")
             (data.setdefault(section, {}) if section else data)[name] = value
     heuristics = data.get("heuristics", {})
-    max_workers = int(data.get("max_workers", 1))
-    if max_workers < 1:
-        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
-    return RunConfig(
-        questions=data.get("questions"),
-        docs=data.get("docs"),
-        out=data.get("out", "out"),
+    config = RunConfig(
         embedder=_spec_from_dict(EmbedderSpec, data.get("embedder", {})),
         llm=_spec_from_dict(LlmClientSpec, data.get("llm", {})),
         script_path=data.get("llm", {}).get("script_path"),
         hybrid=_spec_from_dict(HybridParams, data.get("hybrid", {})),
         bm25=_spec_from_dict(Bm25Params, data.get("bm25", {})),
         sampling=_spec_from_dict(SamplingParams, data.get("sampling", {})),
-        theta=data.get("theta", 0.5),
-        heuristics_enabled=heuristics.get("enabled", True),
-        heuristics_max_iterations=heuristics.get("max_iterations", 10),
-        topic_union=bool(data.get("topic_union", False)),
-        max_workers=max_workers,
+        **{k: data[k] for k in ("questions", "docs", "out", "theta", "topic_union", "max_workers") if k in data},
+        **{f"heuristics_{k}": heuristics[k] for k in ("enabled", "max_iterations") if k in heuristics},
     )
+    config.topic_union, config.max_workers = bool(config.topic_union), int(config.max_workers)
+    if config.max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {config.max_workers}")
+    if config.sampling.k < 1:
+        raise ConfigError(f"sampling.k must be at least 1, got {config.sampling.k}")
+    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .remote import ConfigError, RemoteClient, RemoteError
 
@@ -223,9 +222,9 @@ class RemoteEmbedder(RemoteClient):
         return self._post(payload, read)
 
 
-def make_embedder(spec: EmbedderSpec, session: requests.Session | None = None):
+def make_embedder(spec: EmbedderSpec):
     if spec.kind == "mock":
         return MockEmbedder(dim=spec.dim, seed=spec.seed)
     if spec.kind == "remote":
-        return RemoteEmbedder(spec, session=session)
+        return RemoteEmbedder(spec)
     raise ConfigError(f"unknown embedder kind {spec.kind!r}")

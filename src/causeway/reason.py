@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, unescape
 
-import requests
-
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, none_letters
 from .lexindex import tokenize
 from .remote import ConfigError, RemoteClient, RemoteError
@@ -263,13 +261,13 @@ class RemoteChatClient(RemoteClient):
         return self._post(payload, lambda body: str(body["content"]))
 
 
-def make_client(spec: LlmClientSpec, session: requests.Session | None = None):
+def make_client(spec: LlmClientSpec):
     if spec.kind == "mock-scripted":
         return ScriptedMockClient(spec.script or {})
     if spec.kind == "mock-overlap":
         return OverlapMockClient()
     if spec.kind == "remote":
-        return RemoteChatClient(spec, session=session)
+        return RemoteChatClient(spec)
     raise ConfigError(f"unknown LLM client kind {spec.kind!r}")
 
 

@@ -38,11 +38,11 @@ class RemoteClient:
     label: str
     timeout: float
 
-    def __init__(self, spec, session: requests.Session | None = None, sleep: Callable[[float], None] = time.sleep):
+    def __init__(self, spec, sleep: Callable[[float], None] = time.sleep):
         if not spec.endpoint:
             raise ConfigError(f"remote {self.label} client requires an endpoint")
         self.spec = spec
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self._sleep = sleep
 
     def _post(self, payload: dict, read: Callable[[dict], T]) -> T:

@@ -421,3 +421,62 @@ def random_sibling_group(
         questions.append(q)
         preds[q.id] = frozenset(rng.sample(LETTERS, rng.randint(1, 4)))
     return questions, preds
+
+
+# ---------------------------------------------------------------------------
+# Adversarial model responses and a reference reading of their answer.
+
+
+def _find_tag(text: str, tag: str, start: int) -> int:
+    """The first index from start where tag (lower case) appears in text in
+    any case, or -1."""
+    for i in range(start, len(text) - len(tag) + 1):
+        if text[i : i + len(tag)].lower() == tag:
+            return i
+    return -1
+
+
+def reference_answer_letters(raw: str) -> frozenset[str]:
+    """The letters of raw's last <answer> block, tags matched in any case and
+    each block closed by the first </answer> after it opens. Empty when there
+    is no block, the block holds no token, or a token split on commas,
+    semicolons and whitespace is not one of the letters A-D in either case."""
+    block = None
+    start = _find_tag(raw, "<answer>", 0)
+    while start >= 0:
+        end = _find_tag(raw, "</answer>", start + len("<answer>"))
+        if end < 0:
+            break
+        block = raw[start + len("<answer>") : end]
+        start = _find_tag(raw, "<answer>", end + len("</answer>"))
+    tokens = (block or "").replace(",", " ").replace(";", " ").split()
+    if not tokens or any(t not in set("ABCDabcd") for t in tokens):
+        return frozenset()
+    return frozenset(t.upper() for t in tokens)
+
+
+def _any_case(word: str):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda up: "".join(c.upper() if u else c for c, u in zip(word, up)))
+
+
+_tags = st.sampled_from(["answer", "/answer", "analysis", "/analysis"]).flatmap(_any_case).map("<{}>".format)
+# commas, semicolons, ASCII and Unicode whitespace; an empty one joins two tokens
+_separators = st.text(",; \t\n\u00a0\u2003\u3000", max_size=3)
+# non-letters and near-letters; the zero-width space is not whitespace
+_strays = st.sampled_from(["E", "e", "x", "1", ".", "-", "\u00e9", "\u200b", "AB", "None", "<", ">", "</", "A."])
+_letters = st.sampled_from("ABCDabcd")
+_bodies = st.sampled_from([_letters, _letters | _strays]).flatmap(
+    lambda tokens: st.lists(st.tuples(_separators, tokens).map("".join), max_size=5).map("".join)
+)
+_blocks = st.tuples(_any_case("answer"), _bodies, _separators, _any_case("/answer")).map(
+    lambda parts: "<{}>{}{}<{}>".format(*parts)
+)
+_prose = st.text(st.sampled_from(list("abz AD,;\n\u00a0\u00e9.<>/")), max_size=8)
+# an <analysis> block that may hold <answer> blocks of its own
+_analyses = st.lists(st.one_of(_blocks, _prose), max_size=3).map("".join).map("<analysis>{}</analysis>".format)
+# any mix of the above, and often a block last
+model_responses = st.tuples(
+    st.lists(st.one_of(_blocks, _analyses, _tags, _prose, _bodies), max_size=6).map("".join),
+    st.one_of(st.just(""), _blocks, _blocks),
+).map("".join)

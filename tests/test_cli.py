@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from causeway import cli, consist, graphrag
-from causeway.cli import build_config, load_predictions, main, _build_parser
+from causeway.cli import RunConfig, build_config, load_predictions, main, _build_parser
 from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
 from causeway.lexindex import extract_entities
@@ -797,6 +797,37 @@ class TestErrors:
         assert main(["infer", "--config", str(config_path), "--out", str(tmp_path / "out"), *extra]) == 2
         assert capsys.readouterr().err == "error: max_workers must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"out": ', "malformed JSON: Expecting value"),
+            (b'\xff{"out": "o"}', "malformed JSON: 'utf-8' codec can't decode"),
+            (b"[1, 2]", "not a JSON object"),
+        ],
+        ids=["malformed-json", "not-utf-8", "not-an-object"],
+    )
+    def test_unusable_config_file_exits_2(self, tmp_path, capsys, data, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(data)
+        assert main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}: {message}")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_k_below_1_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph", "retrieve"))
+        config_path = tmp_path / "config.json"
+        config = read_json(FIXTURE_DIR / "config.json")
+        extra = ["--k", "0"]
+        if source == "config":
+            config["sampling"], extra = {**config.get("sampling", {}), "k": 0}, []
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config_path), "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err == "error: sampling.k must be at least 1, got 0\n"
+        assert not (out / "predictions.jsonl").exists()
+
     def test_missing_required_flag_is_fatal(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["ingest", "--out", str(tmp_path / "out")])
@@ -909,6 +940,14 @@ class TestConfigKeys:
         assert (config.hybrid.alpha, config.hybrid.edge_threshold) == (0.2, 0.3)
         assert (config.heuristics_enabled, config.topic_union, config.embedder.seed) == (False, True, 7)
         assert config.max_workers == 3
+
+    def test_defaults_are_run_config_defaults(self, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}", encoding="utf-8")
+        for argv in (["report"], ["report", "--config", str(empty)]):
+            config = build_config(_build_parser().parse_args(argv))
+            assert config == RunConfig()
+            assert (type(config.topic_union), type(config.max_workers)) == (bool, int)
 
     def test_top_level_seed_leaves_the_config_hash_alone(self, tmp_path, monkeypatch):
         config = read_json(FIXTURE_DIR / "config.json")

@@ -26,7 +26,7 @@ from causeway.reason import (
     tally,
     threshold_votes,
 )
-from helpers import NONE_TEXT, make_question
+from helpers import NONE_TEXT, make_question, model_responses, reference_answer_letters
 
 
 def make_doc(doc_id: str, title: str, content: str) -> DocumentRecord:
@@ -166,6 +166,15 @@ class TestParseResponse:
         parsed = parse_response("<ANSWER>c</ANSWER>")
         assert parsed.valid
         assert parsed.letters == frozenset({"C"})
+
+    @given(model_responses)
+    @settings(max_examples=500, deadline=None)
+    def test_adversarial_responses_match_the_reference(self, raw):
+        parsed = parse_response(raw)
+        assert parsed.letters == reference_answer_letters(raw)
+        assert parsed.valid == bool(parsed.letters)
+        assert parsed.letters <= set(LETTERS)
+        assert parsed.raw == raw
 
 
 class TestScriptedMockClient:
