@@ -160,11 +160,13 @@ def _write_manifest(config: RunConfig, stage: str, inputs: Mapping[str, str], re
 
 
 def _read_manifest(out_dir: Path, stage: str) -> dict | None:
-    """A stage's manifest, or None when it is missing or not valid JSON."""
+    """A stage's manifest, or None when it is missing, not valid JSON or not
+    a JSON object."""
     try:
-        return json.loads((out_dir / "manifests" / f"{stage}.json").read_text(encoding="utf-8"))
+        manifest = json.loads((out_dir / "manifests" / f"{stage}.json").read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         return None
+    return manifest if isinstance(manifest, dict) else None
 
 
 def _read_listed(out_dir: Path, manifest: dict | None, rel: str) -> bytes | None:
@@ -247,19 +249,6 @@ def _ingest(run: StageInput) -> StageResult:
     )
 
 
-def _topic_retriever(
-    config: RunConfig, embedder, topic_id: int, docs: Sequence[DocumentRecord],
-    graph: DocGraph | None = None, doc_vecs: np.ndarray | None = None, entities: Sequence[str] | None = None,
-) -> TopicRetriever:
-    """A topic's retriever under the run's BM25+, hybrid and input-type settings."""
-    spec = config.embedder
-    return TopicRetriever(
-        topic_id, docs, embedder, bm25_params=config.bm25, params=config.hybrid,
-        query_input_type=spec.query_input_type, document_input_type=spec.document_input_type,
-        graph=graph, doc_vecs=doc_vecs, entities=entities,
-    )
-
-
 class _DocumentTexts(Sequence[str]):
     """Each document's text, made when it is read. A list of every text
     would hold them all at once, and freeing it leaves the heap larger."""
@@ -301,7 +290,7 @@ def _build_graph(run: StageInput) -> StageResult:
     entities: dict[str, list[str]] = {}
     n_edges = 0
     for topic_id, doc_vecs in _topic_rows(vectors, topics, topic_ids).items():
-        retriever = _topic_retriever(config, embedder, topic_id, topics[topic_id], doc_vecs=doc_vecs)
+        retriever = TopicRetriever(topic_id, topics[topic_id], doc_vecs, bm25_params=config.bm25, params=config.hybrid)
         outputs[f"graphs/topic_{topic_id}.json"] = retriever.graph.to_json()
         n_edges += len(retriever.graph.edges)
         entities[str(topic_id)] = sorted(retriever.entities)
@@ -364,8 +353,9 @@ def _build_retrievers(
         topic_entities = None if entities is None else entities.get(str(topic_id))
         if entities is not None and topic_entities is None:
             logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
-        retrievers[topic_id] = _topic_retriever(
-            config, embedder, topic_id, topics[topic_id], graph, rows[topic_id], topic_entities
+        retrievers[topic_id] = TopicRetriever(
+            topic_id, topics[topic_id], rows[topic_id], bm25_params=config.bm25, params=config.hybrid,
+            graph=graph, entities=topic_entities,
         )
     return retrievers
 

@@ -86,10 +86,10 @@ class ConsistencyOutcome:
     predictions: dict[str, frozenset[str]]
     report: FixedPointReport
     # the engine's per-question facts, by question id, for output_validity_violations
-    facts: Mapping[str, _QuestionFacts] = field(default_factory=dict, repr=False, compare=False)
+    facts: Mapping[str, QuestionFacts] = field(default_factory=dict, repr=False, compare=False)
 
 
-class _QuestionFacts:
+class QuestionFacts:
     """Precomputed per-question structure: normalized texts, rejection-style
     letters, and duplicate classes. The engine builds one per question and
     applies the local rules through it."""
@@ -106,11 +106,14 @@ class _QuestionFacts:
         return bool(pred) and pred <= self.none_letters
 
     def r1(self, pred: frozenset[str]) -> frozenset[str]:
+        """A rejection option cannot coexist with substantive picks; the
+        substantive side wins."""
         if pred & self.none_letters and pred - self.none_letters:
             return pred - self.none_letters
         return pred
 
     def r2(self, pred: frozenset[str]) -> frozenset[str]:
+        """Selecting one member of a duplicate class selects the whole class."""
         out = set(pred)
         for cls in self.classes:
             if out & cls:
@@ -118,11 +121,14 @@ class _QuestionFacts:
         return frozenset(out)
 
     def r3(self, pred: frozenset[str]) -> frozenset[str]:
+        """All four letters selected alongside a rejection option: drop the
+        rejection letters."""
         if pred == FULL_SET and self.none_letters and pred - self.none_letters:
             return pred - self.none_letters
         return pred
 
     def r5(self, pred: frozenset[str]) -> frozenset[str]:
+        """Three identical options all selected: the odd letter out is dropped."""
         out = set(pred)
         for cls in self.classes:
             if len(cls) == 3 and cls <= out:
@@ -130,6 +136,8 @@ class _QuestionFacts:
         return frozenset(out)
 
     def local_normalize(self, pred: frozenset[str]) -> frozenset[str]:
+        """One pass of the per-question rules, used to sanitize a restored
+        prediction so it still meets the output contract."""
         return self.r5(self.r3(self.r2(self.r1(pred))))
 
 
@@ -146,7 +154,7 @@ class TruthAssignment:
     def value(self, text: str) -> bool | None:
         return self._values.get(text)
 
-    def _mark(
+    def mark(
         self,
         text: str,
         target: bool,
@@ -174,43 +182,9 @@ class TruthAssignment:
         )
         return False
 
-    def mark_true(self, text, rule, question_id, iteration, contradictions) -> bool:
-        return self._mark(text, True, rule, question_id, iteration, contradictions)
-
-    def mark_false(self, text, rule, question_id, iteration, contradictions) -> bool:
-        return self._mark(text, False, rule, question_id, iteration, contradictions)
-
-
-def r1_none_exclusivity(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
-    """A rejection option cannot coexist with substantive picks; the
-    substantive side wins."""
-    return _QuestionFacts(q).r1(pred)
-
-
-def r2_duplicate_consistency(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
-    """Selecting one member of a duplicate class selects the whole class."""
-    return _QuestionFacts(q).r2(pred)
-
-
-def r3_overselection_guard(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
-    """All four letters selected alongside a rejection option: drop the
-    rejection letters."""
-    return _QuestionFacts(q).r3(pred)
-
-
-def r5_triple_exclusion(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
-    """Three identical options all selected: the odd letter out is dropped."""
-    return _QuestionFacts(q).r5(pred)
-
-
-def local_normalize(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
-    """One pass of the per-question rules, used to sanitize a restored
-    prediction so it still meets the output contract."""
-    return _QuestionFacts(q).local_normalize(pred)
-
 
 def seed_truth(
-    group: Sequence[QuestionRecord],
+    facts: Sequence[QuestionFacts],
     predictions: Mapping[str, frozenset[str]],
     group_key: tuple[int, str],
 ) -> TruthAssignment:
@@ -220,14 +194,6 @@ def seed_truth(
     them. Selections are read through one local-rule pass so structural
     artifacts (rejection mixes, incomplete duplicate classes, overselected
     triples) do not seed truth."""
-    return _seed_truth([_QuestionFacts(q) for q in group], predictions, group_key)
-
-
-def _seed_truth(
-    facts: Sequence[_QuestionFacts],
-    predictions: Mapping[str, frozenset[str]],
-    group_key: tuple[int, str],
-) -> TruthAssignment:
     truth = TruthAssignment(group_key)
     normalized = {f.q.id: f.local_normalize(predictions.get(f.q.id, frozenset())) for f in facts}
     blocked: set[str] = set()
@@ -239,12 +205,12 @@ def _seed_truth(
         for letter in sorted(normalized[f.q.id] & f.substantive):
             text = f.text[letter]
             if text not in blocked:
-                truth.mark_true(text, "seed", f.q.id, 0, sink)
+                truth.mark(text, True, "seed", f.q.id, 0, sink)
     return truth
 
 
 class _GroupState:
-    def __init__(self, facts: list[_QuestionFacts], key: tuple[int, str]):
+    def __init__(self, facts: list[QuestionFacts], key: tuple[int, str]):
         self.key = key
         self.facts = facts
         self.truth: TruthAssignment | None = None
@@ -269,7 +235,7 @@ class _Engine:
         # letters R5 removed; R4 must not reinstate them or the two rules
         # chase each other forever
         self._r5_stripped: set[tuple[str, str]] = set()
-        self.facts = [_QuestionFacts(q) for q in questions]
+        self.facts = [QuestionFacts(q) for q in questions]
         self.facts_by_id = {f.q.id: f for f in self.facts}
         self.groups = [
             _GroupState([self.facts_by_id[qid] for qid in g.question_ids], (g.topic_id, g.event_key))
@@ -360,7 +326,7 @@ class _Engine:
                                 "R6", f.q.id, text, "text is already True elsewhere in the group"
                             )
                         else:
-                            truth.mark_false(text, "R6", f.q.id, self.iteration, self.contradictions)
+                            truth.mark(text, False, "R6", f.q.id, self.iteration, self.contradictions)
             # unselection: drop False texts wherever selected, unless that
             # would empty a prediction (deferred to R7/R8)
             for f in state.facts:
@@ -382,7 +348,7 @@ class _Engine:
                 statuses = {t: truth.value(t) for t in f.substantive_texts}
                 non_false = [t for t, s in statuses.items() if s is not False]
                 if len(non_false) == 1 and statuses[non_false[0]] is None:
-                    truth.mark_true(non_false[0], "R7", f.q.id, self.iteration, self.contradictions)
+                    truth.mark(non_false[0], True, "R7", f.q.id, self.iteration, self.contradictions)
         return False  # R7 touches truth only; predictions move via R4/R8
 
     def _apply_r8(self) -> bool:
@@ -412,7 +378,7 @@ class _Engine:
 
     def run(self, max_iterations: int = 10) -> ConsistencyOutcome:
         for state in self.groups:
-            state.truth = _seed_truth(state.facts, self.preds, state.key)
+            state.truth = seed_truth(state.facts, self.preds, state.key)
         converged = False
         iterations = 0
         for iteration in range(1, max_iterations + 1):
@@ -420,9 +386,9 @@ class _Engine:
             iterations = iteration
             truth_before = self._truth_size()
             changed = False
-            changed |= self._apply_local("R1", _QuestionFacts.r1)
-            changed |= self._apply_local("R2", _QuestionFacts.r2)
-            changed |= self._apply_local("R3", _QuestionFacts.r3)
+            changed |= self._apply_local("R1", QuestionFacts.r1)
+            changed |= self._apply_local("R2", QuestionFacts.r2)
+            changed |= self._apply_local("R3", QuestionFacts.r3)
             changed |= self._apply_r4()
             changed |= self._apply_r5()
             changed |= self._apply_r6()
@@ -477,7 +443,7 @@ def run_to_fixed_point(
 def output_validity_violations(
     questions: Sequence[QuestionRecord],
     predictions: Mapping[str, frozenset[str]],
-    facts: Mapping[str, _QuestionFacts] | None = None,
+    facts: Mapping[str, QuestionFacts] | None = None,
 ) -> list[str]:
     """Checks the output contract: non-empty subsets of A-D, no rejection
     letter mixed with substantive letters, duplicate classes all-in or
@@ -494,7 +460,7 @@ def output_validity_violations(
             problems.append(f"{q.id}: empty prediction")
         if not set(pred) <= set(LETTERS):
             problems.append(f"{q.id}: letters outside A-D: {sorted(pred)}")
-        f = facts.get(q.id) or _QuestionFacts(q)
+        f = facts.get(q.id) or QuestionFacts(q)
         if pred & f.none_letters and pred - f.none_letters:
             problems.append(f"{q.id}: rejection letter mixed with substantive letters")
         for cls in f.classes:

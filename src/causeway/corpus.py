@@ -141,19 +141,23 @@ def document_text(doc: DocumentRecord) -> str:
 
 def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
     """Each non-blank JSONL line of the file at path, parsed, with its "<path>:
-    line N" for messages. Malformed JSON and missing fields are fatal."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
-        missing = [k for k in fields if k not in row]
-        if missing:
-            raise CorpusError(f"{where}: missing required fields {missing}")
-        yield where, row
+    line N" for messages. Bytes that are not UTF-8, malformed JSON and missing
+    fields are fatal."""
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
+            missing = [k for k in fields if k not in row]
+            if missing:
+                raise CorpusError(f"{where}: missing required fields {missing}")
+            yield where, row
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def load_questions(path: str | Path) -> list[QuestionRecord]:

@@ -273,38 +273,29 @@ class TopicContextCache:
 
 
 class TopicRetriever:
-    """Bundles one topic's documents, lexical index, entities, embeddings,
-    and graph behind a query interface. Given doc_vecs (one row per document,
-    in document order), a graph or the entity set, it reuses them instead of
-    embedding the documents, building the graph or extracting the entities."""
+    """Bundles one topic's documents, lexical index, entities, vectors (one
+    row per document, in document order) and graph behind a query interface.
+    Given a graph or the entity set, it reuses them instead of building the
+    graph or extracting the entities."""
 
     def __init__(
         self,
         topic_id: int,
         docs: Sequence[DocumentRecord],
-        embedder,
+        doc_vecs: np.ndarray,
         bm25_params: Bm25Params | None = None,
         params: HybridParams | None = None,
-        query_input_type: str | None = None,
-        document_input_type: str | None = None,
         graph: DocGraph | None = None,
-        doc_vecs: np.ndarray | None = None,
         entities: Iterable[str] | None = None,
     ):
         self.topic_id = topic_id
         self.docs = list(docs)
-        self.embedder = embedder
         self.bm25_params = bm25_params or Bm25Params()
         self.params = params or HybridParams()
-        self.query_input_type = query_input_type
         texts = {d.id: document_text(d) for d in self.docs}
         self.index = LexIndex.build(texts)
         self.entities = frozenset(entities) if entities is not None else extract_entities(texts.values())
-        if doc_vecs is None:
-            doc_vecs = embedder.embed_texts(
-                [texts[d.id] for d in self.docs], input_type=document_input_type
-            )
-        elif len(doc_vecs) != len(self.docs):
+        if len(doc_vecs) != len(self.docs):
             raise GraphError(
                 f"{len(doc_vecs)} document vectors for {len(self.docs)} documents in topic {topic_id}"
             )
@@ -319,10 +310,8 @@ class TopicRetriever:
                 topic_id, self.docs, self.doc_vecs, self.index, self.bm25_params, self.entities, self.params
             )
 
-    def retrieve_query(self, query: str, query_vec: np.ndarray | None = None) -> RetrievalResult:
-        """Retrieval for query, embedding it unless its vector is given."""
-        if query_vec is None:
-            query_vec = self.embedder.embed_texts([query], input_type=self.query_input_type)[0]
+    def retrieve_query(self, query: str, query_vec: np.ndarray) -> RetrievalResult:
+        """Retrieval for query, whose vector is query_vec."""
         entries = entry_points(
             query,
             [d.id for d in self.docs],
@@ -336,5 +325,5 @@ class TopicRetriever:
         )
         return retrieve(query, entries, self.graph, self.params)
 
-    def retrieve_for_question(self, q: QuestionRecord, query_vec: np.ndarray | None = None) -> RetrievalResult:
+    def retrieve_for_question(self, q: QuestionRecord, query_vec: np.ndarray) -> RetrievalResult:
         return self.retrieve_query(make_query(q), query_vec)

@@ -20,7 +20,7 @@ import pytest
 
 from causeway.cli import main
 from causeway.consist import output_validity_violations, run_to_fixed_point
-from causeway.corpus import LETTERS, load_docs, load_questions
+from causeway.corpus import LETTERS, document_text, load_docs, load_questions
 from causeway.embed import EmbedderSpec, make_embedder
 from causeway.evaluate import (
     cohen_kappa,
@@ -30,7 +30,7 @@ from causeway.evaluate import (
     score_question,
     score_run,
 )
-from causeway.graphrag import DocGraph, EntryPoints, HybridParams, TopicRetriever, retrieve
+from causeway.graphrag import DocGraph, EntryPoints, HybridParams, TopicRetriever, make_query, retrieve
 from causeway.lexindex import Bm25Params, LexIndex, bm25_plus, tokenize
 from causeway.reason import VoteTally, render_prompt, threshold_votes
 from helpers import (
@@ -293,10 +293,10 @@ def test_end_to_end_determinism_and_prompt_structure(tmp_path):
     questions = load_questions(FIXTURE_DIR / "questions.jsonl")
     topics = load_docs(FIXTURE_DIR / "docs.jsonl")
     q = questions[0]
-    retriever = TopicRetriever(
-        q.topic_id, topics[q.topic_id], make_embedder(EmbedderSpec(kind="mock", dim=64, seed=0))
-    )
-    result = retriever.retrieve_for_question(q)
+    embedder = make_embedder(EmbedderSpec(kind="mock", dim=64, seed=0))
+    doc_vecs = embedder.embed_texts([document_text(d) for d in topics[q.topic_id]])
+    retriever = TopicRetriever(q.topic_id, topics[q.topic_id], doc_vecs)
+    result = retriever.retrieve_for_question(q, embedder.embed_texts([make_query(q)])[0])
     docs = {d.id: d for d in topics[q.topic_id]}
     rendered = render_prompt(q, [docs[doc_id] for doc_id in result.selected])
     blocks = [

@@ -655,12 +655,19 @@ def _no_retrieve_manifest(out: Path) -> None:
     (out / "manifests" / "retrieve.json").unlink()
 
 
+def _retrieve_manifest_not_an_object(out: Path) -> None:
+    (out / "manifests" / "retrieve.json").write_text("[]\n", encoding="utf-8")
+
+
 class TestInferChecksRetrieval:
     """infer reads retrieval.jsonl only when the retrieve manifest lists the
     file as it is and retrieve read the same questions and docs files;
     otherwise it stops before its first LLM call."""
 
-    @pytest.mark.parametrize("tamper", [_edited_retrieval, _retrieval_for_other_questions, _no_retrieve_manifest])
+    @pytest.mark.parametrize(
+        "tamper",
+        [_edited_retrieval, _retrieval_for_other_questions, _no_retrieve_manifest, _retrieve_manifest_not_an_object],
+    )
     def test_unvouched_retrieval_is_refused(self, run_dir, tmp_path, llm_calls, tamper):
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph", "retrieve"))
@@ -762,6 +769,15 @@ class TestErrors:
         )
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_questions_file_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + (FIXTURE_DIR / "questions.jsonl").read_bytes())
+        out = tmp_path / "out"
+        code = main(["ingest", "--questions", str(bad), "--docs", str(FIXTURE_DIR / "docs.jsonl"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+        assert not (out / "manifests" / "ingest.json").exists()
 
     @pytest.mark.parametrize(
         "section, spec, stage, message",
@@ -911,6 +927,17 @@ class TestMalformedPreds:
         assert code == 2
         assert f"error: {preds}: line 2: {problem}" in capsys.readouterr().err
 
+    def test_not_utf8_exits_2(self, run_dir, tmp_path, capsys, monkeypatch):
+        out = _copy_run(run_dir, tmp_path)
+        preds = tmp_path / "bad.jsonl"
+        preds.write_bytes(b"\xff\xfe" + (run_dir / "predictions.final.jsonl").read_bytes())
+        monkeypatch.chdir(FIXTURE_DIR)
+        before = (out / "score_report.json").read_bytes()
+        code = main(["score", "--config", "config.json", "--out", str(out), "--preds", str(preds)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {preds}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+        assert (out / "score_report.json").read_bytes() == before
+
 
 class TestReportReadsListedFiles:
     def test_files_the_latest_agree_does_not_list_are_left_out(self, run_dir, tmp_path, monkeypatch):
@@ -925,6 +952,14 @@ class TestReportReadsListedFiles:
         assert report["agreement"] == read_json(out / "agreement_report.json")
         assert "oracle" not in report
         assert "bias" not in report
+
+    def test_manifest_that_is_not_an_object_is_left_out(self, run_dir, tmp_path):
+        out = _copy_run(run_dir, tmp_path)
+        (out / "manifests" / "score.json").write_text("[]\n", encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert "score" not in report
+        assert report["consistency"] == read_json(out / "consistency.json")
 
 
 class TestConfigKeys:

@@ -7,14 +7,10 @@ import pytest
 from causeway import consist
 from causeway.consist import (
     ConsistError,
+    QuestionFacts,
     TruthAssignment,
     _Engine,
-    local_normalize,
     output_validity_violations,
-    r1_none_exclusivity,
-    r2_duplicate_consistency,
-    r3_overselection_guard,
-    r5_triple_exclusion,
     run_to_fixed_point,
     seed_truth,
 )
@@ -29,78 +25,78 @@ def fs(*letters: str) -> frozenset[str]:
 class TestR1NoneExclusivity:
     def test_drops_rejection_from_mixed_pick(self):
         q = make_question(d=NONE_TEXT)
-        assert r1_none_exclusivity(q, fs("A", "D")) == fs("A")
+        assert QuestionFacts(q).r1(fs("A", "D")) == fs("A")
 
     def test_rejection_alone_kept(self):
         q = make_question(d=NONE_TEXT)
-        assert r1_none_exclusivity(q, fs("D")) == fs("D")
+        assert QuestionFacts(q).r1(fs("D")) == fs("D")
 
     def test_pure_substantive_kept(self):
         q = make_question(d=NONE_TEXT)
-        assert r1_none_exclusivity(q, fs("A", "B")) == fs("A", "B")
+        assert QuestionFacts(q).r1(fs("A", "B")) == fs("A", "B")
 
     def test_two_rejection_options(self):
         q = make_question(c=NONE_TEXT, d="None of the causes listed apply.")
-        assert r1_none_exclusivity(q, fs("A", "C", "D")) == fs("A")
-        assert r1_none_exclusivity(q, fs("C", "D")) == fs("C", "D")
+        assert QuestionFacts(q).r1(fs("A", "C", "D")) == fs("A")
+        assert QuestionFacts(q).r1(fs("C", "D")) == fs("C", "D")
 
 
 class TestR2DuplicateConsistency:
     def test_selecting_one_member_selects_class(self):
         q = make_question(a="The dam failed.", c="the dam failed")
-        assert r2_duplicate_consistency(q, fs("A")) == fs("A", "C")
-        assert r2_duplicate_consistency(q, fs("C")) == fs("A", "C")
+        assert QuestionFacts(q).r2(fs("A")) == fs("A", "C")
+        assert QuestionFacts(q).r2(fs("C")) == fs("A", "C")
 
     def test_untouched_when_class_not_selected(self):
         q = make_question(a="x", c="x")
-        assert r2_duplicate_consistency(q, fs("B")) == fs("B")
+        assert QuestionFacts(q).r2(fs("B")) == fs("B")
 
     def test_already_consistent(self):
         q = make_question(a="x", c="x")
-        assert r2_duplicate_consistency(q, fs("A", "C")) == fs("A", "C")
+        assert QuestionFacts(q).r2(fs("A", "C")) == fs("A", "C")
 
     def test_multiple_classes(self):
         q = make_question(a="x", b="y", c="x", d="y")
-        assert r2_duplicate_consistency(q, fs("A", "B")) == fs("A", "B", "C", "D")
+        assert QuestionFacts(q).r2(fs("A", "B")) == fs("A", "B", "C", "D")
 
 
 class TestR3OverselectionGuard:
     def test_full_selection_with_rejection_drops_it(self):
         q = make_question(d=NONE_TEXT)
-        assert r3_overselection_guard(q, fs(*LETTERS)) == fs("A", "B", "C")
+        assert QuestionFacts(q).r3(fs(*LETTERS)) == fs("A", "B", "C")
 
     def test_full_selection_without_rejection_kept(self):
         q = make_question()
-        assert r3_overselection_guard(q, fs(*LETTERS)) == fs(*LETTERS)
+        assert QuestionFacts(q).r3(fs(*LETTERS)) == fs(*LETTERS)
 
     def test_partial_selection_untouched(self):
         q = make_question(d=NONE_TEXT)
-        assert r3_overselection_guard(q, fs("A", "B", "D")) == fs("A", "B", "D")
+        assert QuestionFacts(q).r3(fs("A", "B", "D")) == fs("A", "B", "D")
 
 
 class TestR5TripleExclusion:
     def test_full_triple_drops_odd_letter(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert r5_triple_exclusion(q, fs(*LETTERS)) == fs("A", "B", "C")
+        assert QuestionFacts(q).r5(fs(*LETTERS)) == fs("A", "B", "C")
 
     def test_triple_alone_kept(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert r5_triple_exclusion(q, fs("A", "B", "C")) == fs("A", "B", "C")
+        assert QuestionFacts(q).r5(fs("A", "B", "C")) == fs("A", "B", "C")
 
     def test_partial_triple_untouched(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert r5_triple_exclusion(q, fs("A", "B", "D")) == fs("A", "B", "D")
+        assert QuestionFacts(q).r5(fs("A", "B", "D")) == fs("A", "B", "D")
 
     def test_no_triple_class(self):
         q = make_question(a="x", b="x", c="y", d="z")
-        assert r5_triple_exclusion(q, fs(*LETTERS)) == fs(*LETTERS)
+        assert QuestionFacts(q).r5(fs(*LETTERS)) == fs(*LETTERS)
 
 
 class TestTruthAssignment:
     def test_unknown_hardens(self):
         truth = TruthAssignment((1, "e"))
         sink = []
-        assert truth.mark_true("t", "seed", "q1", 0, sink)
+        assert truth.mark("t", True, "seed", "q1", 0, sink)
         assert truth.value("t") is True
         assert len(truth.transitions) == 1
         assert sink == []
@@ -108,16 +104,16 @@ class TestTruthAssignment:
     def test_remark_same_value_no_transition(self):
         truth = TruthAssignment((1, "e"))
         sink = []
-        truth.mark_false("t", "R6", "q1", 1, sink)
-        assert not truth.mark_false("t", "R6", "q1", 2, sink)
+        truth.mark("t", False, "R6", "q1", 1, sink)
+        assert not truth.mark("t", False, "R6", "q1", 2, sink)
         assert len(truth.transitions) == 1
         assert sink == []
 
     def test_flip_attempt_contradicts_and_keeps_value(self):
         truth = TruthAssignment((1, "e"))
         sink = []
-        truth.mark_true("t", "seed", "q1", 0, sink)
-        assert not truth.mark_false("t", "R6", "q2", 1, sink)
+        truth.mark("t", True, "seed", "q1", 0, sink)
+        assert not truth.mark("t", False, "R6", "q2", 1, sink)
         assert truth.value("t") is True
         assert len(sink) == 1
         assert sink[0].rule == "R6"
@@ -130,19 +126,19 @@ class TestTruthAssignment:
 class TestSeedTruth:
     def test_selected_substantive_texts_true(self):
         q1 = make_question(qid="q1", a="alpha", b="beta")
-        truth = seed_truth([q1], {"q1": fs("A")}, (1, "e"))
+        truth = seed_truth([QuestionFacts(q1)], {"q1": fs("A")}, (1, "e"))
         assert truth.value("alpha") is True
         assert truth.value("beta") is None
 
     def test_rejection_letters_never_seed_truth(self):
         q1 = make_question(qid="q1", d=NONE_TEXT)
-        truth = seed_truth([q1], {"q1": fs("D")}, (1, "e"))
+        truth = seed_truth([QuestionFacts(q1)], {"q1": fs("D")}, (1, "e"))
         assert truth.value(NONE_TEXT.lower()) is None
 
     def test_texts_of_rejection_only_questions_stay_unknown(self):
         q1 = make_question(qid="q1", a="alpha", b="beta", c="gamma", d=NONE_TEXT)
         q2 = make_question(qid="q2", a="alpha", b="other")
-        truth = seed_truth([q1, q2], {"q1": fs("D"), "q2": fs("A", "B")}, (1, "e"))
+        truth = seed_truth([QuestionFacts(q1), QuestionFacts(q2)], {"q1": fs("D"), "q2": fs("A", "B")}, (1, "e"))
         # alpha is claimed by q2 but q1's rejection-only answer blocks it
         assert truth.value("alpha") is None
         assert truth.value("other") is True
@@ -150,7 +146,7 @@ class TestSeedTruth:
     def test_normalization_shares_truth(self):
         q1 = make_question(qid="q1", a="The Dam failed!")
         q2 = make_question(qid="q2", b="the dam failed")
-        truth = seed_truth([q1, q2], {"q1": fs("A"), "q2": fs("C")}, (1, "e"))
+        truth = seed_truth([QuestionFacts(q1), QuestionFacts(q2)], {"q1": fs("A"), "q2": fs("C")}, (1, "e"))
         assert truth.value("the dam failed") is True
 
 
@@ -261,8 +257,8 @@ class TestEngineSiblingGroups:
         q2 = make_question(qid="q2", a="t", b="x", c="y", d="z")
         engine = _Engine([q1, q2], {"q1": fs("D"), "q2": fs("B")})
         for state in engine.groups:
-            state.truth = seed_truth([f.q for f in state.facts], engine.preds, state.key)
-            state.truth.mark_true("t", "R4", "q2", 0, engine.contradictions)
+            state.truth = seed_truth(state.facts, engine.preds, state.key)
+            state.truth.mark("t", True, "R4", "q2", 0, engine.contradictions)
         engine._apply_r6()
         state = engine.groups[0]
         assert state.truth.value("t") is True
@@ -421,11 +417,11 @@ class TestEngineProperties:
 class TestLocalNormalize:
     def test_rejection_mix_then_class_closure(self):
         q = make_question(a="x", b="x", d=NONE_TEXT)
-        assert local_normalize(q, fs("A", "D")) == fs("A", "B")
+        assert QuestionFacts(q).local_normalize(fs("A", "D")) == fs("A", "B")
 
     def test_valid_input_untouched(self):
         q = make_question(d=NONE_TEXT)
-        assert local_normalize(q, fs("B", "C")) == fs("B", "C")
+        assert QuestionFacts(q).local_normalize(fs("B", "C")) == fs("B", "C")
 
 
 class TestOutputValidity:

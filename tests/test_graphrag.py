@@ -33,7 +33,6 @@ from helpers import (
     component_reference,
     graph_edges_reference,
     make_question,
-    record_texts,
     topic_entities,
     topic_texts,
     topic_union_reference,
@@ -496,62 +495,47 @@ class TestTopicRetriever:
             make_doc(5, "d4", "Garden show", "the annual tulip exhibition charmed visitors downtown"),
         ]
 
+    def _retriever(self, **kwargs):
+        vecs = MockEmbedder(dim=128, seed=0).embed_texts([document_text(d) for d in self._docs()])
+        return TopicRetriever(5, self._docs(), vecs, **kwargs)
+
+    def _query_vec(self, query: str):
+        return MockEmbedder(dim=128, seed=0).embed_texts([query])[0]
+
     def test_deterministic_across_instances(self):
         q = make_question(
             qid="q", topic=5, event="Shipping delays mounted",
             a="a wage dispute led to a strike", b="a tulip exhibition", c="bad weather", d="None of the above",
         )
-        r1 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
-        r2 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
-        out1 = r1.retrieve_for_question(q)
-        out2 = r2.retrieve_for_question(q)
+        r1 = self._retriever()
+        r2 = self._retriever()
+        out1 = r1.retrieve_for_question(q, self._query_vec(make_query(q)))
+        out2 = r2.retrieve_for_question(q, self._query_vec(make_query(q)))
         assert out1.selected == out2.selected
         assert out1.provenance == out2.provenance
         assert out1.excluded == out2.excluded
 
     def test_prebuilt_graph_reused(self):
-        r1 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
+        r1 = self._retriever()
         graph = DocGraph.from_json(r1.graph.to_json())
-        r2 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0), graph=graph)
+        r2 = self._retriever(graph=graph)
         assert r2.graph.edges == r1.graph.edges
         q = make_question(qid="q", topic=5, event="Shipping delays mounted")
-        assert r2.retrieve_for_question(q).selected == r1.retrieve_for_question(q).selected
+        query_vec = self._query_vec(make_query(q))
+        assert r2.retrieve_for_question(q, query_vec).selected == r1.retrieve_for_question(q, query_vec).selected
 
     def test_prebuilt_graph_node_mismatch(self):
         bad = DocGraph(topic_id=5, nodes=("other",), edges=[])
         with pytest.raises(GraphError):
-            TopicRetriever(5, self._docs(), MockEmbedder(dim=16, seed=0), graph=bad)
-
-    def test_given_doc_vecs_replace_document_embedding(self):
-        r1 = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
-        saved = np.array([r1.doc_vecs[d.id] for d in self._docs()])
-        embedded: list[str] = []
-        embedder = record_texts(MockEmbedder(dim=128, seed=0), embedded)
-        r2 = TopicRetriever(5, self._docs(), embedder, doc_vecs=saved)
-        assert embedded == []
-        assert r2.graph.edges == r1.graph.edges
-        q = make_question(qid="q", topic=5, event="Shipping delays mounted")
-        assert r2.retrieve_for_question(q).to_json() == r1.retrieve_for_question(q).to_json()
-        assert len(embedded) == 1  # the query only
-
-    def test_given_query_vec_replaces_query_embedding(self):
-        q = make_question(qid="q", topic=5, event="Shipping delays mounted")
-        embedded: list[str] = []
-        r = TopicRetriever(5, self._docs(), record_texts(MockEmbedder(dim=128, seed=0), embedded))
-        want = r.retrieve_for_question(q).to_json()
-        assert embedded[-1] == make_query(q)
-        del embedded[:]
-        query_vec = MockEmbedder(dim=128, seed=0).embed_texts([make_query(q)])[0]
-        assert r.retrieve_for_question(q, query_vec).to_json() == want
-        assert embedded == []
+            self._retriever(graph=bad)
 
     def test_doc_vecs_count_mismatch(self):
         with pytest.raises(GraphError):
-            TopicRetriever(5, self._docs(), MockEmbedder(dim=16, seed=0), doc_vecs=np.zeros((3, 16)))
+            TopicRetriever(5, self._docs(), np.zeros((3, 16)))
 
     def test_result_shape(self):
-        r = TopicRetriever(5, self._docs(), MockEmbedder(dim=128, seed=0))
-        result = r.retrieve_query("strike at the port")
+        r = self._retriever()
+        result = r.retrieve_query("strike at the port", self._query_vec("strike at the port"))
         data = result.to_json()
         assert data["topic_id"] == 5
         assert data["query_text"] == "strike at the port"
