@@ -39,7 +39,6 @@ from .graphrag import (
     DocGraph,
     HybridParams,
     RetrievalResult,
-    TopicContextCache,
     TopicRetriever,
     make_query,
 )
@@ -161,19 +160,24 @@ def _write_manifest(config: RunConfig, stage: str, inputs: Mapping[str, str], re
 
 def _read_manifest(out_dir: Path, stage: str) -> dict | None:
     """A stage's manifest, or None when it is missing, not valid JSON or not
-    a JSON object."""
+    of the shape _write_manifest writes: an object whose inputs, outputs,
+    counts and keys are objects. Absent keys read as {}."""
     try:
         manifest = json.loads((out_dir / "manifests" / f"{stage}.json").read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         return None
-    return manifest if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict):
+        return None
+    manifest.setdefault("keys", {})
+    shaped = all(isinstance(manifest.get(part), dict) for part in ("inputs", "outputs", "counts", "keys"))
+    return manifest if shaped else None
 
 
 def _read_listed(out_dir: Path, manifest: dict | None, rel: str) -> bytes | None:
     """The bytes of a file the manifest, if any, lists as an output, or None
     when the file is missing or no longer has the listed content hash."""
     path = out_dir / rel
-    listed = manifest.get("outputs", {}).get(rel) if manifest is not None else None
+    listed = manifest["outputs"].get(rel) if manifest is not None else None
     if listed is None or not path.is_file():
         return None
     data = path.read_bytes()
@@ -316,9 +320,9 @@ def _build_retrievers(
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
     out_dir = Path(config.out)
-    manifest = _read_manifest(out_dir, "build-graph") or {}
-    keys = manifest.get("keys", {})
-    if manifest.get("inputs", {}).get("docs") != docs_hash or keys.get("vectors") != config.vectors_key():
+    manifest = _read_manifest(out_dir, "build-graph")
+    keys = {} if manifest is None else manifest["keys"]
+    if manifest is None or manifest["inputs"].get("docs") != docs_hash or keys.get("vectors") != config.vectors_key():
         logger.warning(
             "no build-graph manifest for these documents and this embedder: "
             "embedding the documents and building the graphs again"
@@ -366,8 +370,8 @@ def _retrieve(run: StageInput) -> StageResult:
     needed = {q.topic_id for q in questions}
     retrievers = _build_retrievers(config, embedder, run.hashes["docs"], run.topics, needed)
     # the questions that pay for a retrieval, their queries embedded in one
-    # call: every question under topic_union, else each topic's first, whose
-    # result the cache then serves to the rest of the topic
+    # call: each topic's first, whose result the rest of the topic shares, or
+    # under topic_union every question, each adding to its topic's running union
     paying = questions
     if not config.topic_union:
         firsts: dict[int, QuestionRecord] = {}
@@ -377,29 +381,23 @@ def _retrieve(run: StageInput) -> StageResult:
     texts = [make_query(q) for q in paying]
     vectors = embedder.embed_texts(texts, input_type=config.embedder.query_input_type)
     query_vecs = {q.id: v for q, v in zip(paying, vectors)}
-    cache = TopicContextCache()
-    union_ctx: dict[int, RetrievalResult] = {}
+    contexts: dict[int, RetrievalResult] = {}
     rows = []
     for q in questions:
-        retriever = retrievers[q.topic_id]
-        if config.topic_union:
-            # every question pays for its own retrieval; the topic context is
-            # the running union of everything retrieved so far
+        if q.id in query_vecs:
+            retriever = retrievers[q.topic_id]
             result = retriever.retrieve_for_question(q, query_vecs[q.id])
-            if q.topic_id in union_ctx:
-                result = union_ctx[q.topic_id].union(result, retriever.graph)
-            union_ctx[q.topic_id] = result
-        else:
-            result = cache.get_or_compute(q.topic_id, lambda: retriever.retrieve_for_question(q, query_vecs[q.id]))
-        rows.append({"id": q.id, **result.to_json()})
-    # every question the cache did not serve paid for a retrieval
-    hits = cache.hits
+            if q.topic_id in contexts:
+                result = contexts[q.topic_id].union(result, retriever.graph)
+            contexts[q.topic_id] = result
+        rows.append({"id": q.id, **contexts[q.topic_id].to_json()})
+    hits = len(questions) - len(paying)
     hit_rate = hits / len(questions) if questions else 0.0
     counts = {
         "n_questions": len(questions),
         "n_topics": len(retrievers),
         "cache_hits": hits,
-        "cache_misses": len(questions) - hits,
+        "cache_misses": len(paying),
         "cache_hit_rate": hit_rate,
     }
     return StageResult(
@@ -426,7 +424,7 @@ def _upstream(run: StageInput, stage: str, rel: str) -> tuple[bytes, str]:
     data = _read_listed(out_dir, manifest, rel)
     if data is None:
         raise SystemExit(f"error: {rel} is missing or not the file its manifest lists: run the {stage} stage")
-    if any(manifest.get("inputs", {}).get(name) != digest for name, digest in run.hashes.items()):
+    if any(manifest["inputs"].get(name) != digest for name, digest in run.hashes.items()):
         raise SystemExit(f"error: {stage} ran on other questions or documents: run the {stage} stage again")
     return data, manifest["outputs"][rel]
 

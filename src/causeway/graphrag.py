@@ -1,13 +1,12 @@
 """Topic document graphs: hybrid semantic/lexical edge weights, dense and
-sparse entry points, component traversal, and a per-topic context cache."""
+sparse entry points, component traversal and per-topic retrievers."""
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -238,38 +237,6 @@ def retrieve(query: str, entries: EntryPoints, graph: DocGraph, params: HybridPa
         provenance=provenance,
         excluded=excluded,
     )
-
-
-class TopicContextCache:
-    """Retrieval results shared by every question of a topic.
-
-    The first question pays for the computation; later questions reuse the
-    stored result. Computation happens under the lock so an entry is written
-    exactly once per topic even with concurrent callers.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, RetrievalResult] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(
-        self, topic_id: int, compute: Callable[[], RetrievalResult]
-    ) -> RetrievalResult:
-        with self._lock:
-            if topic_id in self._entries:
-                self.hits += 1
-                return self._entries[topic_id]
-            result = compute()
-            self._entries[topic_id] = result
-            self.misses += 1
-            return result
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class TopicRetriever:

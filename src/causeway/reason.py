@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, unescape
 

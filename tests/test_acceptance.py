@@ -40,6 +40,8 @@ from helpers import (
     component_reference,
     fleiss_reference,
     krippendorff_reference,
+    make_question,
+    question_to_row,
     random_sibling_group,
 )
 from test_consist import (
@@ -153,21 +155,40 @@ def test_bm25_matches_direct_formula():
     )
 
 
-def test_cache_hit_rate_on_dev_shaped_run():
-    from causeway.graphrag import TopicContextCache
-
+def test_cache_hit_rate_on_dev_shaped_run(tmp_path, capsys):
     rng = random.Random(5)
     topics = list(range(36))
     # 400 questions spread over 36 topics, every topic hit at least once
     assignment = topics + [rng.choice(topics) for _ in range(400 - 36)]
     rng.shuffle(assignment)
-    cache = TopicContextCache()
-    for topic in assignment:
-        cache.get_or_compute(topic, lambda topic=topic: f"context-{topic}")
-    assert cache.hits == 364
-    assert cache.misses == 36
-    assert cache.hit_rate == 0.91
-    announce("cache-arithmetic", "36 topics / 400 questions -> hit rate exactly 0.91")
+    # each question its own first option, so that each has its own query
+    question_rows = [
+        question_to_row(make_question(f"q{i}", topic, f"the dam on river {topic} failed", a=f"cause {i}"))
+        for i, topic in enumerate(assignment)
+    ]
+    doc = {"title": "Dam report", "snippet": "The dam failed", "source": "Wire", "link": "https://example.com/"}
+    doc_rows = [
+        {"topic_id": t, "docs": [{**doc, "id": f"d{t}", "content": f"The dam on river {t} failed."}]} for t in topics
+    ]
+    questions, docs = tmp_path / "questions.jsonl", tmp_path / "docs.jsonl"
+    questions.write_text("".join(json.dumps(row) + "\n" for row in question_rows), encoding="utf-8")
+    docs.write_text("".join(json.dumps(row) + "\n" for row in doc_rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["retrieve", "--questions", str(questions), "--docs", str(docs), "--out", str(out)]) == 0
+    counts = json.loads((out / "manifests" / "retrieve.json").read_text(encoding="utf-8"))["counts"]
+    assert counts["cache_hits"] == 364
+    assert counts["cache_misses"] == 36
+    assert counts["cache_hit_rate"] == 0.91
+    assert "cache hit rate 0.910 (364/400)" in capsys.readouterr().out
+    # every question of a topic gets the row of the topic's first question
+    rows = [json.loads(line) for line in (out / "retrieval.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [row["id"] for row in rows] == [f"q{i}" for i in range(400)]
+    firsts: dict[int, dict] = {}
+    for topic, row in zip(assignment, rows):
+        first = firsts.setdefault(topic, row)
+        assert {**row, "id": first["id"]} == first
+    assert len(firsts) == 36
+    announce("cache-arithmetic", "36 topics / 400 questions through retrieve -> hit rate exactly 0.91")
 
 
 def test_threshold_equivalence_and_monotonicity():

@@ -165,6 +165,17 @@ class TestRetrieve:
         assert counts["cache_misses"] == 3
         assert counts["cache_hit_rate"] == 0.75
 
+    def test_no_questions(self, tmp_path, capsys, monkeypatch):
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("", encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)
+        out = tmp_path / "out"
+        assert main(["retrieve", "--config", "config.json", "--out", str(out), "--questions", str(questions)]) == 0
+        counts = read_json(out / "manifests" / "retrieve.json")["counts"]
+        assert (counts["cache_hits"], counts["cache_misses"], counts["cache_hit_rate"]) == (0, 0, 0.0)
+        assert "retrieve: 0 questions, cache hit rate 0.000 (0/0)\n" in capsys.readouterr().out
+        assert (out / "retrieval.jsonl").read_bytes() == b""
+
 
 class TestInfer:
     def test_raw_predictions(self, run_dir):
@@ -451,6 +462,13 @@ def _entities_lacking_a_topic(out: Path) -> None:
     _relist(out, "graphs/entities.json")
 
 
+def _keys_not_an_object(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    manifest["keys"] = []
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def _other_embedder(out: Path) -> None:
     manifest_path = out / "manifests" / "build-graph.json"
     manifest = read_json(manifest_path)
@@ -554,6 +572,7 @@ class TestBuildGraphReuse:
             (_other_docs, True),
             (_no_manifest, True),
             (_truncated_manifest, True),
+            (_keys_not_an_object, True),
         ],
     )
     def test_unusable_artifacts_are_recomputed(self, run_dir, tmp_path, embedded, caplog, tamper, embeds_docs):
@@ -659,6 +678,10 @@ def _retrieve_manifest_not_an_object(out: Path) -> None:
     (out / "manifests" / "retrieve.json").write_text("[]\n", encoding="utf-8")
 
 
+def _retrieve_manifest_outputs_a_list(out: Path) -> None:
+    (out / "manifests" / "retrieve.json").write_text('{"outputs": []}\n', encoding="utf-8")
+
+
 class TestInferChecksRetrieval:
     """infer reads retrieval.jsonl only when the retrieve manifest lists the
     file as it is and retrieve read the same questions and docs files;
@@ -666,7 +689,13 @@ class TestInferChecksRetrieval:
 
     @pytest.mark.parametrize(
         "tamper",
-        [_edited_retrieval, _retrieval_for_other_questions, _no_retrieve_manifest, _retrieve_manifest_not_an_object],
+        [
+            _edited_retrieval,
+            _retrieval_for_other_questions,
+            _no_retrieve_manifest,
+            _retrieve_manifest_not_an_object,
+            _retrieve_manifest_outputs_a_list,
+        ],
     )
     def test_unvouched_retrieval_is_refused(self, run_dir, tmp_path, llm_calls, tamper):
         out = tmp_path / "out"
@@ -960,6 +989,17 @@ class TestReportReadsListedFiles:
         report = read_json(out / "report.json")
         assert "score" not in report
         assert report["consistency"] == read_json(out / "consistency.json")
+
+    def test_retrieve_manifest_without_counts_is_left_out(self, run_dir, tmp_path, capsys):
+        out = _copy_run(run_dir, tmp_path)
+        manifest_path = out / "manifests" / "retrieve.json"
+        manifest = read_json(manifest_path)
+        del manifest["counts"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert report["stages"] == {"infer": read_json(out / "manifests" / "infer.json")["counts"]}
+        assert "cache hit rate" not in capsys.readouterr().out
 
 
 class TestConfigKeys:

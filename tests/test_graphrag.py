@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from causeway.graphrag import (
     GraphError,
     HybridParams,
     RetrievalResult,
-    TopicContextCache,
     TopicRetriever,
     build_graph,
     entry_points,
@@ -436,54 +434,6 @@ class TestRetrievalResultUnion:
         assert merged.selected == ["b", "c"]
         assert merged.provenance == {"b": DENSE_ENTRY, "c": SPARSE_ENTRY}
         assert merged.excluded == ["a", "d"]
-
-
-class TestTopicContextCache:
-    def test_hit_and_miss_counting(self):
-        cache = TopicContextCache()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "result"
-
-        assert cache.get_or_compute(1, compute) == "result"
-        assert cache.get_or_compute(1, compute) == "result"
-        assert cache.get_or_compute(2, compute) == "result"
-        assert len(calls) == 2
-        assert cache.misses == 2
-        assert cache.hits == 1
-
-    def test_dev_shaped_hit_rate(self):
-        cache = TopicContextCache()
-        topics = list(range(36))
-        # 400 questions spread over 36 topics, first per topic misses.
-        for i in range(400):
-            cache.get_or_compute(topics[i % 36], lambda: object())
-        assert cache.misses == 36
-        assert cache.hits == 364
-        assert cache.hit_rate == pytest.approx(0.91)
-
-    def test_compute_runs_exactly_once_under_threads(self):
-        cache = TopicContextCache()
-        calls = []
-        barrier = threading.Barrier(8)
-
-        def worker():
-            barrier.wait()
-            cache.get_or_compute(7, lambda: calls.append(1) or "r")
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert cache.hits == 7
-        assert cache.misses == 1
-
-    def test_empty_cache_rate(self):
-        assert TopicContextCache().hit_rate == 0.0
 
 
 class TestTopicRetriever:
