@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import graphrag
 from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
     LETTERS,
@@ -42,6 +43,7 @@ from .graphrag import (
     TopicRetriever,
     make_query,
 )
+from .lexindex import LexIndex
 from .reason import (
     AggregationParams,
     LlmClientSpec,
@@ -290,14 +292,20 @@ def _build_graph(run: StageInput) -> StageResult:
     embedder = make_embedder(config.embedder)
     topic_ids = sorted(topics)
     vectors = _embed_documents(config, embedder, topics, topic_ids)
-    outputs: dict[str, object] = {}
     entities: dict[str, list[str]] = {}
-    n_edges = 0
-    for topic_id, doc_vecs in _topic_rows(vectors, topics, topic_ids).items():
-        retriever = TopicRetriever(topic_id, topics[topic_id], doc_vecs, bm25_params=config.bm25, params=config.hybrid)
-        outputs[f"graphs/topic_{topic_id}.json"] = retriever.graph.to_json()
-        n_edges += len(retriever.graph.edges)
-        entities[str(topic_id)] = sorted(retriever.entities)
+
+    def topic_inputs():
+        """Each topic's build_graphs input, made as it is consumed, so that
+        one topic's lexical index is alive at a time."""
+        for topic_id, doc_vecs in _topic_rows(vectors, topics, topic_ids).items():
+            texts = {d.id: document_text(d) for d in topics[topic_id]}
+            topic_entities = graphrag.extract_entities(texts.values())
+            entities[str(topic_id)] = sorted(topic_entities)
+            yield topic_id, list(texts), LexIndex.build(texts), topic_entities, doc_vecs
+
+    graphs = graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid)
+    outputs: dict[str, object] = {f"graphs/topic_{g.topic_id}.json": g.to_json() for g in graphs}
+    n_edges = sum(len(g.edges) for g in graphs)
     outputs[DOC_VECTORS] = vectors
     outputs[ENTITIES] = entities
     return StageResult(
@@ -622,8 +630,9 @@ def _report(run: StageInput) -> StageResult:
         lines.append(f"  fleiss kappa   {report['agreement']['fleiss']:.4f}")
     if "consistency" in report and report["consistency"].get("enabled"):
         lines.append(f"  rule changes   {report['consistency']['n_changes']}")
-    if "stages" in report and "retrieve" in report["stages"]:
-        lines.append(f"  cache hit rate {report['stages']['retrieve']['cache_hit_rate']:.3f}")
+    rate = report.get("stages", {}).get("retrieve", {}).get("cache_hit_rate")
+    if isinstance(rate, (int, float)):
+        lines.append(f"  cache hit rate {rate:.3f}")
     return StageResult({"report.json": report}, None, lines=lines)
 
 

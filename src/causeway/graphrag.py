@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .lexindex import (
     bm25_plus,  # noqa: F401  (kept as graphrag.bm25_plus: bench/layers.py traces it)
     bm25_plus_scores,
     extract_entities,
+    lexical_scores,
     lexical_similarity,  # noqa: F401  (kept as graphrag.lexical_similarity: bench/layers.py traces it)
-    lexical_profile,
-    profile_similarity,
     tokenize,
 )
 
@@ -43,10 +42,13 @@ class HybridParams:
     k_sparse: int = 2
 
 
-def hybrid_weight(sim_sem: float, sim_lex: float, alpha: float = 0.7) -> float:
-    """Convex blend of semantic and lexical similarity."""
+def hybrid_weight(
+    sim_sem: float | np.ndarray, sim_lex: float | np.ndarray, alpha: float = 0.7
+) -> float | np.ndarray:
+    """Convex blend of semantic and lexical similarity: of two floats, or
+    elementwise of two arrays."""
     for name, value in (("sim_sem", sim_sem), ("sim_lex", sim_lex), ("alpha", alpha)):
-        if not 0.0 <= value <= 1.0:
+        if not np.all((value >= 0.0) & (value <= 1.0)):
             raise GraphError(f"{name} out of range: {value}")
     return alpha * sim_sem + (1.0 - alpha) * sim_lex
 
@@ -102,6 +104,66 @@ def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
 
 
+def _unit_clamp(x: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, v)) of each v in x, which maps NaN and -0.0 to 0.0
+    (np.fmax keeps -0.0)."""
+    x = np.where(x > 0.0, x, 0.0)
+    return np.where(x < 1.0, x, 1.0)
+
+
+def build_graphs(
+    topics: Iterable[tuple[int, Sequence[str], LexIndex, AbstractSet[str], Sequence[np.ndarray]]],
+    bm25_params: Bm25Params,
+    params: HybridParams,
+) -> list[DocGraph]:
+    """One graph per topic of topics, each given as (topic id, document ids,
+    lexical index, entity set, one vector per document in id order).
+
+    Every pair's weight blends its cosine and its lexical similarity, each
+    clamped into [0, 1], and the pair is an edge when its weight reaches the
+    threshold (inclusive). A topic's scores are computed as it arrives, so an
+    iterator of topics keeps one index alive at a time; the clamps, blend,
+    threshold and edge list then run once over every pair of every topic,
+    pairs in row-major order. Each cosine is the float `cosine` gives and
+    each lexical score the one `lexical_similarity` gives."""
+    nodes: list[tuple[int, tuple[str, ...]]] = []
+    # per topic, per pair: both documents' positions in the ids of all
+    # topics, their dot product, both norms and the lexical score
+    topic_pairs = []
+    offset = 0
+    for topic_id, doc_ids, index, entities, vectors in topics:
+        ids = tuple(doc_ids)
+        if len(vectors) != len(ids):
+            raise GraphError(f"{len(vectors)} document vectors for {len(ids)} documents in topic {topic_id}")
+        vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
+        norms = np.array([np.linalg.norm(v) for v in vecs])
+        first, second = np.nonzero(~np.tri(len(ids), dtype=bool))  # i < j, row-major
+        # one dot per pair, as `cosine` takes it: a row-wise product can round
+        # differently (ndarray.dot is np.dot without its dispatch wrapper)
+        pairs = ([vecs[a] for a in first.tolist()], [vecs[b] for b in second.tolist()])
+        dots = np.fromiter(map(np.ndarray.dot, *pairs), np.float64, len(first))
+        lexical = lexical_scores(ids, index, bm25_params, entities)[first, second]
+        topic_pairs.append((first + offset, second + offset, dots, norms[first], norms[second], lexical))
+        nodes.append((topic_id, ids))
+        offset += len(ids)
+    if not nodes:
+        return []
+    first, second, dots, norm_a, norm_b, lexical = map(np.concatenate, zip(*topic_pairs))
+    cos = np.divide(dots, norm_a * norm_b, out=np.zeros_like(dots), where=(norm_a != 0.0) & (norm_b != 0.0))
+    weights = hybrid_weight(_unit_clamp(cos), _unit_clamp(lexical), params.alpha)
+    kept = np.flatnonzero(weights >= params.edge_threshold)
+    all_ids = [doc_id for _, ids in nodes for doc_id in ids]
+    edges = [
+        (all_ids[a], all_ids[b], w)
+        for a, b, w in zip(first[kept].tolist(), second[kept].tolist(), weights[kept].tolist())
+    ]
+    bounds = np.searchsorted(kept, np.cumsum([0] + [len(topic[0]) for topic in topic_pairs])).tolist()
+    return [
+        DocGraph(topic_id=topic_id, nodes=ids, edges=edges[lo:hi])
+        for (topic_id, ids), lo, hi in zip(nodes, bounds, bounds[1:])
+    ]
+
+
 def build_graph(
     topic_id: int,
     docs: Sequence[DocumentRecord],
@@ -111,26 +173,12 @@ def build_graph(
     entities: frozenset[str],
     params: HybridParams,
 ) -> DocGraph:
-    """All-pairs hybrid weights; edges kept when the weight reaches the
-    threshold (inclusive). Cosines are clamped into [0, 1] before blending.
-    Each document's lexical profile and vector norm are computed once, not
-    once per pair; each pair's cosine is then the same float as `cosine`'s."""
+    """`build_graphs` of one topic, its vectors looked up by document id."""
     ids = [d.id for d in docs]
     for doc_id in ids:
         if doc_id not in embeddings:
             raise GraphError(f"missing embedding for document {doc_id!r}")
-    profiles = {doc_id: lexical_profile(doc_id, index, bm25_params, entities) for doc_id in ids}
-    vecs = {doc_id: np.asarray(embeddings[doc_id], dtype=np.float64) for doc_id in ids}
-    norms = _norms(vecs)
-    edges: list[tuple[str, str, float]] = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            sem = min(1.0, max(0.0, _cosine(vecs[a], norms[a], vecs[b], norms[b])))
-            lex = profile_similarity(profiles[a], profiles[b], bm25_params)
-            w = hybrid_weight(sem, lex, params.alpha)
-            if w >= params.edge_threshold:
-                edges.append((a, b, w))
-    return DocGraph(topic_id=topic_id, nodes=tuple(ids), edges=edges)
+    return build_graphs([(topic_id, ids, index, entities, [embeddings[d] for d in ids])], bm25_params, params)[0]
 
 
 def make_query(q: QuestionRecord) -> str:

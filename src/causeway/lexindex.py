@@ -7,7 +7,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -118,12 +120,25 @@ class LexIndex:
             df = self.doc_freq.get(term, 0)
             if df == 0:
                 return 0.0
-            value = self._idf[term] = math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+            value = self._idf[term] = _idf_value(self.n_docs, df)
         return value
+
+    def idf_table(self) -> Mapping[str, float]:
+        """Every vocabulary term's idf, all computed on the first call. The
+        document-profile path reads one per (document, term), so it fills the
+        table once; a query reads only its own terms through `idf`."""
+        if len(self._idf) < len(self.doc_freq):
+            n = self.n_docs
+            self._idf.update((term, _idf_value(n, df)) for term, df in self.doc_freq.items())
+        return self._idf
 
     def _check(self, doc_id: str) -> None:
         if doc_id not in self.term_freqs:
             raise LexIndexError(f"unknown document id {doc_id!r}")
+
+
+def _idf_value(n_docs: int, df: int) -> float:
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def _length_norm(doc_id: str, index: LexIndex, params: Bm25Params) -> float:
@@ -132,12 +147,12 @@ def _length_norm(doc_id: str, index: LexIndex, params: Bm25Params) -> float:
 
 
 def _term_weights(
-    terms: Sequence[str], index: LexIndex, params: Bm25Params, entities: AbstractSet[str]
+    terms: Sequence[str], idf_of: Callable[[str], float], params: Bm25Params, entities: AbstractSet[str]
 ) -> list[tuple[str, float]]:
     """(term, idf * boost) for each query term the corpus knows, in order."""
     weights = []
     for term in terms:
-        idf = index.idf(term)
+        idf = idf_of(term)
         if idf != 0.0:
             weights.append((term, idf * (params.entity_boost if term in entities else 1.0)))
     return weights
@@ -183,7 +198,7 @@ def bm25_plus_scores(
 ) -> list[float]:
     """`bm25_plus` of one query against each document in turn, with the
     query's term weights computed once."""
-    weights = _term_weights(query_terms, index, params, entities)
+    weights = _term_weights(query_terms, index.idf, params, entities)
     scores = []
     for doc_id in doc_ids:
         index._check(doc_id)
@@ -197,45 +212,53 @@ def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:
     """The document's k strongest terms by tf*idf, ties broken by term."""
     index._check(doc_id)
     tf = index.term_freqs[doc_id]
-    ranked = sorted(tf, key=lambda t: (-tf[t] * index.idf(t), t))
-    return ranked[:k]
+    idf = index.idf_table()
+    ranked = sorted((-f * idf[t], t) for t, f in tf.items())
+    return [t for _, t in ranked[:k]]
 
 
-@dataclass(frozen=True)
-class LexProfile:
-    """One document's side of `lexical_similarity`: its top terms weighted
-    for BM25+, its term counts and length norm, and its self-score."""
-
-    weights: tuple[tuple[str, float], ...]
-    tf: Mapping[str, int]
-    norm: float
-    self_score: float
-
-
-def lexical_profile(
-    doc_id: str,
+def lexical_scores(
+    doc_ids: Sequence[str],
     index: LexIndex,
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
     profile_size: int = 20,
-) -> LexProfile:
-    """Everything `profile_similarity` needs from one document, computed
-    once so that a topic's all-pairs graph pays for it once per document."""
-    weights = tuple(_term_weights(top_terms(doc_id, index, profile_size), index, params, entities))
-    tf = index.term_freqs[doc_id]
-    norm = _length_norm(doc_id, index, params)
-    return LexProfile(weights, tf, norm, _weighted_bm25(weights, tf, norm, params))
+) -> np.ndarray:
+    """`lexical_similarity` of every pair of doc_ids before its clamp into
+    [0, 1], as an (n, n) matrix from one array pass; 0 where either
+    self-score is not positive.
 
-
-def profile_similarity(a: LexProfile, b: LexProfile, params: Bm25Params = Bm25Params()) -> float:
-    """`lexical_similarity` of two documents from their profiles, which
-    must come from one index, entity set and params."""
-    if a.self_score <= 0.0 or b.self_score <= 0.0:
-        return 0.0
-    raw_ab = _weighted_bm25(a.weights, b.tf, b.norm, params) / a.self_score
-    raw_ba = _weighted_bm25(b.weights, a.tf, a.norm, params) / b.self_score
-    sim = 0.5 * (raw_ab + raw_ba)
-    return min(1.0, max(0.0, sim))
+    Each document's profile is its top terms with their BM25+ weights.
+    contrib[b, t] is term t's BM25+ part in document b, from the float
+    operations `_weighted_bm25` makes. The weighted parts of a profile are
+    summed with a cumsum along the profile, which adds them one at a time in
+    profile order as `_weighted_bm25` does, so every score, and every self
+    score on the diagonal, is the float the one-pair path gives."""
+    n = len(doc_ids)
+    idf = index.idf_table().__getitem__
+    profiles = [_term_weights(top_terms(d, index, profile_size), idf, params, entities) for d in doc_ids]
+    size = max(map(len, profiles), default=0)
+    if size == 0:
+        return np.zeros((n, n))
+    # shorter profiles are padded with weight 0 on column 0; those parts are
+    # ±0.0, which, like cumsum starting from the first part instead of 0.0,
+    # can change only the sign of a zero sum, and the self-score test and
+    # the clamp treat -0.0 as 0.0
+    columns: dict[str, int] = {}
+    cols = np.array([[columns.setdefault(t, len(columns)) for t, _ in p] + [0] * (size - len(p)) for p in profiles])
+    weights = np.array([[w for _, w in p] + [0.0] * (size - len(p)) for p in profiles])
+    absent = [0] * len(columns)
+    tf = np.array([list(map(index.term_freqs[d].get, columns, absent)) for d in doc_ids], dtype=np.float64)
+    norms = np.array([_length_norm(d, index, params) for d in doc_ids])
+    ratio = np.divide(tf * (params.k1 + 1.0), tf + norms[:, None], out=np.zeros_like(tf), where=tf != 0)
+    contrib = ratio + params.delta
+    # parts[a, k, b]: the k-th term of a's profile, weighted, in document b
+    parts = contrib.T[cols]
+    parts *= weights[:, :, None]
+    raw = np.cumsum(parts, axis=1, out=parts)[:, -1]
+    positive = raw.diagonal() > 0.0
+    scaled = np.divide(raw, raw.diagonal()[:, None], out=np.zeros_like(raw), where=positive[:, None])
+    return np.where(positive[:, None] & positive, 0.5 * (scaled + scaled.T), 0.0)
 
 
 def lexical_similarity(
@@ -249,6 +272,5 @@ def lexical_similarity(
     """Symmetrized, self-normalized BM25+ similarity between two documents,
     clamped to [0, 1]. If either document has a zero self-score (for example
     an empty document), the pair similarity is 0."""
-    profile_a = lexical_profile(a, index, params, entities, profile_size)
-    profile_b = lexical_profile(b, index, params, entities, profile_size)
-    return profile_similarity(profile_a, profile_b, params)
+    sim = float(lexical_scores([a, b], index, params, entities, profile_size)[0, 1])
+    return min(1.0, max(0.0, sim))

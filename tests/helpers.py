@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from causeway.corpus import LETTERS, QuestionRecord
 from causeway.embed import cosine
 from causeway.graphrag import RetrievalResult, hybrid_weight
-from causeway.lexindex import STOPWORDS
+from causeway.lexindex import STOPWORDS, Bm25Params
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -194,6 +194,7 @@ def lexical_similarity_reference(
     doc_tokens: Mapping[str, Sequence[str]],
     entities: AbstractSet[str] = frozenset(),
     profile_size: int = 20,
+    params: Bm25Params = Bm25Params(),
 ) -> float:
     """Pair similarity the per-pair way: both top-term profiles and both
     self-scores recomputed for this pair, scored by the direct formula."""
@@ -208,7 +209,9 @@ def lexical_similarity_reference(
         return sorted(tf, key=lambda t: (-tf[t] * idf(t), t))[:profile_size]
 
     def score(terms: Sequence[str], doc_id: str) -> float:
-        return bm25_reference(terms, doc_tokens, doc_id, entities=entities)
+        return bm25_reference(
+            terms, doc_tokens, doc_id, params.k1, params.b, params.delta, entities, params.entity_boost
+        )
 
     profile_a, profile_b = profile(a), profile(b)
     self_a, self_b = score(profile_a, a), score(profile_b, b)
@@ -224,6 +227,7 @@ def graph_edges_reference(
     entities: AbstractSet[str],
     alpha: float,
     edge_threshold: float,
+    params: Bm25Params = Bm25Params(),
 ) -> list[tuple[str, str, float]]:
     """All-pairs hybrid edges, every pair scored from scratch."""
     ids = list(doc_tokens)
@@ -231,7 +235,7 @@ def graph_edges_reference(
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             sem = min(1.0, max(0.0, cosine(embeddings[a], embeddings[b])))
-            lex = lexical_similarity_reference(a, b, doc_tokens, entities)
+            lex = lexical_similarity_reference(a, b, doc_tokens, entities, params=params)
             w = hybrid_weight(sem, lex, alpha)
             if w >= edge_threshold:
                 edges.append((a, b, w))

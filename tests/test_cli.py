@@ -1001,6 +1001,17 @@ class TestReportReadsListedFiles:
         assert report["stages"] == {"infer": read_json(out / "manifests" / "infer.json")["counts"]}
         assert "cache hit rate" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("counts", [{}, {"cache_hit_rate": "0.75"}])
+    def test_retrieve_counts_without_a_numeric_hit_rate_print_no_rate(self, run_dir, tmp_path, capsys, counts):
+        out = _copy_run(run_dir, tmp_path)
+        manifest_path = out / "manifests" / "retrieve.json"
+        manifest = read_json(manifest_path)
+        manifest["counts"] = counts
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["stages"]["retrieve"] == counts
+        assert "cache hit rate" not in capsys.readouterr().out
+
 
 class TestConfigKeys:
     def test_every_flag_sets_its_config_key(self):

@@ -21,6 +21,7 @@ from causeway.graphrag import (
     RetrievalResult,
     TopicRetriever,
     build_graph,
+    build_graphs,
     entry_points,
     hybrid_weight,
     make_query,
@@ -28,6 +29,7 @@ from causeway.graphrag import (
 )
 from causeway.lexindex import Bm25Params, LexIndex, extract_entities, lexical_similarity, tokenize
 from helpers import (
+    TOPIC_WORDS,
     component_reference,
     graph_edges_reference,
     make_question,
@@ -212,6 +214,91 @@ class TestBuildGraph:
             1, docs, embeddings, index, Bm25Params(), entities, HybridParams(edge_threshold=0.0)
         )
         assert all(a != b for a, b, _ in graph.edges)
+
+    def _reference_case(self, docs, embeddings, bm25, alpha=0.7):
+        """build_graph's edges at threshold -1 (every pair) and the oracle's."""
+        texts = {d.id: document_text(d) for d in docs}
+        tokens = {doc_id: tokenize(text) for doc_id, text in texts.items()}
+        index = LexIndex.build(texts)
+        entities = extract_entities(texts.values())
+        params = HybridParams(alpha=alpha, edge_threshold=-1.0)
+        graph = build_graph(1, docs, embeddings, index, bm25, entities, params)
+        return graph.edges, graph_edges_reference(tokens, embeddings, entities, alpha, -1.0, bm25)
+
+    def test_k1_zero_matches_reference(self):
+        docs, _, _, embeddings = self._topic()
+        got, want = self._reference_case(docs, embeddings, Bm25Params(k1=0.0))
+        assert got == want
+        assert got != self._reference_case(docs, embeddings, Bm25Params())[0]
+
+    def test_empty_document_has_zero_lexical_weight(self):
+        docs, _, _, embeddings = self._topic()
+        docs = [*docs, make_doc(1, "d4", "", "")]
+        embeddings["d4"] = MockEmbedder(dim=128, seed=0).embed_texts([""])[0]
+        got, want = self._reference_case(docs, embeddings, Bm25Params())
+        assert got == want
+        for a, b, w in got:
+            if "d4" in (a, b):
+                assert w == hybrid_weight(min(1.0, max(0.0, cosine(embeddings[a], embeddings[b]))), 0.0)
+
+    def test_nan_vector_has_zero_semantic_weight(self):
+        docs, index, entities, embeddings = self._topic()
+        embeddings["d2"] = embeddings["d2"].copy()
+        embeddings["d2"][3] = np.nan
+        got, want = self._reference_case(docs, embeddings, Bm25Params())
+        assert got == want
+        for a, b, w in got:
+            if "d2" in (a, b):
+                assert w == hybrid_weight(0.0, lexical_similarity(a, b, index, Bm25Params(), entities))
+
+    def test_alpha_out_of_range_raises(self):
+        docs, index, entities, embeddings = self._topic()
+        with pytest.raises(GraphError, match="alpha"):
+            build_graph(1, docs, embeddings, index, Bm25Params(), entities, HybridParams(alpha=1.5))
+
+
+# Several topics of 0-7 documents, empty documents included, each with its
+# own entity set.
+many_topics = st.lists(
+    st.tuples(st.lists(st.lists(st.sampled_from(TOPIC_WORDS), max_size=12).map(" ".join), max_size=7), topic_entities),
+    max_size=5,
+)
+
+
+class TestBuildGraphs:
+    @given(
+        many_topics,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.just(-1.0), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_graph_matches_reference_and_build_graph(self, topics, alpha, threshold, seed):
+        embedder = MockEmbedder(dim=8, seed=seed)
+        params = HybridParams(alpha=alpha, edge_threshold=threshold)
+        cases = []
+        for topic_id, (contents, entities) in enumerate(topics):
+            docs = [make_doc(topic_id, f"t{topic_id}d{i}", "", content) for i, content in enumerate(contents)]
+            texts = {d.id: document_text(d) for d in docs}
+            vectors = embedder.embed_texts(list(texts.values()))
+            cases.append((topic_id, docs, texts, LexIndex.build(texts), entities, vectors))
+        inputs = ((topic_id, list(texts), index, ents, vecs) for topic_id, _, texts, index, ents, vecs in cases)
+        graphs = build_graphs(inputs, Bm25Params(), params)
+        assert len(graphs) == len(cases)
+        for graph, (topic_id, docs, texts, index, entities, vectors) in zip(graphs, cases):
+            embeddings = dict(zip(texts, vectors))
+            tokens = {doc_id: tokenize(text) for doc_id, text in texts.items()}
+            assert (graph.topic_id, graph.nodes) == (topic_id, tuple(texts))
+            assert graph.edges == graph_edges_reference(tokens, embeddings, entities, alpha, threshold)
+            assert graph.edges == build_graph(topic_id, docs, embeddings, index, Bm25Params(), entities, params).edges
+
+    def test_no_topics(self):
+        assert build_graphs(iter(()), Bm25Params(), HybridParams()) == []
+
+    def test_vector_count_mismatch(self):
+        index = LexIndex.build({"d1": "rain", "d2": "dam"})
+        with pytest.raises(GraphError, match="1 document vectors for 2 documents"):
+            build_graphs([(1, ["d1", "d2"], index, frozenset(), [np.ones(4)])], Bm25Params(), HybridParams())
 
 
 class TestMakeQuery:
