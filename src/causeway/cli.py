@@ -701,14 +701,25 @@ FLAGS: tuple[tuple[str, str, dict], ...] = (
 )
 
 
+# Each checked config value: its dotted key, its type (int, or any number)
+# and its lowest and highest allowed values (None: no upper bound).
+RANGES: tuple[tuple[str, type | tuple[type, ...], float, float | None], ...] = (
+    ("sampling.k", int, 1, None),
+    ("max_workers", int, 1, None),
+    ("hybrid.alpha", (int, float), 0, 1),
+    ("hybrid.edge_threshold", (int, float), 0, 1),
+    ("theta", (int, float), 0, 1),
+)
+
+
 def _spec_from_dict(cls, data: dict):
     return cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The run's config: a flag that is given beats the --config file, which
-    beats RunConfig's defaults. A file that is not a JSON object and a value
-    out of range are ConfigErrors."""
+    beats RunConfig's defaults. A file that is not a JSON object and a
+    RANGES value of the wrong type or out of range are ConfigErrors."""
     data: dict = {}
     if args.config:
         try:
@@ -733,11 +744,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         **{k: data[k] for k in ("questions", "docs", "out", "theta", "topic_union", "max_workers") if k in data},
         **{f"heuristics_{k}": heuristics[k] for k in ("enabled", "max_iterations") if k in heuristics},
     )
-    config.topic_union, config.max_workers = bool(config.topic_union), int(config.max_workers)
-    if config.max_workers < 1:
-        raise ConfigError(f"max_workers must be at least 1, got {config.max_workers}")
-    if config.sampling.k < 1:
-        raise ConfigError(f"sampling.k must be at least 1, got {config.sampling.k}")
+    config.topic_union = bool(config.topic_union)
+    for key, kind, low, high in RANGES:
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(config, section) if section else config, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
     return config
 
 

@@ -314,27 +314,21 @@ class BiasReport:
 def bias_stats(
     model_preds: Mapping[str, Mapping[str, AbstractSet[str]]],
     golds: Mapping[str, AbstractSet[str]],
-    question_ids: AbstractSet[str] | None = None,
-    per_letter: bool = False,
 ) -> BiasReport:
-    """Counts under- and over-selection events per (model, question) pair.
-    With per_letter=True, events are weighted by how many letters were missed
-    or added."""
-    subset = set(question_ids) if question_ids is not None else set(golds)
+    """Counts under- and over-selection events per (model, question) pair
+    with a gold answer: one each for a pair that misses or adds any letter."""
     under = 0
     over = 0
     pred_cards: list[int] = []
     gold_cards: list[int] = []
     for m in sorted(model_preds):
         for qid, pred in model_preds[m].items():
-            if qid not in subset or qid not in golds:
+            if qid not in golds:
                 continue
             gold = frozenset(golds[qid])
             pred = frozenset(pred)
-            missed = len(gold - pred)
-            added = len(pred - gold)
-            under += missed if per_letter else (1 if missed else 0)
-            over += added if per_letter else (1 if added else 0)
+            under += 1 if gold - pred else 0
+            over += 1 if pred - gold else 0
             pred_cards.append(len(pred))
             gold_cards.append(len(gold))
     n = len(pred_cards)

@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ STOPWORDS = frozenset(
     they this to was we were when which who will with you
     """.split()
 )
+
+# terms per document profile in `lexical_scores`
+PROFILE_SIZE = 20
 
 _LEAD_TRIM = "\"'“”‘’([{<«"
 _TAIL_TRIM = "\"'“”‘’)]}>»"
@@ -48,9 +51,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def extract_entities(texts: Iterable[str], stopwords: AbstractSet[str] = STOPWORDS) -> frozenset[str]:
+def extract_entities(texts: Iterable[str]) -> frozenset[str]:
     """Terms that appear capitalized in a non-sentence-initial position at
-    least once, excluding stopwords.
+    least once, excluding STOPWORDS.
 
     Sentence starts are the first word of each line and any word following
     sentence-ending punctuation. A word is judged by its string alone, so the
@@ -69,14 +72,15 @@ def extract_entities(texts: Iterable[str], stopwords: AbstractSet[str] = STOPWOR
             core = word.strip(_LEAD_TRIM + _TAIL_TRIM)
             if core and core[0].isalpha() and core[0].isupper():
                 tokens = tokenize(core)
-                if tokens and tokens[0] not in stopwords:
+                if tokens and tokens[0] not in STOPWORDS:
                     entities.add(tokens[0])
     return frozenset(entities)
 
 
 @dataclass
 class LexIndex:
-    """Immutable token statistics over one document collection."""
+    """Immutable token statistics over one document collection, with every
+    vocabulary term's idf computed once, when the index is built."""
 
     doc_ids: tuple[str, ...]
     term_freqs: dict[str, Counter]
@@ -84,7 +88,7 @@ class LexIndex:
     doc_freq: Counter
     n_docs: int
     avgdl: float
-    _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    idfs: dict[str, float]
 
     @classmethod
     def build(cls, texts: Mapping[str, str]) -> "LexIndex":
@@ -107,38 +111,16 @@ class LexIndex:
             doc_freq=doc_freq,
             n_docs=n,
             avgdl=avgdl,
+            idfs={term: math.log((n - df + 0.5) / (df + 0.5) + 1.0) for term, df in doc_freq.items()},
         )
 
-    @property
-    def vocabulary(self) -> AbstractSet[str]:
-        return self.doc_freq.keys()
-
     def idf(self, term: str) -> float:
-        """Memoised per index; terms outside the vocabulary are not stored."""
-        value = self._idf.get(term)
-        if value is None:
-            df = self.doc_freq.get(term, 0)
-            if df == 0:
-                return 0.0
-            value = self._idf[term] = _idf_value(self.n_docs, df)
-        return value
-
-    def idf_table(self) -> Mapping[str, float]:
-        """Every vocabulary term's idf, all computed on the first call. The
-        document-profile path reads one per (document, term), so it fills the
-        table once; a query reads only its own terms through `idf`."""
-        if len(self._idf) < len(self.doc_freq):
-            n = self.n_docs
-            self._idf.update((term, _idf_value(n, df)) for term, df in self.doc_freq.items())
-        return self._idf
+        """0.0 for terms outside the vocabulary."""
+        return self.idfs.get(term, 0.0)
 
     def _check(self, doc_id: str) -> None:
         if doc_id not in self.term_freqs:
             raise LexIndexError(f"unknown document id {doc_id!r}")
-
-
-def _idf_value(n_docs: int, df: int) -> float:
-    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
 def _length_norm(doc_id: str, index: LexIndex, params: Bm25Params) -> float:
@@ -147,30 +129,43 @@ def _length_norm(doc_id: str, index: LexIndex, params: Bm25Params) -> float:
 
 
 def _term_weights(
-    terms: Sequence[str], idf_of: Callable[[str], float], params: Bm25Params, entities: AbstractSet[str]
+    terms: Sequence[str], idfs: Mapping[str, float], params: Bm25Params, entities: AbstractSet[str]
 ) -> list[tuple[str, float]]:
-    """(term, idf * boost) for each query term the corpus knows, in order."""
-    weights = []
-    for term in terms:
-        idf = idf_of(term)
-        if idf != 0.0:
-            weights.append((term, idf * (params.entity_boost if term in entities else 1.0)))
-    return weights
+    """(term, idf * boost) for each term the corpus knows, in order."""
+    return [(t, idfs[t] * (params.entity_boost if t in entities else 1.0)) for t in terms if t in idfs]
 
 
-def _weighted_bm25(
-    weights: Sequence[tuple[str, float]], tf: Mapping[str, int], norm: float, params: Bm25Params
-) -> float:
-    """The BM25+ sum over pre-weighted query terms against one document's
-    term counts and length norm, accumulated in query order."""
-    gain = params.k1 + 1.0
-    delta = params.delta
-    score = 0.0
-    for term, weight in weights:
-        f = tf.get(term, 0)
-        ratio = f * gain / (f + norm) if f else 0.0
-        score += weight * (ratio + delta)
-    return score
+def _bm25_rows(
+    rows: Sequence[Sequence[tuple[str, float]]], doc_ids: Sequence[str], index: LexIndex, params: Bm25Params
+) -> np.ndarray:
+    """out[a, b] is the BM25+ sum of row a's (term, weight) pairs in
+    document b, from one array pass.
+
+    contrib[b, c] is column term c's BM25+ part in document b. A row's
+    weighted parts are summed with a cumsum along the row, which adds them
+    one at a time in row order, so each sum is the float that a loop adding
+    them to 0.0 in that order gives."""
+    for doc_id in doc_ids:
+        index._check(doc_id)
+    size = max(map(len, rows), default=0)
+    if size == 0 or not doc_ids:
+        return np.zeros((len(rows), len(doc_ids)))
+    # shorter rows are padded with weight 0 on column 0; those parts are
+    # ±0.0, which, like cumsum starting from the first part instead of 0.0,
+    # can change only the sign of a zero sum, and every caller treats -0.0
+    # as 0.0
+    columns: dict[str, int] = {}
+    cols = np.array([[columns.setdefault(t, len(columns)) for t, _ in r] + [0] * (size - len(r)) for r in rows])
+    weights = np.array([[w for _, w in r] + [0.0] * (size - len(r)) for r in rows])
+    absent = [0] * len(columns)
+    tf = np.array([list(map(index.term_freqs[d].get, columns, absent)) for d in doc_ids], dtype=np.float64)
+    norms = np.array([_length_norm(d, index, params) for d in doc_ids])
+    ratio = np.divide(tf * (params.k1 + 1.0), tf + norms[:, None], out=np.zeros_like(tf), where=tf != 0)
+    contrib = ratio + params.delta
+    # parts[a, k, b]: the k-th term of row a, weighted, in document b
+    parts = contrib.T[cols]
+    parts *= weights[:, :, None]
+    return np.cumsum(parts, axis=1, out=parts)[:, -1]
 
 
 def bm25_plus(
@@ -196,23 +191,17 @@ def bm25_plus_scores(
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
 ) -> list[float]:
-    """`bm25_plus` of one query against each document in turn, with the
-    query's term weights computed once."""
-    weights = _term_weights(query_terms, index.idf, params, entities)
-    scores = []
-    for doc_id in doc_ids:
-        index._check(doc_id)
-        scores.append(
-            _weighted_bm25(weights, index.term_freqs[doc_id], _length_norm(doc_id, index, params), params)
-        )
-    return scores
+    """`bm25_plus` of one query against each document in turn: the kernel's
+    one-row case."""
+    weights = _term_weights(query_terms, index.idfs, params, entities)
+    return _bm25_rows([weights], doc_ids, index, params)[0].tolist()
 
 
 def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:
     """The document's k strongest terms by tf*idf, ties broken by term."""
     index._check(doc_id)
     tf = index.term_freqs[doc_id]
-    idf = index.idf_table()
+    idf = index.idfs
     ranked = sorted((-f * idf[t], t) for t, f in tf.items())
     return [t for _, t in ranked[:k]]
 
@@ -222,40 +211,15 @@ def lexical_scores(
     index: LexIndex,
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
-    profile_size: int = 20,
 ) -> np.ndarray:
     """`lexical_similarity` of every pair of doc_ids before its clamp into
-    [0, 1], as an (n, n) matrix from one array pass; 0 where either
-    self-score is not positive.
+    [0, 1], as an (n, n) matrix; 0 where either self-score is not positive.
 
-    Each document's profile is its top terms with their BM25+ weights.
-    contrib[b, t] is term t's BM25+ part in document b, from the float
-    operations `_weighted_bm25` makes. The weighted parts of a profile are
-    summed with a cumsum along the profile, which adds them one at a time in
-    profile order as `_weighted_bm25` does, so every score, and every self
-    score on the diagonal, is the float the one-pair path gives."""
-    n = len(doc_ids)
-    idf = index.idf_table().__getitem__
-    profiles = [_term_weights(top_terms(d, index, profile_size), idf, params, entities) for d in doc_ids]
-    size = max(map(len, profiles), default=0)
-    if size == 0:
-        return np.zeros((n, n))
-    # shorter profiles are padded with weight 0 on column 0; those parts are
-    # ±0.0, which, like cumsum starting from the first part instead of 0.0,
-    # can change only the sign of a zero sum, and the self-score test and
-    # the clamp treat -0.0 as 0.0
-    columns: dict[str, int] = {}
-    cols = np.array([[columns.setdefault(t, len(columns)) for t, _ in p] + [0] * (size - len(p)) for p in profiles])
-    weights = np.array([[w for _, w in p] + [0.0] * (size - len(p)) for p in profiles])
-    absent = [0] * len(columns)
-    tf = np.array([list(map(index.term_freqs[d].get, columns, absent)) for d in doc_ids], dtype=np.float64)
-    norms = np.array([_length_norm(d, index, params) for d in doc_ids])
-    ratio = np.divide(tf * (params.k1 + 1.0), tf + norms[:, None], out=np.zeros_like(tf), where=tf != 0)
-    contrib = ratio + params.delta
-    # parts[a, k, b]: the k-th term of a's profile, weighted, in document b
-    parts = contrib.T[cols]
-    parts *= weights[:, :, None]
-    raw = np.cumsum(parts, axis=1, out=parts)[:, -1]
+    Each document's profile is its PROFILE_SIZE top terms with their BM25+
+    weights, and raw[a, b] is the kernel's score of a's profile in b, so the
+    diagonal holds the self-scores."""
+    profiles = [_term_weights(top_terms(d, index, PROFILE_SIZE), index.idfs, params, entities) for d in doc_ids]
+    raw = _bm25_rows(profiles, doc_ids, index, params)
     positive = raw.diagonal() > 0.0
     scaled = np.divide(raw, raw.diagonal()[:, None], out=np.zeros_like(raw), where=positive[:, None])
     return np.where(positive[:, None] & positive, 0.5 * (scaled + scaled.T), 0.0)
@@ -267,10 +231,9 @@ def lexical_similarity(
     index: LexIndex,
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
-    profile_size: int = 20,
 ) -> float:
     """Symmetrized, self-normalized BM25+ similarity between two documents,
     clamped to [0, 1]. If either document has a zero self-score (for example
     an empty document), the pair similarity is 0."""
-    sim = float(lexical_scores([a, b], index, params, entities, profile_size)[0, 1])
+    sim = float(lexical_scores([a, b], index, params, entities)[0, 1])
     return min(1.0, max(0.0, sim))

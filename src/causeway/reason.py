@@ -174,17 +174,16 @@ def parse_response(raw: str) -> ParsedPrediction:
     return ParsedPrediction(frozenset(tokens), analysis, True, raw)
 
 
+# what ScriptedMockClient answers for a question its script does not list
+_SCRIPT_DEFAULT = ("<answer>A</answer>",)
+
+
 class ScriptedMockClient:
     """Replays canned responses per question id; each call consumes the next
     entry and the last entry repeats once the script runs out."""
 
-    def __init__(
-        self,
-        script: Mapping[str, Sequence[str]],
-        default: Sequence[str] | None = None,
-    ):
+    def __init__(self, script: Mapping[str, Sequence[str]]):
         self._script = {qid: list(responses) for qid, responses in script.items()}
-        self._default = list(default) if default else ["<answer>A</answer>"]
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -196,7 +195,7 @@ class ScriptedMockClient:
         sample_index: int = 0,
     ) -> str:
         key = question_id or "__default__"
-        responses = self._script.get(key, self._default)
+        responses = self._script.get(key, _SCRIPT_DEFAULT)
         with self._lock:
             pos = self._cursor.get(key, 0)
             self._cursor[key] = pos + 1

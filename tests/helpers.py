@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from causeway.corpus import LETTERS, QuestionRecord
 from causeway.embed import cosine
 from causeway.graphrag import RetrievalResult, hybrid_weight
-from causeway.lexindex import STOPWORDS, Bm25Params
+from causeway.lexindex import STOPWORDS, Bm25Params, LexIndex
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -176,6 +176,33 @@ def bm25_reference(
         else:
             part = delta
         score += idf * boost * part
+    return score
+
+
+def bm25_plus_sequential(
+    query_terms: Sequence[str],
+    doc_id: str,
+    index: LexIndex,
+    params: Bm25Params = Bm25Params(),
+    entities: AbstractSet[str] = frozenset(),
+) -> float:
+    """BM25+ of one query in one indexed document, one term at a time in
+    query order starting from 0.0, from the index's raw counts: the float
+    order the package's array kernel must reproduce exactly."""
+    n_docs = index.n_docs
+    dl = index.doc_lens[doc_id]
+    norm = params.k1 * (1.0 - params.b + (params.b * dl / index.avgdl if index.avgdl > 0 else 0.0))
+    tf = index.term_freqs[doc_id]
+    score = 0.0
+    for term in query_terms:
+        df = index.doc_freq.get(term, 0)
+        if df == 0:
+            continue
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        weight = idf * (params.entity_boost if term in entities else 1.0)
+        f = tf.get(term, 0)
+        ratio = f * (params.k1 + 1.0) / (f + norm) if f else 0.0
+        score += weight * (ratio + params.delta)
     return score
 
 

@@ -873,6 +873,37 @@ class TestErrors:
         assert capsys.readouterr().err == "error: sampling.k must be at least 1, got 0\n"
         assert not (out / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flags, data, message",
+        [
+            (["--alpha", "1.5"], {}, "hybrid.alpha must be in [0, 1], got 1.5"),
+            ([], {"hybrid": {"alpha": "0.5"}}, "hybrid.alpha must be a number, got '0.5'"),
+            (["--edge-threshold", "-0.1"], {}, "hybrid.edge_threshold must be in [0, 1], got -0.1"),
+            ([], {"theta": 1.5}, "theta must be in [0, 1], got 1.5"),
+            (["--theta", "nan"], {}, "theta must be in [0, 1], got nan"),
+            ([], {"sampling": {"k": "3"}}, "sampling.k must be an integer, got '3'"),
+            ([], {"sampling": {"k": 2.0}}, "sampling.k must be an integer, got 2.0"),
+            ([], {"max_workers": "2"}, "max_workers must be an integer, got '2'"),
+            ([], {"max_workers": True}, "max_workers must be an integer, got True"),
+        ],
+        ids=[
+            "alpha-above-1", "alpha-string", "edge-threshold-below-0", "theta-above-1", "theta-nan",
+            "k-string", "k-float", "max-workers-string", "max-workers-bool",
+        ],
+    )
+    def test_config_value_out_of_its_range_exits_2(self, tmp_path, capsys, monkeypatch, flags, data, message):
+        # refused before the stage runs: the output directory is never made
+        config_path = tmp_path / "config.json"
+        config = read_json(FIXTURE_DIR / "config.json")
+        for key, value in data.items():
+            config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        out = tmp_path / "out"
+        assert main(["build-graph", "--config", str(config_path), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_required_flag_is_fatal(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["ingest", "--out", str(tmp_path / "out")])

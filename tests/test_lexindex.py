@@ -20,6 +20,8 @@ from causeway.lexindex import (
     top_terms,
 )
 from helpers import (
+    TOPIC_WORDS,
+    bm25_plus_sequential,
     bm25_reference,
     entity_texts,
     extract_entities_reference,
@@ -186,6 +188,22 @@ class TestBm25Plus:
         with pytest.raises(LexIndexError):
             bm25_plus_scores(query, ["d0", "nope"], index)
 
+    @given(
+        st.one_of(st.just([]), topic_texts),
+        topic_entities,
+        st.lists(st.sampled_from(sorted({w.lower() for w in TOPIC_WORDS}) + ["zzz"]), max_size=10),
+        st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.3, delta=0.5, entity_boost=2.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scores_equal_sequential_sum_exactly(self, contents, entities, query, params):
+        # repeated, out-of-vocabulary and entity terms, empty queries, and
+        # topics with no documents at all
+        texts = {f"d{i}": content for i, content in enumerate(contents)}
+        index = LexIndex.build(texts)
+        want = [bm25_plus_sequential(query, doc_id, index, params, entities) for doc_id in texts]
+        assert bm25_plus_scores(query, list(texts), index, params, entities) == want
+        assert bm25_plus_scores(query, [], index, params, entities) == []
+
     def test_out_of_vocabulary_terms_contribute_zero(self):
         index = LexIndex.build(_toy_texts())
         base = bm25_plus(["rain"], "d1", index)
@@ -320,7 +338,7 @@ class TestLexicalSimilarity:
         texts = {f"d{i}": text for i, text in enumerate(docs)}
         index = LexIndex.build(texts)
         tokens = _tokens(texts)
-        for _ in range(2):  # the second round reads the warm idf memo
+        for _ in range(2):  # a second round over the same index gives the same floats
             for a in texts:
                 for b in texts:
                     want = lexical_similarity_reference(a, b, tokens, entities)

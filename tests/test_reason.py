@@ -189,9 +189,9 @@ class TestScriptedMockClient:
         assert client.complete("p", question_id="q1") == "r1"
 
     def test_unknown_question_uses_default(self):
-        client = ScriptedMockClient({}, default=["d1", "d2"])
-        assert client.complete("p", question_id="qx") == "d1"
-        assert client.complete("p", question_id="qx") == "d2"
+        client = ScriptedMockClient({"q1": ["r1"]})
+        assert client.complete("p", question_id="qx") == "<answer>A</answer>"
+        assert client.complete("p", question_id="qx") == "<answer>A</answer>"
 
     def test_separate_cursors_per_question(self):
         client = ScriptedMockClient({"q1": ["a1", "a2"], "q2": ["b1", "b2"]})
