@@ -11,7 +11,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -62,6 +62,12 @@ DOC_VECTORS = "graphs/doc_vectors.npy"
 ENTITIES = "graphs/entities.json"
 
 
+@dataclass(frozen=True)
+class HeuristicsParams:
+    enabled: bool = True
+    max_iterations: int = 10
+
+
 @dataclass
 class RunConfig:
     questions: str | None = None
@@ -69,13 +75,11 @@ class RunConfig:
     out: str = "out"
     embedder: EmbedderSpec = field(default_factory=EmbedderSpec)
     llm: LlmClientSpec = field(default_factory=LlmClientSpec)
-    script_path: str | None = None
     hybrid: HybridParams = field(default_factory=HybridParams)
     bm25: Bm25Params = field(default_factory=Bm25Params)
     sampling: SamplingParams = field(default_factory=SamplingParams)
     theta: float = 0.5
-    heuristics_enabled: bool = True
-    heuristics_max_iterations: int = 10
+    heuristics: HeuristicsParams = field(default_factory=HeuristicsParams)
     topic_union: bool = False
     max_workers: int = 1
 
@@ -93,12 +97,12 @@ class RunConfig:
             "bm25": dict(vars(self.bm25)),
             "sampling": dict(vars(self.sampling)),
             "theta": self.theta,
-            "heuristics_enabled": self.heuristics_enabled,
-            "heuristics_max_iterations": self.heuristics_max_iterations,
+            "heuristics_enabled": self.heuristics.enabled,
+            "heuristics_max_iterations": self.heuristics.max_iterations,
             "topic_union": self.topic_union,
         }
-        if self.script_path:
-            params["llm"]["script_sha256"] = _sha256_file(self.script_path)
+        if self.llm.script_path:
+            params["llm"]["script_sha256"] = _sha256_file(self.llm.script_path)
         return params
 
     def config_hash(self) -> str:
@@ -417,9 +421,8 @@ def _retrieve(run: StageInput) -> StageResult:
 
 def _make_llm_client(config: RunConfig):
     spec = config.llm
-    if config.script_path:
-        script = json.loads(Path(config.script_path).read_text(encoding="utf-8"))
-        spec = replace(spec, script=script)
+    if spec.script_path:
+        spec = replace(spec, script=json.loads(Path(spec.script_path).read_text(encoding="utf-8")))
     return make_client(spec)
 
 
@@ -483,8 +486,8 @@ def _infer(run: StageInput) -> StageResult:
         "invalid_samples": n_invalid,
     }
     inputs = {"retrieval": retrieval_hash}
-    if config.script_path:
-        inputs["script"] = _sha256_file(config.script_path)
+    if config.llm.script_path:
+        inputs["script"] = _sha256_file(config.llm.script_path)
     return StageResult(
         {"samples.jsonl": sample_rows, "predictions.jsonl": pred_rows},
         counts,
@@ -510,12 +513,12 @@ def _postprocess(run: StageInput) -> StageResult:
     if dropped:
         logger.warning("%d questions have no prediction and are left untouched", dropped)
     final = dict(preds)
-    if not config.heuristics_enabled:
+    if not config.heuristics.enabled:
         audit = []
         summary = {"enabled": False, "iterations": 0, "converged": True, "rule_counts": {}, "contradictions": []}
         line = "postprocess: heuristics disabled, predictions copied through"
     else:
-        outcome = run_to_fixed_point(scoped, {q.id: preds[q.id] for q in scoped}, config.heuristics_max_iterations)
+        outcome = run_to_fixed_point(scoped, {q.id: preds[q.id] for q in scoped}, config.heuristics.max_iterations)
         final.update(outcome.predictions)
         audit = [c.to_json() for c in outcome.report.changes]
         summary = {
@@ -701,30 +704,47 @@ FLAGS: tuple[tuple[str, str, dict], ...] = (
 )
 
 
-# Each checked config value: its dotted key, its type (int, or any number)
-# and its lowest and highest allowed values (None: no upper bound).
-RANGES: tuple[tuple[str, type | tuple[type, ...], float, float | None], ...] = (
-    ("sampling.k", int, 1, None),
-    ("max_workers", int, 1, None),
-    ("hybrid.alpha", (int, float), 0, 1),
-    ("hybrid.edge_threshold", (int, float), 0, 1),
-    ("theta", (int, float), 0, 1),
-)
+# Each checked config value's lowest and highest allowed value (None: no upper bound).
+RANGES: dict[str, tuple[float, float | None]] = {
+    "sampling.k": (1, None), "max_workers": (1, None),
+    "hybrid.alpha": (0, 1), "hybrid.edge_threshold": (0, 1), "theta": (0, 1),
+}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
 
-def _spec_from_dict(cls, data: dict):
-    return cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
+def _checked(cls, data: dict, prefix: str = ""):
+    """cls, a RunConfig or one of its sections, built from data. A field takes
+    the kind of its default: a section an object, checked in turn, a float any
+    number, a bool, int or str just that, and a None default any value."""
+    values = {}
+    for name, value in data.items():
+        key, spec = prefix + name, cls.__dataclass_fields__.get(name)
+        if spec is None:
+            logger.warning("ignoring unknown config key %s", key)
+            continue
+        default = spec.default_factory() if spec.default is MISSING else spec.default
+        kind = dict if is_dataclass(default) else type(default)
+        accepted = (int, float) if kind is float else kind
+        if default is not None and (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)):
+            raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+        low, high = RANGES.get(key, (None, None))
+        if low is not None and not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
+        values[name] = _checked(type(default), value, key + ".") if kind is dict else value
+    return cls(**values)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The run's config: a flag that is given beats the --config file, which
-    beats RunConfig's defaults. A file that is not a JSON object and a
-    RANGES value of the wrong type or out of range are ConfigErrors."""
+    beats RunConfig's defaults. A file that is not a JSON object, a value of
+    the wrong kind and a value outside RANGES are ConfigErrors; an unknown key
+    is warned about and ignored."""
     data: dict = {}
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, an integer too long, nesting too deep
             raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: not a JSON object")
@@ -732,28 +752,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             section, _, name = key.rpartition(".")
-            (data.setdefault(section, {}) if section else data)[name] = value
-    heuristics = data.get("heuristics", {})
-    config = RunConfig(
-        embedder=_spec_from_dict(EmbedderSpec, data.get("embedder", {})),
-        llm=_spec_from_dict(LlmClientSpec, data.get("llm", {})),
-        script_path=data.get("llm", {}).get("script_path"),
-        hybrid=_spec_from_dict(HybridParams, data.get("hybrid", {})),
-        bm25=_spec_from_dict(Bm25Params, data.get("bm25", {})),
-        sampling=_spec_from_dict(SamplingParams, data.get("sampling", {})),
-        **{k: data[k] for k in ("questions", "docs", "out", "theta", "topic_union", "max_workers") if k in data},
-        **{f"heuristics_{k}": heuristics[k] for k in ("enabled", "max_iterations") if k in heuristics},
-    )
-    config.topic_union = bool(config.topic_union)
-    for key, kind, low, high in RANGES:
-        section, _, name = key.rpartition(".")
-        value = getattr(getattr(config, section) if section else config, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-        if not (low <= value and (high is None or value <= high)):
-            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
-            raise ConfigError(f"{key} must be {bound}, got {value}")
-    return config
+            target = data.setdefault(section, {}) if section else data
+            if isinstance(target, dict):  # else _checked refuses the section
+                target[name] = value
+    return _checked(RunConfig, data)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -125,10 +125,10 @@ def sibling_groups(questions: list[QuestionRecord]) -> list[SiblingGroup]:
     ]
 
 
-def parse_gold(raw: str) -> frozenset[str]:
+def parse_gold(raw: str, prefix: str = "") -> frozenset[str]:
     tokens = [t.upper() for t in _GOLD_SPLIT_RE.split(raw.strip()) if t]
     if not tokens or any(t not in LETTERS for t in tokens):
-        raise CorpusError(f"invalid gold answer string: {raw!r}")
+        raise CorpusError(f"{prefix}invalid gold answer string: {raw!r}")
     return frozenset(tokens)
 
 
@@ -139,10 +139,25 @@ def document_text(doc: DocumentRecord) -> str:
     return doc.content
 
 
+def _require(where: str, row, fields: Sequence[str]) -> None:
+    if not isinstance(row, dict):
+        raise CorpusError(f"{where}: not a JSON object")
+    missing = [k for k in fields if k not in row]
+    if missing:
+        raise CorpusError(f"{where}: missing required fields {missing}")
+
+
+def _topic_id(where: str, row: dict) -> int:
+    try:
+        return int(row["topic_id"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CorpusError(f"{where}: topic_id is not an integer: {row['topic_id']!r}") from exc
+
+
 def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
     """Each non-blank JSONL line of the file at path, parsed, with its "<path>:
-    line N" for messages. Bytes that are not UTF-8, malformed JSON and missing
-    fields are fatal."""
+    line N" for messages. Bytes that are not UTF-8, malformed JSON, a row that
+    is not an object and missing fields are fatal."""
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -150,11 +165,9 @@ def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iter
             where = f"{path}: line {lineno}"
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also an integer too long, nesting too deep
                 raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
-            missing = [k for k in fields if k not in row]
-            if missing:
-                raise CorpusError(f"{where}: missing required fields {missing}")
+            _require(where, row, fields)
             yield where, row
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8: {exc}") from exc
@@ -182,13 +195,10 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
             seen_ids.add(qid)
             gold = None
             if row.get("golden_answer") is not None:
-                try:
-                    gold = parse_gold(str(row["golden_answer"]))
-                except CorpusError as exc:
-                    raise CorpusError(f"{where}: {exc}") from exc
+                gold = parse_gold(str(row["golden_answer"]), f"{where}: ")
             records.append(
                 QuestionRecord(
-                    topic_id=int(row["topic_id"]),
+                    topic_id=_topic_id(where, row),
                     id=qid,
                     target_event=str(row["target_event"]),
                     options={l: str(row[f"option_{l}"]) for l in LETTERS},
@@ -208,15 +218,15 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
     topics: dict[int, list[DocumentRecord]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for where, row in _rows(path, fh, ("topic_id", "docs")):
-            topic_id = int(row["topic_id"])
+            topic_id = _topic_id(where, row)
             if topic_id in topics:
                 raise CorpusError(f"{where}: duplicate topic_id {topic_id}")
             docs: list[DocumentRecord] = []
             seen_ids: set[str] = set()
+            if not isinstance(row["docs"], list):
+                raise CorpusError(f"{where}: docs is not an array")
             for pos, item in enumerate(row["docs"]):
-                missing = [k for k in _DOC_FIELDS if k not in item]
-                if missing:
-                    raise CorpusError(f"{where}: doc #{pos}: missing required fields {missing}")
+                _require(f"{where}: doc #{pos}", item, _DOC_FIELDS)
                 doc_id = str(item["id"])
                 if doc_id in seen_ids:
                     raise CorpusError(f"{where}: duplicate doc id {doc_id!r} in topic {topic_id}")
@@ -246,10 +256,7 @@ def parse_predictions(path: str | Path, lines: Iterable[str]) -> dict[str, froze
     file at path."""
     preds: dict[str, frozenset[str]] = {}
     for where, row in _rows(path, lines, ("id", "prediction")):
-        try:
-            preds[str(row["id"])] = parse_gold(str(row["prediction"]))
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from exc
+        preds[str(row["id"])] = parse_gold(str(row["prediction"]), f"{where}: ")
     return preds
 
 

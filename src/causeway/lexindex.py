@@ -114,10 +114,6 @@ class LexIndex:
             idfs={term: math.log((n - df + 0.5) / (df + 0.5) + 1.0) for term, df in doc_freq.items()},
         )
 
-    def idf(self, term: str) -> float:
-        """0.0 for terms outside the vocabulary."""
-        return self.idfs.get(term, 0.0)
-
     def _check(self, doc_id: str) -> None:
         if doc_id not in self.term_freqs:
             raise LexIndexError(f"unknown document id {doc_id!r}")

@@ -136,6 +136,7 @@ class LlmClientSpec:
     model: str | None = None
     auth_env: str | None = None
     script: Mapping[str, Sequence[str]] | None = None
+    script_path: str | None = None  # a JSON file the CLI reads into script
     max_retries: int = 3
     backoff_base: float = 0.5
 

@@ -4,7 +4,9 @@ index/statistics code paths so the tests stay a second opinion."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import math
 import random
 import re
@@ -14,6 +16,7 @@ from typing import AbstractSet, Mapping, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from causeway.cli import FLAGS, RunConfig
 from causeway.corpus import LETTERS, QuestionRecord
 from causeway.embed import cosine
 from causeway.graphrag import RetrievalResult, hybrid_weight
@@ -511,3 +514,69 @@ model_responses = st.tuples(
     st.lists(st.one_of(_blocks, _analyses, _tags, _prose, _bodies), max_size=6).map("".join),
     st.one_of(st.just(""), _blocks, _blocks),
 ).map("".join)
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: JSONL files for the loaders, config objects and flags for
+# build_config.
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# mostly the strings and numbers a well-formed file holds
+_field_values = st.one_of(st.text(max_size=6), st.integers(-2, 5), st.floats(0, 1), _scalars, st.lists(_scalars, max_size=2))
+
+
+def _objects(values: Mapping[str, st.SearchStrategy]) -> st.SearchStrategy[dict]:
+    """Objects with some or all of the keys of values, each drawn from its
+    strategy, and sometimes a key of no name here."""
+    known = st.fixed_dictionaries({}, optional=dict(values)) | st.fixed_dictionaries(dict(values))
+    unknown = st.dictionaries(st.text(max_size=4), _field_values, max_size=2)
+    return st.tuples(unknown, known).map(lambda parts: {**parts[0], **parts[1]})
+
+
+def _fields(keys: Sequence[str]) -> dict[str, st.SearchStrategy]:
+    return {k: _field_values for k in keys}
+
+
+_question_keys = ("topic_id", "id", "target_event", *(f"option_{l}" for l in LETTERS), "golden_answer")
+_doc_keys = ("title", "id", "link", "snippet", "source", "content")
+_docs_values = st.lists(_objects(_fields(_doc_keys)) | json_values, max_size=3) | json_values
+_rows = st.one_of(
+    _objects(_fields(_question_keys)),
+    _objects(_fields(("id", "prediction"))),
+    _objects({"topic_id": _field_values, "docs": _docs_values}),
+    json_values,
+)
+_json_lines = _rows.map(json.dumps).map(str.encode)
+_lines = st.one_of(_json_lines, _json_lines, _json_lines, st.binary(max_size=12))
+# a JSONL file: well-formed and malformed rows, other JSON values and, in
+# about one line of four, stray bytes
+jsonl_bytes = st.lists(_lines, max_size=4).map(b"\n".join)
+
+# a config file's object: RunConfig's keys and others at both levels, a
+# section sometimes a scalar or a list
+config_objects = _objects(
+    {
+        f.name: _field_values
+        if f.default_factory is dataclasses.MISSING
+        else _field_values | _objects(_fields([g.name for g in dataclasses.fields(f.default_factory())]))
+        for f in dataclasses.fields(RunConfig)
+    }
+)
+
+
+def _flag_args(flag: str, options: dict) -> st.SearchStrategy[list[str]]:
+    if options.get("action") == "store_const":
+        return st.just([flag])
+    values = {int: ["0", "2", "-3"], float: ["0.5", "1.5", "nan"]}.get(options.get("type"), ["x"])
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+# command line overrides, in and out of range
+flag_args = st.lists(st.one_of([_flag_args(flag, options) for flag, _, options in FLAGS]), max_size=3).map(
+    lambda parts: [arg for part in parts for arg in part]
+)

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from causeway import cli, consist, graphrag
 from causeway.cli import RunConfig, build_config, load_predictions, main, _build_parser
 from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
 from causeway.lexindex import extract_entities
-from helpers import record_texts
+from causeway.remote import ConfigError
+from helpers import config_objects, flag_args, record_texts
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "toy"
 STAGES = ("ingest", "build-graph", "retrieve", "infer", "postprocess", "score", "report")
@@ -848,8 +851,9 @@ class TestErrors:
             (b'{"out": ', "malformed JSON: Expecting value"),
             (b'\xff{"out": "o"}', "malformed JSON: 'utf-8' codec can't decode"),
             (b"[1, 2]", "not a JSON object"),
+            (b"[" * 100_000, "malformed JSON: maximum recursion depth"),
         ],
-        ids=["malformed-json", "not-utf-8", "not-an-object"],
+        ids=["malformed-json", "not-utf-8", "not-an-object", "nested-deep"],
     )
     def test_unusable_config_file_exits_2(self, tmp_path, capsys, data, message):
         config_path = tmp_path / "config.json"
@@ -885,10 +889,18 @@ class TestErrors:
             ([], {"sampling": {"k": 2.0}}, "sampling.k must be an integer, got 2.0"),
             ([], {"max_workers": "2"}, "max_workers must be an integer, got '2'"),
             ([], {"max_workers": True}, "max_workers must be an integer, got True"),
+            ([], {"topic_union": "false"}, "topic_union must be true or false, got 'false'"),
+            ([], {"heuristics": {"enabled": "false"}}, "heuristics.enabled must be true or false, got 'false'"),
+            ([], {"heuristics": {"max_iterations": "3"}}, "heuristics.max_iterations must be an integer, got '3'"),
+            ([], {"embedder": {"dim": "64"}}, "embedder.dim must be an integer, got '64'"),
+            ([], {"hybrid": 5}, "hybrid must be an object, got 5"),
+            (["--alpha", "0.5"], {"hybrid": 5}, "hybrid must be an object, got 5"),
         ],
         ids=[
             "alpha-above-1", "alpha-string", "edge-threshold-below-0", "theta-above-1", "theta-nan",
-            "k-string", "k-float", "max-workers-string", "max-workers-bool",
+            "k-string", "k-float", "max-workers-string", "max-workers-bool", "topic-union-string",
+            "heuristics-enabled-string", "heuristics-max-iterations-string", "dim-string", "section-number",
+            "flag-into-section-number",
         ],
     )
     def test_config_value_out_of_its_range_exits_2(self, tmp_path, capsys, monkeypatch, flags, data, message):
@@ -976,8 +988,12 @@ class TestMalformedPreds:
     @pytest.mark.parametrize("stage", ["postprocess", "score"])
     @pytest.mark.parametrize(
         "row, problem",
-        [('{"id": "q101b"', "malformed JSON"), ('{"id": "q101b"}', "missing required fields ['prediction']")],
-        ids=["bad-json", "missing-field"],
+        [
+            ('{"id": "q101b"', "malformed JSON"),
+            ('{"id": "q101b"}', "missing required fields ['prediction']"),
+            ('["id", "prediction"]', "not a JSON object"),
+        ],
+        ids=["bad-json", "missing-field", "not-an-object"],
     )
     def test_exits_2_naming_the_line(self, tmp_path, capsys, monkeypatch, stage, row, problem):
         preds = tmp_path / "bad.jsonl"
@@ -1055,7 +1071,7 @@ class TestConfigKeys:
         assert (config.questions, config.docs, config.out) == ("q.jsonl", "d.jsonl", "o")
         assert (config.llm.model, config.sampling.k, config.theta) == ("m", 5, 0.9)
         assert (config.hybrid.alpha, config.hybrid.edge_threshold) == (0.2, 0.3)
-        assert (config.heuristics_enabled, config.topic_union, config.embedder.seed) == (False, True, 7)
+        assert (config.heuristics.enabled, config.topic_union, config.embedder.seed) == (False, True, 7)
         assert config.max_workers == 3
 
     def test_defaults_are_run_config_defaults(self, tmp_path):
@@ -1076,3 +1092,22 @@ class TestConfigKeys:
             args = _build_parser().parse_args(["score", "--config", str(path)])
             hashes.append(build_config(args).config_hash())
         assert hashes[0] == hashes[1]
+
+    def test_unknown_key_warns_with_its_dotted_key(self, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"hybrid": {"edge_treshold": 0.05}}), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="causeway.cli"):
+            config = build_config(_build_parser().parse_args(["report", "--config", str(path)]))
+        assert [r.getMessage() for r in caplog.records] == ["ignoring unknown config key hybrid.edge_treshold"]
+        assert config.hybrid.edge_threshold == 0.4
+
+    @given(config_objects, flag_args)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_config_objects_raise_only_config_errors(self, tmp_path_factory, data, flags):
+        path = tmp_path_factory.getbasetemp() / "arbitrary-config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        args = _build_parser().parse_args(["report", "--config", str(path), *flags])
+        try:
+            build_config(args)
+        except ConfigError:
+            pass

@@ -17,13 +17,14 @@ from causeway.corpus import (
     document_text,
     duplicate_classes,
     load_docs,
+    load_predictions,
     load_questions,
     none_letters,
     normalize_text,
     parse_gold,
     sibling_groups,
 )
-from helpers import make_question, question_to_row
+from helpers import jsonl_bytes, make_question, question_to_row
 
 
 class TestNormalizeText:
@@ -317,6 +318,46 @@ class TestLoaders:
         with caplog.at_level(logging.WARNING):
             docs = load_docs(path)
         assert docs[7] == []
+
+    @pytest.mark.parametrize(
+        "load, line, problem",
+        [
+            (load_predictions, '["id", "prediction"]', "not a JSON object"),
+            (load_questions, '"topic_id"', "not a JSON object"),
+            (load_questions, json.dumps({**question_to_row(make_question()), "topic_id": "x"}),
+             "topic_id is not an integer: 'x'"),
+            (load_questions, json.dumps(question_to_row(make_question(topic=7))).replace(": 7", ": 1e400"),
+             "topic_id is not an integer: inf"),
+            (load_docs, '{"topic_id": "x", "docs": []}', "topic_id is not an integer: 'x'"),
+            (load_docs, '{"topic_id": 1e400, "docs": []}', "topic_id is not an integer: inf"),
+            (load_docs, '{"topic_id": 1, "docs": 5}', "docs is not an array"),
+            (load_docs, '{"topic_id": 1, "docs": [5]}', "doc #0: not a JSON object"),
+            (load_docs, '{"topic_id": 1, "docs": ["title id link snippet source content"]}',
+             "doc #0: not a JSON object"),
+            (load_docs, '{"topic_id": 1, "docs": ' + "[" * 100_000, "malformed JSON: maximum recursion depth"),
+        ],
+        ids=[
+            "prediction-row-list", "question-row-string", "question-topic-string", "question-topic-overflow",
+            "docs-topic-string", "docs-topic-overflow", "docs-not-a-list", "doc-number", "doc-string", "nested-deep",
+        ],
+    )
+    def test_malformed_row_is_a_corpus_error_naming_its_line(self, tmp_path, load, line, problem):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: line 2: {problem}")
+
+    @given(jsonl_bytes)
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_raise_only_corpus_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.jsonl"
+        path.write_bytes(data)
+        for load in (load_questions, load_docs, load_predictions):
+            try:
+                load(path)
+            except CorpusError:
+                pass
 
 
 class TestRecordHelpers:
