@@ -10,10 +10,12 @@ import io
 import json
 import logging
 import sys
+from collections import abc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from types import UnionType
+from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -291,23 +293,28 @@ def _topic_rows(vectors: np.ndarray, topics, topic_ids: Sequence[int]) -> dict[i
     return rows
 
 
-def _build_graph(run: StageInput) -> StageResult:
-    config, topics = run.config, run.topics
-    embedder = make_embedder(config.embedder)
-    topic_ids = sorted(topics)
-    vectors = _embed_documents(config, embedder, topics, topic_ids)
+def _topic_graphs(config: RunConfig, topics, rows: Mapping[int, np.ndarray]) -> tuple[list[DocGraph], dict]:
+    """The graph and the sorted entity list of each topic of rows, whose
+    document vectors rows gives; the lists keyed by topic id as a string."""
     entities: dict[str, list[str]] = {}
 
     def topic_inputs():
         """Each topic's build_graphs input, made as it is consumed, so that
         one topic's lexical index is alive at a time."""
-        for topic_id, doc_vecs in _topic_rows(vectors, topics, topic_ids).items():
+        for topic_id, doc_vecs in rows.items():
             texts = {d.id: document_text(d) for d in topics[topic_id]}
             topic_entities = graphrag.extract_entities(texts.values())
             entities[str(topic_id)] = sorted(topic_entities)
             yield topic_id, list(texts), LexIndex.build(texts), topic_entities, doc_vecs
 
-    graphs = graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid)
+    return graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid), entities
+
+
+def _build_graph(run: StageInput) -> StageResult:
+    config, topics = run.config, run.topics
+    topic_ids = sorted(topics)
+    vectors = _embed_documents(config, make_embedder(config.embedder), topics, topic_ids)
+    graphs, entities = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
     outputs: dict[str, object] = {f"graphs/topic_{g.topic_id}.json": g.to_json() for g in graphs}
     n_edges = sum(len(g.edges) for g in graphs)
     outputs[DOC_VECTORS] = vectors
@@ -323,57 +330,47 @@ def _build_graph(run: StageInput) -> StageResult:
 def _build_retrievers(
     config: RunConfig, embedder, docs_hash: str, topics, needed: set[int]
 ) -> dict[int, TopicRetriever]:
-    """Each needed topic's retriever. It takes build-graph's document vectors
-    and entity lists when build-graph read the same docs file with the same
-    embedder, and the topic's graph when the graph parameters match as well.
-    Whatever it does not take it recomputes, with a warning."""
+    """Each needed topic's retriever, from build-graph's outputs at two
+    levels. The document vectors serve when build-graph read the same docs
+    file with the same embedder; the entity lists and the needed topics'
+    graphs serve when the vectors do and the graph parameters match too. A
+    level that does not serve is computed as build-graph computes it, for
+    the needed topics only, with one warning."""
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
         if topic_id not in topics:
             raise CorpusError(f"questions reference topic {topic_id} absent from the docs file")
     out_dir = Path(config.out)
     manifest = _read_manifest(out_dir, "build-graph")
-    keys = {} if manifest is None else manifest["keys"]
-    if manifest is None or manifest["inputs"].get("docs") != docs_hash or keys.get("vectors") != config.vectors_key():
-        logger.warning(
-            "no build-graph manifest for these documents and this embedder: "
-            "embedding the documents and building the graphs again"
-        )
-        manifest = None
-
-    def listed(rel: str, redo: str) -> bytes | None:
-        """rel as the manifest lists it, or None, with a warning unless the manifest was dropped."""
-        data = _read_listed(out_dir, manifest, rel)
-        if data is None and manifest is not None:
-            logger.warning("%s is missing or changed: %s", rel, redo)
-        return data
-
-    data = listed(DOC_VECTORS, "embedding the documents again")
-    vectors = None if data is None else _load_doc_vectors(data)
+    inputs, keys = ({}, {}) if manifest is None else (manifest["inputs"], manifest["keys"])
+    vectors = None
+    if inputs.get("docs") == docs_hash and keys.get("vectors") == config.vectors_key():
+        data = _read_listed(out_dir, manifest, DOC_VECTORS)
+        vectors = None if data is None else _load_doc_vectors(data)
     if vectors is not None and vectors.shape != (sum(map(len, topics.values())), config.embedder.dim):
-        logger.warning("%s does not match the documents: embedding them again", DOC_VECTORS)
         vectors = None
+    graphs = None
+    if vectors is not None and keys.get("graph") == config.graph_key():
+        rels = [ENTITIES, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
+        files = [_read_listed(out_dir, manifest, rel) for rel in rels]
+        entities = None if None in files else json.loads(files[0])
+        if entities is not None and all(str(topic_id) in entities for topic_id in topic_ids):
+            graphs = {t: DocGraph.from_json(json.loads(data)) for t, data in zip(topic_ids, files[1:])}
+    if graphs is None:
+        redo = "building the graphs" if vectors is not None else "embedding the documents and building the graphs"
+        logger.warning("build-graph's outputs do not serve this run: %s again", redo)
+    # the saved vectors hold every topic; embedding anew covers the needed ones
+    order = sorted(topics) if vectors is not None else topic_ids
     if vectors is None:
-        rows = _topic_rows(_embed_documents(config, embedder, topics, topic_ids), topics, topic_ids)
-    else:
-        rows = _topic_rows(vectors, topics, sorted(topics))
-    data = listed(ENTITIES, "extracting the entities again")
-    entities = None if data is None else json.loads(data)
-    same_graphs = manifest is not None and keys.get("graph") == config.graph_key()
-    if manifest is not None and not same_graphs:
-        logger.warning("build-graph ran with other graph parameters: building the graphs again")
-    retrievers: dict[int, TopicRetriever] = {}
-    for topic_id in topic_ids:
-        data = listed(f"graphs/topic_{topic_id}.json", "building it again") if same_graphs else None
-        graph = None if data is None else DocGraph.from_json(json.loads(data))
-        topic_entities = None if entities is None else entities.get(str(topic_id))
-        if entities is not None and topic_entities is None:
-            logger.warning("%s has no entities for topic %d: extracting them again", ENTITIES, topic_id)
-        retrievers[topic_id] = TopicRetriever(
-            topic_id, topics[topic_id], rows[topic_id], bm25_params=config.bm25, params=config.hybrid,
-            graph=graph, entities=topic_entities,
-        )
-    return retrievers
+        vectors = _embed_documents(config, embedder, topics, order)
+    rows = _topic_rows(vectors, topics, order)
+    if graphs is None:
+        built, entities = _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
+        graphs = {g.topic_id: g for g in built}
+    return {
+        t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)])
+        for t in topic_ids
+    }
 
 
 def _retrieve(run: StageInput) -> StageResult:
@@ -392,13 +389,13 @@ def _retrieve(run: StageInput) -> StageResult:
         paying = list(firsts.values())
     texts = [make_query(q) for q in paying]
     vectors = embedder.embed_texts(texts, input_type=config.embedder.query_input_type)
-    query_vecs = {q.id: v for q, v in zip(paying, vectors)}
+    queries = {q.id: (text, v) for q, text, v in zip(paying, texts, vectors)}
     contexts: dict[int, RetrievalResult] = {}
     rows = []
     for q in questions:
-        if q.id in query_vecs:
+        if q.id in queries:
             retriever = retrievers[q.topic_id]
-            result = retriever.retrieve_for_question(q, query_vecs[q.id])
+            result = retriever.retrieve_query(*queries[q.id])
             if q.topic_id in contexts:
                 result = contexts[q.topic_id].union(result, retriever.graph)
             contexts[q.topic_id] = result
@@ -709,29 +706,37 @@ RANGES: dict[str, tuple[float, float | None]] = {
     "sampling.k": (1, None), "max_workers": (1, None),
     "hybrid.alpha": (0, 1), "hybrid.edge_threshold": (0, 1), "theta": (0, 1),
 }
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object",
+          type(None): "null"}
 
 
 def _checked(cls, data: dict, prefix: str = ""):
     """cls, a RunConfig or one of its sections, built from data. A field takes
-    the kind of its default: a section an object, checked in turn, a float any
-    number, a bool, int or str just that, and a None default any value."""
+    the kinds its annotation names: a section or a Mapping an object (a
+    section checked in turn, each Mapping value a non-empty list of
+    strings), a float any number, a bool, int or str just that, and an
+    optional field null as well."""
     values = {}
+    hints = get_type_hints(cls)
     for name, value in data.items():
-        key, spec = prefix + name, cls.__dataclass_fields__.get(name)
-        if spec is None:
+        key, hint = prefix + name, hints.get(name)
+        if hint is None:
             logger.warning("ignoring unknown config key %s", key)
             continue
-        default = spec.default_factory() if spec.default is MISSING else spec.default
-        kind = dict if is_dataclass(default) else type(default)
-        accepted = (int, float) if kind is float else kind
-        if default is not None and (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)):
-            raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+        members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+        kinds = [dict if is_dataclass(m) or get_origin(m) is abc.Mapping else m for m in members]
+        if not any(isinstance(value, bool) == (k is bool) and isinstance(value, (int, float) if k is float else k)
+                   for k in kinds):
+            raise ConfigError(f"{key} must be {' or '.join(_KINDS[k] for k in kinds)}, got {value!r}")
         low, high = RANGES.get(key, (None, None))
         if low is not None and not (low <= value and (high is None or value <= high)):
             bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
             raise ConfigError(f"{key} must be {bound}, got {value}")
-        values[name] = _checked(type(default), value, key + ".") if kind is dict else value
+        if isinstance(value, dict) and not is_dataclass(hint):  # llm.script: question id -> its responses
+            for qid, responses in value.items():
+                if not (isinstance(responses, list) and responses and all(isinstance(r, str) for r in responses)):
+                    raise ConfigError(f"{key}.{qid} must be a non-empty list of strings, got {responses!r}")
+        values[name] = _checked(hint, value, key + ".") if is_dataclass(hint) else value
     return cls(**values)
 
 

@@ -148,10 +148,14 @@ def _require(where: str, row, fields: Sequence[str]) -> None:
 
 
 def _topic_id(where: str, row: dict) -> int:
+    """The row's topic_id: an integer, or a string or float that is one; not a bool."""
+    value = row["topic_id"]
     try:
-        return int(row["topic_id"])
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
+        return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise CorpusError(f"{where}: topic_id is not an integer: {row['topic_id']!r}") from exc
+        raise CorpusError(f"{where}: topic_id is not an integer: {value!r}") from exc
 
 
 def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:

@@ -17,7 +17,7 @@ from .lexindex import (
     LexIndex,
     bm25_plus,  # noqa: F401  (kept as graphrag.bm25_plus: bench/layers.py traces it)
     bm25_plus_scores,
-    extract_entities,
+    extract_entities,  # noqa: F401  (cli calls it as graphrag.extract_entities, which bench/layers.py traces)
     lexical_scores,
     lexical_similarity,  # noqa: F401  (kept as graphrag.lexical_similarity: bench/layers.py traces it)
     tokenize,
@@ -289,41 +289,34 @@ def retrieve(query: str, entries: EntryPoints, graph: DocGraph, params: HybridPa
 
 class TopicRetriever:
     """Bundles one topic's documents, lexical index, entities, vectors (one
-    row per document, in document order) and graph behind a query interface.
-    Given a graph or the entity set, it reuses them instead of building the
-    graph or extracting the entities."""
+    row per document, in document order) and graph behind a query interface."""
 
     def __init__(
         self,
         topic_id: int,
         docs: Sequence[DocumentRecord],
         doc_vecs: np.ndarray,
-        bm25_params: Bm25Params | None = None,
-        params: HybridParams | None = None,
-        graph: DocGraph | None = None,
-        entities: Iterable[str] | None = None,
+        bm25_params: Bm25Params,
+        params: HybridParams,
+        graph: DocGraph,
+        entities: Iterable[str],
     ):
         self.topic_id = topic_id
         self.docs = list(docs)
-        self.bm25_params = bm25_params or Bm25Params()
-        self.params = params or HybridParams()
-        texts = {d.id: document_text(d) for d in self.docs}
-        self.index = LexIndex.build(texts)
-        self.entities = frozenset(entities) if entities is not None else extract_entities(texts.values())
+        self.bm25_params = bm25_params
+        self.params = params
         if len(doc_vecs) != len(self.docs):
             raise GraphError(
                 f"{len(doc_vecs)} document vectors for {len(self.docs)} documents in topic {topic_id}"
             )
+        texts = {d.id: document_text(d) for d in self.docs}
+        if set(graph.nodes) != set(texts):
+            raise GraphError(f"graph nodes do not match topic {topic_id} documents")
+        self.graph = graph
+        self.entities = frozenset(entities)
+        self.index = LexIndex.build(texts)
         self.doc_vecs = {d.id: np.asarray(v, dtype=np.float64) for d, v in zip(self.docs, doc_vecs)}
         self.doc_norms = _norms(self.doc_vecs)
-        if graph is not None:
-            if set(graph.nodes) != set(texts):
-                raise GraphError(f"graph nodes do not match topic {topic_id} documents")
-            self.graph = graph
-        else:
-            self.graph = build_graph(
-                topic_id, self.docs, self.doc_vecs, self.index, self.bm25_params, self.entities, self.params
-            )
 
     def retrieve_query(self, query: str, query_vec: np.ndarray) -> RetrievalResult:
         """Retrieval for query, whose vector is query_vec."""
@@ -339,6 +332,3 @@ class TopicRetriever:
             self.doc_norms,
         )
         return retrieve(query, entries, self.graph, self.params)
-
-    def retrieve_for_question(self, q: QuestionRecord, query_vec: np.ndarray) -> RetrievalResult:
-        return self.retrieve_query(make_query(q), query_vec)

@@ -17,10 +17,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from causeway.cli import FLAGS, RunConfig
-from causeway.corpus import LETTERS, QuestionRecord
+from causeway.corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
 from causeway.embed import cosine
-from causeway.graphrag import RetrievalResult, hybrid_weight
-from causeway.lexindex import STOPWORDS, Bm25Params, LexIndex
+from causeway.graphrag import DocGraph, HybridParams, RetrievalResult, TopicRetriever, build_graph, hybrid_weight
+from causeway.lexindex import STOPWORDS, Bm25Params, LexIndex, extract_entities
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -64,6 +64,20 @@ def record_texts(embedder, texts: list[str]):
 
     embedder.embed_texts = recording
     return embedder
+
+
+def topic_retriever(
+    topic_id: int, docs: Sequence[DocumentRecord], doc_vecs, graph: DocGraph | None = None
+) -> TopicRetriever:
+    """A retriever over docs at the default parameters, given what build-graph
+    gives retrieve: the topic's entities and its graph, here the one passed
+    or else the one build_graph makes."""
+    bm25, params = Bm25Params(), HybridParams()
+    texts = {d.id: document_text(d) for d in docs}
+    entities = extract_entities(texts.values())
+    if graph is None:
+        graph = build_graph(topic_id, docs, dict(zip(texts, doc_vecs)), LexIndex.build(texts), bm25, entities, params)
+    return TopicRetriever(topic_id, docs, doc_vecs, bm25, params, graph, entities)
 
 
 # ---------------------------------------------------------------------------

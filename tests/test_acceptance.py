@@ -30,7 +30,7 @@ from causeway.evaluate import (
     score_question,
     score_run,
 )
-from causeway.graphrag import DocGraph, EntryPoints, HybridParams, TopicRetriever, make_query, retrieve
+from causeway.graphrag import DocGraph, EntryPoints, HybridParams, make_query, retrieve
 from causeway.lexindex import Bm25Params, LexIndex, bm25_plus, tokenize
 from causeway.reason import VoteTally, render_prompt, threshold_votes
 from helpers import (
@@ -43,6 +43,7 @@ from helpers import (
     make_question,
     question_to_row,
     random_sibling_group,
+    topic_retriever,
 )
 from test_consist import (
     CASCADE_EXPECTED_ITERATIONS,
@@ -316,8 +317,8 @@ def test_end_to_end_determinism_and_prompt_structure(tmp_path):
     q = questions[0]
     embedder = make_embedder(EmbedderSpec(kind="mock", dim=64, seed=0))
     doc_vecs = embedder.embed_texts([document_text(d) for d in topics[q.topic_id]])
-    retriever = TopicRetriever(q.topic_id, topics[q.topic_id], doc_vecs)
-    result = retriever.retrieve_for_question(q, embedder.embed_texts([make_query(q)])[0])
+    retriever = topic_retriever(q.topic_id, topics[q.topic_id], doc_vecs)
+    result = retriever.retrieve_query(make_query(q), embedder.embed_texts([make_query(q)])[0])
     docs = {d.id: d for d in topics[q.topic_id]}
     rendered = render_prompt(q, [docs[doc_id] for doc_id in result.selected])
     blocks = [

@@ -389,6 +389,14 @@ def _relist(out: Path, rel: str) -> None:
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
+def _questions_without_topic_103(tmp_path: Path) -> Path:
+    """The fixture's questions file less the questions of topic 103."""
+    questions = tmp_path / "questions.jsonl"
+    lines = (FIXTURE_DIR / "questions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    questions.write_text("".join(line for line in lines if '"topic_id": 103' not in line), encoding="utf-8")
+    return questions
+
+
 def _drop_vectors(out: Path) -> None:
     (out / "graphs" / "doc_vectors.npy").unlink()
 
@@ -518,7 +526,7 @@ class TestBuildGraphReuse:
             (_drop_entities, 3),
             (_edited_entities, 3),
             (_unlisted_entities, 3),
-            (_entities_lacking_a_topic, 1),
+            (_entities_lacking_a_topic, 3),
             (_other_docs, 3),
             (_other_embedder, 3),
         ],
@@ -530,8 +538,26 @@ class TestBuildGraphReuse:
         del extracted[:]
         run_stages(out, stages=("retrieve",))
         assert len(extracted) == n_extracted
-        assert any(r.levelname == "WARNING" and r.name == "causeway.cli" for r in caplog.records)
+        assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
+
+    def test_unneeded_topic_graph_is_not_read(self, tmp_path, embedded, extracted, caplog):
+        # retrieve reads the graphs of the topics its questions need only, so
+        # a changed graph of another topic costs no recomputation
+        questions = _questions_without_topic_103(tmp_path)
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        (stale / "graphs" / "topic_103.json").write_text("{}", encoding="utf-8")
+        del embedded[:], extracted[:]
+        run_stages(stale, stages=("retrieve",), extra=("--questions", str(questions)))
+        assert not DOC_TEXTS & set(embedded)
+        assert extracted == []
+        assert not [r for r in caplog.records if r.name == "causeway.cli"]
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--questions", str(questions)))
+        retrieval = (stale / "retrieval.jsonl").read_bytes()
+        assert retrieval == (fresh / "retrieval.jsonl").read_bytes()
+        assert {row["topic_id"] for row in map(json.loads, retrieval.splitlines())} == {101, 102}
 
     def test_retrieve_embeds_only_queries(self, run_dir, tmp_path, embedded):
         out = tmp_path / "out"
@@ -565,6 +591,20 @@ class TestBuildGraphReuse:
         run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--seed", "7"))
         assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
 
+    def test_recomputed_vectors_cover_the_needed_topics_only(self, tmp_path, embedded):
+        questions = _questions_without_topic_103(tmp_path)
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        _drop_vectors(stale)
+        del embedded[:]
+        run_stages(stale, stages=("retrieve",), extra=("--questions", str(questions)))
+        docs = load_docs(FIXTURE_DIR / "docs.jsonl")
+        needed = {document_text(d) for topic_id in (101, 102) for d in docs[topic_id]}
+        assert DOC_TEXTS & set(embedded) == needed
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--questions", str(questions)))
+        assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
+
     @pytest.mark.parametrize(
         "tamper, embeds_docs",
         [
@@ -585,7 +625,7 @@ class TestBuildGraphReuse:
         del embedded[:]
         run_stages(out, stages=("retrieve",))
         assert (DOC_TEXTS <= set(embedded)) == embeds_docs
-        assert any(r.levelname == "WARNING" and r.name == "causeway.cli" for r in caplog.records)
+        assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
 
@@ -895,12 +935,19 @@ class TestErrors:
             ([], {"embedder": {"dim": "64"}}, "embedder.dim must be an integer, got '64'"),
             ([], {"hybrid": 5}, "hybrid must be an object, got 5"),
             (["--alpha", "0.5"], {"hybrid": 5}, "hybrid must be an object, got 5"),
+            ([], {"questions": 2}, "questions must be a string or null, got 2"),
+            ([], {"embedder": {"cache_dir": 5}}, "embedder.cache_dir must be a string or null, got 5"),
+            ([], {"llm": {"script": ["A"]}}, "llm.script must be an object or null, got ['A']"),
+            ([], {"llm": {"script": {"q1": 5}}}, "llm.script.q1 must be a non-empty list of strings, got 5"),
+            ([], {"llm": {"script": {"q1": "<answer>A</answer>"}}},
+             "llm.script.q1 must be a non-empty list of strings, got '<answer>A</answer>'"),
         ],
         ids=[
             "alpha-above-1", "alpha-string", "edge-threshold-below-0", "theta-above-1", "theta-nan",
             "k-string", "k-float", "max-workers-string", "max-workers-bool", "topic-union-string",
             "heuristics-enabled-string", "heuristics-max-iterations-string", "dim-string", "section-number",
-            "flag-into-section-number",
+            "flag-into-section-number", "questions-number", "cache-dir-number", "script-list",
+            "script-entry-number", "script-entry-string",
         ],
     )
     def test_config_value_out_of_its_range_exits_2(self, tmp_path, capsys, monkeypatch, flags, data, message):

@@ -330,6 +330,12 @@ class TestLoaders:
              "topic_id is not an integer: inf"),
             (load_docs, '{"topic_id": "x", "docs": []}', "topic_id is not an integer: 'x'"),
             (load_docs, '{"topic_id": 1e400, "docs": []}', "topic_id is not an integer: inf"),
+            (load_docs, '{"topic_id": 101.9, "docs": []}', "topic_id is not an integer: 101.9"),
+            (load_docs, '{"topic_id": true, "docs": []}', "topic_id is not an integer: True"),
+            (load_questions, json.dumps({**question_to_row(make_question()), "topic_id": 101.9}),
+             "topic_id is not an integer: 101.9"),
+            (load_questions, json.dumps({**question_to_row(make_question()), "topic_id": True}),
+             "topic_id is not an integer: True"),
             (load_docs, '{"topic_id": 1, "docs": 5}', "docs is not an array"),
             (load_docs, '{"topic_id": 1, "docs": [5]}', "doc #0: not a JSON object"),
             (load_docs, '{"topic_id": 1, "docs": ["title id link snippet source content"]}',
@@ -338,7 +344,9 @@ class TestLoaders:
         ],
         ids=[
             "prediction-row-list", "question-row-string", "question-topic-string", "question-topic-overflow",
-            "docs-topic-string", "docs-topic-overflow", "docs-not-a-list", "doc-number", "doc-string", "nested-deep",
+            "docs-topic-string", "docs-topic-overflow", "docs-topic-fraction", "docs-topic-bool",
+            "question-topic-fraction", "question-topic-bool", "docs-not-a-list", "doc-number", "doc-string",
+            "nested-deep",
         ],
     )
     def test_malformed_row_is_a_corpus_error_naming_its_line(self, tmp_path, load, line, problem):

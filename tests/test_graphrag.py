@@ -34,6 +34,7 @@ from helpers import (
     graph_edges_reference,
     make_question,
     topic_entities,
+    topic_retriever,
     topic_texts,
     topic_union_reference,
 )
@@ -532,9 +533,9 @@ class TestTopicRetriever:
             make_doc(5, "d4", "Garden show", "the annual tulip exhibition charmed visitors downtown"),
         ]
 
-    def _retriever(self, **kwargs):
+    def _retriever(self, graph=None):
         vecs = MockEmbedder(dim=128, seed=0).embed_texts([document_text(d) for d in self._docs()])
-        return TopicRetriever(5, self._docs(), vecs, **kwargs)
+        return topic_retriever(5, self._docs(), vecs, graph)
 
     def _query_vec(self, query: str):
         return MockEmbedder(dim=128, seed=0).embed_texts([query])[0]
@@ -546,8 +547,8 @@ class TestTopicRetriever:
         )
         r1 = self._retriever()
         r2 = self._retriever()
-        out1 = r1.retrieve_for_question(q, self._query_vec(make_query(q)))
-        out2 = r2.retrieve_for_question(q, self._query_vec(make_query(q)))
+        out1 = r1.retrieve_query(make_query(q), self._query_vec(make_query(q)))
+        out2 = r2.retrieve_query(make_query(q), self._query_vec(make_query(q)))
         assert out1.selected == out2.selected
         assert out1.provenance == out2.provenance
         assert out1.excluded == out2.excluded
@@ -557,9 +558,9 @@ class TestTopicRetriever:
         graph = DocGraph.from_json(r1.graph.to_json())
         r2 = self._retriever(graph=graph)
         assert r2.graph.edges == r1.graph.edges
-        q = make_question(qid="q", topic=5, event="Shipping delays mounted")
-        query_vec = self._query_vec(make_query(q))
-        assert r2.retrieve_for_question(q, query_vec).selected == r1.retrieve_for_question(q, query_vec).selected
+        query = make_query(make_question(qid="q", topic=5, event="Shipping delays mounted"))
+        query_vec = self._query_vec(query)
+        assert r2.retrieve_query(query, query_vec).selected == r1.retrieve_query(query, query_vec).selected
 
     def test_prebuilt_graph_node_mismatch(self):
         bad = DocGraph(topic_id=5, nodes=("other",), edges=[])
@@ -567,8 +568,9 @@ class TestTopicRetriever:
             self._retriever(graph=bad)
 
     def test_doc_vecs_count_mismatch(self):
+        r = self._retriever()
         with pytest.raises(GraphError):
-            TopicRetriever(5, self._docs(), np.zeros((3, 16)))
+            TopicRetriever(5, self._docs(), np.zeros((3, 16)), r.bm25_params, r.params, r.graph, r.entities)
 
     def test_result_shape(self):
         r = self._retriever()
