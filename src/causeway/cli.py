@@ -59,9 +59,11 @@ from .remote import ConfigError
 
 logger = logging.getLogger(__name__)
 
-# build-graph's document vectors and each topic's sorted entity list, relative to --out
+# build-graph's document vectors, each topic's sorted entity list and each
+# topic's per-document term counts, relative to --out
 DOC_VECTORS = "graphs/doc_vectors.npy"
 ENTITIES = "graphs/entities.json"
+TERM_COUNTS = "graphs/term_counts.json"
 
 
 @dataclass(frozen=True)
@@ -293,32 +295,37 @@ def _topic_rows(vectors: np.ndarray, topics, topic_ids: Sequence[int]) -> dict[i
     return rows
 
 
-def _topic_graphs(config: RunConfig, topics, rows: Mapping[int, np.ndarray]) -> tuple[list[DocGraph], dict]:
-    """The graph and the sorted entity list of each topic of rows, whose
-    document vectors rows gives; the lists keyed by topic id as a string."""
+def _topic_graphs(
+    config: RunConfig, topics, rows: Mapping[int, np.ndarray]
+) -> tuple[list[DocGraph], dict[str, list[str]], dict[int, LexIndex]]:
+    """The graph, the sorted entity list and the lexical index of each topic
+    of rows, whose document vectors rows gives; the lists keyed by topic id
+    as a string, the indexes by topic id."""
     entities: dict[str, list[str]] = {}
+    indexes: dict[int, LexIndex] = {}
 
     def topic_inputs():
-        """Each topic's build_graphs input, made as it is consumed, so that
-        one topic's lexical index is alive at a time."""
+        """Each topic's build_graphs input, made as it is consumed."""
         for topic_id, doc_vecs in rows.items():
             texts = {d.id: document_text(d) for d in topics[topic_id]}
             topic_entities = graphrag.extract_entities(texts.values())
             entities[str(topic_id)] = sorted(topic_entities)
-            yield topic_id, list(texts), LexIndex.build(texts), topic_entities, doc_vecs
+            indexes[topic_id] = LexIndex.build(texts)
+            yield topic_id, list(texts), indexes[topic_id], topic_entities, doc_vecs
 
-    return graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid), entities
+    return graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid), entities, indexes
 
 
 def _build_graph(run: StageInput) -> StageResult:
     config, topics = run.config, run.topics
     topic_ids = sorted(topics)
     vectors = _embed_documents(config, make_embedder(config.embedder), topics, topic_ids)
-    graphs, entities = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
+    graphs, entities, indexes = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
     outputs: dict[str, object] = {f"graphs/topic_{g.topic_id}.json": g.to_json() for g in graphs}
     n_edges = sum(len(g.edges) for g in graphs)
     outputs[DOC_VECTORS] = vectors
     outputs[ENTITIES] = entities
+    outputs[TERM_COUNTS] = {str(topic_id): index.term_freqs for topic_id, index in indexes.items()}
     return StageResult(
         outputs,
         {"n_topics": len(topics), "n_edges": n_edges},
@@ -332,10 +339,10 @@ def _build_retrievers(
 ) -> dict[int, TopicRetriever]:
     """Each needed topic's retriever, from build-graph's outputs at two
     levels. The document vectors serve when build-graph read the same docs
-    file with the same embedder; the entity lists and the needed topics'
-    graphs serve when the vectors do and the graph parameters match too. A
-    level that does not serve is computed as build-graph computes it, for
-    the needed topics only, with one warning."""
+    file with the same embedder; the entity lists, the term counts and the
+    needed topics' graphs serve when the vectors do and the graph parameters
+    match too. A level that does not serve is computed as build-graph
+    computes it, for the needed topics only, with one warning."""
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
         if topic_id not in topics:
@@ -351,11 +358,16 @@ def _build_retrievers(
         vectors = None
     graphs = None
     if vectors is not None and keys.get("graph") == config.graph_key():
-        rels = [ENTITIES, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
+        rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
         files = [_read_listed(out_dir, manifest, rel) for rel in rels]
-        entities = None if None in files else json.loads(files[0])
-        if entities is not None and all(str(topic_id) in entities for topic_id in topic_ids):
-            graphs = {t: DocGraph.from_json(json.loads(data)) for t, data in zip(topic_ids, files[1:])}
+        entities, term_counts = (None, {}) if None in files else map(json.loads, files[:2])
+        saved = {t: term_counts.get(str(t), {}) for t in topic_ids}
+        if entities is not None and all(
+            str(t) in entities and all(d.id in saved[t] for d in topics[t]) for t in topic_ids
+        ):
+            graphs = {t: DocGraph.from_json(json.loads(data)) for t, data in zip(topic_ids, files[2:])}
+            # the saved counts are in sorted order; each index takes the docs file's
+            indexes = {t: LexIndex.from_counts({d.id: saved[t][d.id] for d in topics[t]}) for t in topic_ids}
     if graphs is None:
         redo = "building the graphs" if vectors is not None else "embedding the documents and building the graphs"
         logger.warning("build-graph's outputs do not serve this run: %s again", redo)
@@ -365,10 +377,10 @@ def _build_retrievers(
         vectors = _embed_documents(config, embedder, topics, order)
     rows = _topic_rows(vectors, topics, order)
     if graphs is None:
-        built, entities = _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
+        built, entities, indexes = _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
         graphs = {g.topic_id: g for g in built}
     return {
-        t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)])
+        t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)], indexes[t])
         for t in topic_ids
     }
 
@@ -417,9 +429,12 @@ def _retrieve(run: StageInput) -> StageResult:
 
 
 def _make_llm_client(config: RunConfig):
+    """The config's LLM client; a script file is held to llm.script's rule."""
     spec = config.llm
     if spec.script_path:
-        spec = replace(spec, script=json.loads(Path(spec.script_path).read_text(encoding="utf-8")))
+        script = _read_json_file(spec.script_path)
+        _check_script(f"{spec.script_path}: llm.script", script)
+        spec = replace(spec, script=script)
     return make_client(spec)
 
 
@@ -710,12 +725,31 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a s
           type(None): "null"}
 
 
+def _read_json_file(path: str | Path):
+    """The JSON value in a file; one that is not UTF-8 JSON is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, an integer too long, nesting too deep
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _check_script(key: str, script) -> None:
+    """llm.script's rule, for the config value and a script file alike: an
+    object whose every value, a question's responses, is a non-empty list
+    of strings."""
+    if not isinstance(script, dict):
+        raise ConfigError(f"{key} must be an object, got {script!r}")
+    for qid, responses in script.items():
+        if not (isinstance(responses, list) and responses and all(isinstance(r, str) for r in responses)):
+            raise ConfigError(f"{key}.{qid} must be a non-empty list of strings, got {responses!r}")
+
+
 def _checked(cls, data: dict, prefix: str = ""):
     """cls, a RunConfig or one of its sections, built from data. A field takes
     the kinds its annotation names: a section or a Mapping an object (a
-    section checked in turn, each Mapping value a non-empty list of
-    strings), a float any number, a bool, int or str just that, and an
-    optional field null as well."""
+    section checked in turn, llm.script by _check_script), a float any
+    number, a bool, int or str just that, and an optional field null as
+    well."""
     values = {}
     hints = get_type_hints(cls)
     for name, value in data.items():
@@ -732,10 +766,8 @@ def _checked(cls, data: dict, prefix: str = ""):
         if low is not None and not (low <= value and (high is None or value <= high)):
             bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
             raise ConfigError(f"{key} must be {bound}, got {value}")
-        if isinstance(value, dict) and not is_dataclass(hint):  # llm.script: question id -> its responses
-            for qid, responses in value.items():
-                if not (isinstance(responses, list) and responses and all(isinstance(r, str) for r in responses)):
-                    raise ConfigError(f"{key}.{qid} must be a non-empty list of strings, got {responses!r}")
+        if isinstance(value, dict) and not is_dataclass(hint):  # llm.script
+            _check_script(key, value)
         values[name] = _checked(hint, value, key + ".") if is_dataclass(hint) else value
     return cls(**values)
 
@@ -747,10 +779,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     is warned about and ignored."""
     data: dict = {}
     if args.config:
-        try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # also not UTF-8, an integer too long, nesting too deep
-            raise ConfigError(f"{args.config}: malformed JSON: {exc}") from exc
+        data = _read_json_file(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: not a JSON object")
     for flag, key, _ in FLAGS:

@@ -10,7 +10,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
+from .corpus import LETTERS, DocumentRecord, QuestionRecord
 from .embed import cosine  # noqa: F401  (kept as graphrag.cosine: bench/layers.py traces it)
 from .lexindex import (
     Bm25Params,
@@ -300,6 +300,7 @@ class TopicRetriever:
         params: HybridParams,
         graph: DocGraph,
         entities: Iterable[str],
+        index: LexIndex,
     ):
         self.topic_id = topic_id
         self.docs = list(docs)
@@ -309,12 +310,11 @@ class TopicRetriever:
             raise GraphError(
                 f"{len(doc_vecs)} document vectors for {len(self.docs)} documents in topic {topic_id}"
             )
-        texts = {d.id: document_text(d) for d in self.docs}
-        if set(graph.nodes) != set(texts):
+        if set(graph.nodes) != {d.id for d in self.docs}:
             raise GraphError(f"graph nodes do not match topic {topic_id} documents")
         self.graph = graph
         self.entities = frozenset(entities)
-        self.index = LexIndex.build(texts)
+        self.index = index
         self.doc_vecs = {d.id: np.asarray(v, dtype=np.float64) for d, v in zip(self.docs, doc_vecs)}
         self.doc_norms = _norms(self.doc_vecs)
 

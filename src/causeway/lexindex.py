@@ -92,20 +92,24 @@ class LexIndex:
 
     @classmethod
     def build(cls, texts: Mapping[str, str]) -> "LexIndex":
-        term_freqs: dict[str, Counter] = {}
-        doc_lens: dict[str, int] = {}
+        """The index of each document's text: its tokens counted, then
+        `from_counts`."""
+        return cls.from_counts({doc_id: Counter(tokenize(text)) for doc_id, text in texts.items()})
+
+    @classmethod
+    def from_counts(cls, term_freqs: Mapping[str, Mapping[str, int]]) -> "LexIndex":
+        """The index of documents given by their term counts, documents in
+        the order given. Each length is the sum of its counts, which is its
+        token count, so saved term counts rebuild the index `build` made."""
+        term_freqs = {doc_id: Counter(counts) for doc_id, counts in term_freqs.items()}
+        doc_lens = {doc_id: sum(counts.values()) for doc_id, counts in term_freqs.items()}
         doc_freq: Counter = Counter()
-        for doc_id, text in texts.items():
-            tokens = tokenize(text)
-            counts = Counter(tokens)
-            term_freqs[doc_id] = counts
-            doc_lens[doc_id] = len(tokens)
-            for term in counts:
-                doc_freq[term] += 1
+        for counts in term_freqs.values():
+            doc_freq.update(counts.keys())
         n = len(term_freqs)
         avgdl = sum(doc_lens.values()) / n if n else 0.0
         return cls(
-            doc_ids=tuple(texts),
+            doc_ids=tuple(term_freqs),
             term_freqs=term_freqs,
             doc_lens=doc_lens,
             doc_freq=doc_freq,

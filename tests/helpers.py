@@ -70,14 +70,15 @@ def topic_retriever(
     topic_id: int, docs: Sequence[DocumentRecord], doc_vecs, graph: DocGraph | None = None
 ) -> TopicRetriever:
     """A retriever over docs at the default parameters, given what build-graph
-    gives retrieve: the topic's entities and its graph, here the one passed
-    or else the one build_graph makes."""
+    gives retrieve: the topic's entities, lexical index and graph, here the
+    one passed or else the one build_graph makes."""
     bm25, params = Bm25Params(), HybridParams()
     texts = {d.id: document_text(d) for d in docs}
     entities = extract_entities(texts.values())
+    index = LexIndex.build(texts)
     if graph is None:
-        graph = build_graph(topic_id, docs, dict(zip(texts, doc_vecs)), LexIndex.build(texts), bm25, entities, params)
-    return TopicRetriever(topic_id, docs, doc_vecs, bm25, params, graph, entities)
+        graph = build_graph(topic_id, docs, dict(zip(texts, doc_vecs)), index, bm25, entities, params)
+    return TopicRetriever(topic_id, docs, doc_vecs, bm25, params, graph, entities, index)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from causeway import cli, consist, graphrag
 from causeway.cli import RunConfig, build_config, load_predictions, main, _build_parser
 from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
-from causeway.lexindex import extract_entities
+from causeway.lexindex import LexIndex, extract_entities, tokenize
 from causeway.remote import ConfigError
 from helpers import config_objects, flag_args, record_texts
 
@@ -473,6 +474,54 @@ def _entities_lacking_a_topic(out: Path) -> None:
     _relist(out, "graphs/entities.json")
 
 
+@pytest.fixture
+def built(monkeypatch) -> list[int]:
+    """The document count of every LexIndex.build from here on."""
+    counts: list[int] = []
+    build = LexIndex.build
+
+    def counting(cls, texts):
+        counts.append(len(texts))
+        return build(texts)
+
+    monkeypatch.setattr(LexIndex, "build", classmethod(counting))
+    return counts
+
+
+def _drop_term_counts(out: Path) -> None:
+    (out / "graphs" / "term_counts.json").unlink()
+
+
+def _edited_term_counts(out: Path) -> None:
+    path = out / "graphs" / "term_counts.json"
+    term_counts = read_json(path)
+    term_counts["101"]["p1"]["port"] += 1
+    path.write_text(json.dumps(term_counts), encoding="utf-8")
+
+
+def _unlisted_term_counts(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    del manifest["outputs"]["graphs/term_counts.json"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _term_counts_lacking_a_topic(out: Path) -> None:
+    path = out / "graphs" / "term_counts.json"
+    term_counts = read_json(path)
+    del term_counts["102"]
+    path.write_text(json.dumps(term_counts), encoding="utf-8")
+    _relist(out, "graphs/term_counts.json")
+
+
+def _term_counts_lacking_a_document(out: Path) -> None:
+    path = out / "graphs" / "term_counts.json"
+    term_counts = read_json(path)
+    del term_counts["102"]["w3"]
+    path.write_text(json.dumps(term_counts), encoding="utf-8")
+    _relist(out, "graphs/term_counts.json")
+
+
 def _keys_not_an_object(out: Path) -> None:
     manifest_path = out / "manifests" / "build-graph.json"
     manifest = read_json(manifest_path)
@@ -511,13 +560,31 @@ class TestBuildGraphReuse:
         assert all(want.values())
         assert "graphs/entities.json" in read_json(run_dir / "manifests" / "build-graph.json")["outputs"]
 
-    def test_retrieve_extracts_no_entities(self, run_dir, tmp_path, extracted):
+    def test_saved_term_counts_layout(self, run_dir):
+        topics = load_docs(FIXTURE_DIR / "docs.jsonl")
+        want = {
+            str(topic_id): {d.id: Counter(tokenize(document_text(d))) for d in docs}
+            for topic_id, docs in topics.items()
+        }
+        assert read_json(run_dir / "graphs" / "term_counts.json") == want
+        assert "graphs/term_counts.json" in read_json(run_dir / "manifests" / "build-graph.json")["outputs"]
+
+    def test_changed_edge_threshold_builds_each_index_once(self, tmp_path, built):
+        # the indexes that rebuilding the graphs makes serve the retrievers too
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph",))
-        assert extracted == [6, 6, 6]
-        del extracted[:]
+        del built[:]
+        run_stages(out, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        assert built == [6, 6, 6]
+
+    def test_retrieve_extracts_no_entities(self, run_dir, tmp_path, extracted, built):
+        # and builds no lexical index: the saved term counts serve
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph",))
+        assert extracted == built == [6, 6, 6]
+        del extracted[:], built[:]
         run_stages(out, stages=("retrieve",))
-        assert extracted == []
+        assert extracted == built == []
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
@@ -527,17 +594,27 @@ class TestBuildGraphReuse:
             (_edited_entities, 3),
             (_unlisted_entities, 3),
             (_entities_lacking_a_topic, 3),
+            (_drop_term_counts, 3),
+            (_edited_term_counts, 3),
+            (_unlisted_term_counts, 3),
+            (_term_counts_lacking_a_topic, 3),
+            (_term_counts_lacking_a_document, 3),
             (_other_docs, 3),
             (_other_embedder, 3),
         ],
     )
-    def test_unusable_entities_are_extracted_again(self, run_dir, tmp_path, extracted, caplog, tamper, n_extracted):
+    def test_unusable_entities_are_extracted_again(
+        self, run_dir, tmp_path, extracted, built, caplog, tamper, n_extracted
+    ):
+        # the entity lists and term counts serve together with the graphs or
+        # not at all; the indexes built for the graphs serve the retrievers
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph",))
         tamper(out)
-        del extracted[:]
+        del extracted[:], built[:]
         run_stages(out, stages=("retrieve",))
         assert len(extracted) == n_extracted
+        assert built == [6, 6, 6]
         assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
@@ -962,6 +1039,32 @@ class TestErrors:
         assert main(["build-graph", "--config", str(config_path), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"q1": 5}', "llm.script.q1 must be a non-empty list of strings, got 5"),
+            (b'{"q1": "<answer>A</answer>"}', "llm.script.q1 must be a non-empty list of strings, got '<answer>A</answer>'"),
+            (b'["<answer>A</answer>"]', "llm.script must be an object, got ['<answer>A</answer>']"),
+            (b'{"q1": ', "malformed JSON: Expecting value"),
+            (b'\xff{"q1": ["<answer>A</answer>"]}', "malformed JSON: 'utf-8' codec can't decode"),
+        ],
+        ids=["entry-number", "entry-string", "not-an-object", "malformed-json", "not-utf-8"],
+    )
+    def test_unusable_script_file_exits_2(self, tmp_path, capsys, monkeypatch, data, message):
+        # a script file is held to llm.script's rule before any question is sampled
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph", "retrieve"))
+        script = tmp_path / "script.json"
+        script.write_bytes(data)
+        config_path = tmp_path / "config.json"
+        config = {**read_json(FIXTURE_DIR / "config.json"), "llm": {"kind": "mock-scripted", "script_path": str(script)}}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's other paths are relative
+        capsys.readouterr()
+        assert main(["infer", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {script}: {message}")
+        assert not (out / "predictions.jsonl").exists()
 
     def test_missing_required_flag_is_fatal(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -570,7 +570,7 @@ class TestTopicRetriever:
     def test_doc_vecs_count_mismatch(self):
         r = self._retriever()
         with pytest.raises(GraphError):
-            TopicRetriever(5, self._docs(), np.zeros((3, 16)), r.bm25_params, r.params, r.graph, r.entities)
+            TopicRetriever(5, self._docs(), np.zeros((3, 16)), r.bm25_params, r.params, r.graph, r.entities, r.index)
 
     def test_result_shape(self):
         r = self._retriever()

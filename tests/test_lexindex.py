@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -139,6 +140,25 @@ class TestLexIndex:
         expected = math.log((3 - 2 + 0.5) / (2 + 0.5) + 1.0)
         assert index.idfs["rain"] == pytest.approx(expected, rel=1e-12)
         assert index.idfs.get("unseen-term", 0.0) == 0.0
+
+    @given(
+        st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(st.text(max_size=40), st.lists(st.sampled_from(TOPIC_WORDS), max_size=12).map(" ".join)),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_saved_counts_equals_build(self, texts, sort_keys):
+        # the term counts written as JSON (sorted, as build-graph writes them,
+        # or not) and read back in the texts' order rebuild the same index
+        index = LexIndex.build(texts)
+        saved = json.loads(json.dumps(index.term_freqs, sort_keys=sort_keys))
+        rebuilt = LexIndex.from_counts({doc_id: saved[doc_id] for doc_id in texts})
+        assert rebuilt == index
+        assert (rebuilt.idfs, rebuilt.avgdl, rebuilt.doc_ids) == (index.idfs, index.avgdl, index.doc_ids)
+        assert rebuilt.doc_lens == {doc_id: len(tokenize(text)) for doc_id, text in texts.items()}
 
     def test_unknown_doc_raises(self):
         index = LexIndex.build(_toy_texts())
