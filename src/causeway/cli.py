@@ -105,9 +105,17 @@ class RunConfig:
             "heuristics_max_iterations": self.heuristics.max_iterations,
             "topic_union": self.topic_union,
         }
-        if self.llm.script_path:
-            params["llm"]["script_sha256"] = _sha256_file(self.llm.script_path)
+        script = self.script_hash()
+        if script:
+            params["llm"]["script_sha256"] = script
         return params
+
+    def script_hash(self) -> str | None:
+        """The content hash of the LLM script: of the file llm.script_path
+        names, or else of the inline llm.script; None without a script."""
+        if self.llm.script_path:
+            return _sha256_file(self.llm.script_path)
+        return _digest(self.llm.script) if self.llm.script else None
 
     def config_hash(self) -> str:
         return _digest(self.param_dict())
@@ -334,6 +342,35 @@ def _build_graph(run: StageInput) -> StageResult:
     )
 
 
+def _saved_graph_level(
+    out_dir: Path, manifest: dict | None, topics, topic_ids: Sequence[int]
+) -> tuple[dict[int, DocGraph], dict[str, list[str]], dict[int, LexIndex]] | None:
+    """The graph, the entity list and the lexical index of each topic of
+    topic_ids as build-graph saved them, keyed as _topic_graphs keys them, or
+    None when a file is not listed, not the listed one or not of the shape
+    build-graph writes. Containers are checked, not each term count."""
+    rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
+    files = [_read_listed(out_dir, manifest, rel) for rel in rels]
+    if None in files:
+        return None
+    try:
+        entities, term_counts, *saved = map(json.loads, files)
+        graphs = {t: DocGraph.from_json(graph) for t, graph in zip(topic_ids, saved)}
+        lists = {str(t): entities[str(t)] for t in topic_ids}
+        # the saved counts are in sorted order; each index takes the docs file's
+        counts = {t: {d.id: term_counts[str(t)][d.id] for d in topics[t]} for t in topic_ids}
+    except (KeyError, TypeError, ValueError):  # malformed JSON, a missing key or a wrong container
+        return None
+    shaped = all(
+        graphs[t].nodes == tuple(d.id for d in topics[t])
+        and isinstance(lists[str(t)], list)
+        and all(isinstance(entity, str) for entity in lists[str(t)])
+        and all(isinstance(doc_counts, dict) for doc_counts in counts[t].values())
+        for t in topic_ids
+    )
+    return (graphs, lists, {t: LexIndex.from_counts(counts[t]) for t in topic_ids}) if shaped else None
+
+
 def _build_retrievers(
     config: RunConfig, embedder, docs_hash: str, topics, needed: set[int]
 ) -> dict[int, TopicRetriever]:
@@ -356,19 +393,10 @@ def _build_retrievers(
         vectors = None if data is None else _load_doc_vectors(data)
     if vectors is not None and vectors.shape != (sum(map(len, topics.values())), config.embedder.dim):
         vectors = None
-    graphs = None
+    saved = None
     if vectors is not None and keys.get("graph") == config.graph_key():
-        rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
-        files = [_read_listed(out_dir, manifest, rel) for rel in rels]
-        entities, term_counts = (None, {}) if None in files else map(json.loads, files[:2])
-        saved = {t: term_counts.get(str(t), {}) for t in topic_ids}
-        if entities is not None and all(
-            str(t) in entities and all(d.id in saved[t] for d in topics[t]) for t in topic_ids
-        ):
-            graphs = {t: DocGraph.from_json(json.loads(data)) for t, data in zip(topic_ids, files[2:])}
-            # the saved counts are in sorted order; each index takes the docs file's
-            indexes = {t: LexIndex.from_counts({d.id: saved[t][d.id] for d in topics[t]}) for t in topic_ids}
-    if graphs is None:
+        saved = _saved_graph_level(out_dir, manifest, topics, topic_ids)
+    if saved is None:
         redo = "building the graphs" if vectors is not None else "embedding the documents and building the graphs"
         logger.warning("build-graph's outputs do not serve this run: %s again", redo)
     # the saved vectors hold every topic; embedding anew covers the needed ones
@@ -376,9 +404,11 @@ def _build_retrievers(
     if vectors is None:
         vectors = _embed_documents(config, embedder, topics, order)
     rows = _topic_rows(vectors, topics, order)
-    if graphs is None:
+    if saved is None:
         built, entities, indexes = _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
         graphs = {g.topic_id: g for g in built}
+    else:
+        graphs, entities, indexes = saved
     return {
         t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)], indexes[t])
         for t in topic_ids
@@ -498,8 +528,9 @@ def _infer(run: StageInput) -> StageResult:
         "invalid_samples": n_invalid,
     }
     inputs = {"retrieval": retrieval_hash}
-    if config.llm.script_path:
-        inputs["script"] = _sha256_file(config.llm.script_path)
+    script = config.script_hash()
+    if script:
+        inputs["script"] = script
     return StageResult(
         {"samples.jsonl": sample_rows, "predictions.jsonl": pred_rows},
         counts,

@@ -3,12 +3,14 @@
 Eight rules run in a fixed order, over and over, until a full pass changes
 nothing. Shared option texts carry three-valued truth (True, False, Unknown)
 that only ever hardens from Unknown; conflicting evidence is recorded as a
-contradiction and never applied.
+contradiction and never applied. A pass that moves a prediction or marks a
+text's truth is a change.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
@@ -143,8 +145,7 @@ class QuestionFacts:
 
 class TruthAssignment:
     """Monotone truth over one sibling group's substantive option texts.
-    Unknown may harden to True or False; attempts to flip are recorded as
-    contradictions and ignored."""
+    Unknown may harden to True or False; a known text keeps its value."""
 
     def __init__(self, group_key: tuple[int, str]):
         self.group_key = group_key
@@ -154,33 +155,17 @@ class TruthAssignment:
     def value(self, text: str) -> bool | None:
         return self._values.get(text)
 
-    def mark(
-        self,
-        text: str,
-        target: bool,
-        rule: str,
-        question_id: str,
-        iteration: int,
-        contradictions: list[Contradiction],
-    ) -> bool:
-        current = self._values.get(text)
-        if current is None:
-            self._values[text] = target
-            self.transitions.append(
-                TruthTransition(self.group_key, text, None, target, rule, iteration)
-            )
-            return True
-        if current == target:
+    def mark(self, text: str, value: bool, rule: str, iteration: int) -> bool:
+        """Sets an Unknown text to value and returns True; returns False and
+        changes nothing when the text is already known. Callers that may
+        meet the opposite value record that conflict themselves."""
+        if text in self._values:
             return False
-        contradictions.append(
-            Contradiction(
-                rule=rule,
-                question_id=question_id,
-                text=text,
-                detail=f"cannot mark {target}, already {current}",
-            )
+        self._values[text] = value
+        self.transitions.append(
+            TruthTransition(self.group_key, text, None, value, rule, iteration)
         )
-        return False
+        return True
 
 
 def seed_truth(
@@ -200,20 +185,12 @@ def seed_truth(
     for f in facts:
         if f.is_none_only(normalized[f.q.id]):
             blocked.update(f.substantive_texts)
-    sink: list[Contradiction] = []
     for f in facts:
         for letter in sorted(normalized[f.q.id] & f.substantive):
             text = f.text[letter]
             if text not in blocked:
-                truth.mark(text, True, "seed", f.q.id, 0, sink)
+                truth.mark(text, True, "seed", 0)
     return truth
-
-
-class _GroupState:
-    def __init__(self, facts: list[QuestionFacts], key: tuple[int, str]):
-        self.key = key
-        self.facts = facts
-        self.truth: TruthAssignment | None = None
 
 
 class _Engine:
@@ -237,10 +214,13 @@ class _Engine:
         self._r5_stripped: set[tuple[str, str]] = set()
         self.facts = [QuestionFacts(q) for q in questions]
         self.facts_by_id = {f.q.id: f for f in self.facts}
-        self.groups = [
-            _GroupState([self.facts_by_id[qid] for qid in g.question_ids], (g.topic_id, g.event_key))
-            for g in sibling_groups(questions)
-        ]
+        # each sibling group's questions and truth; members pairs every
+        # grouped question with its group's truth, in group order
+        self.groups: list[tuple[list[QuestionFacts], TruthAssignment]] = []
+        for g in sibling_groups(questions):
+            facts = [self.facts_by_id[qid] for qid in g.question_ids]
+            self.groups.append((facts, seed_truth(facts, self.preds, (g.topic_id, g.event_key))))
+        self.members = [(f, truth) for facts, truth in self.groups for f in facts]
         self.changes: list[ChangeRecord] = []
         self.contradictions: list[Contradiction] = []
         self._seen_contradictions: set[tuple[str, str, str]] = set()
@@ -252,9 +232,6 @@ class _Engine:
             return
         self._seen_contradictions.add(key)
         self.contradictions.append(Contradiction(rule, question_id, text, detail))
-
-    def _truth_size(self) -> int:
-        return sum(len(state.truth.transitions) for state in self.groups if state.truth)
 
     def _set_pred(self, qid: str, after: frozenset[str], rule: str, force: bool = False) -> bool:
         if qid in self.frozen and not force:
@@ -279,19 +256,17 @@ class _Engine:
 
     def _apply_r4(self) -> bool:
         changed = False
-        for state in self.groups:
-            truth = state.truth
-            for f in state.facts:
-                pred = self.preds[f.q.id]
-                add = {
-                    l
-                    for l in f.substantive
-                    if l not in pred
-                    and (f.q.id, l) not in self._r5_stripped
-                    and truth.value(f.text[l]) is True
-                }
-                if add:
-                    changed |= self._set_pred(f.q.id, pred | add, "R4")
+        for f, truth in self.members:
+            pred = self.preds[f.q.id]
+            add = {
+                l
+                for l in f.substantive
+                if l not in pred
+                and (f.q.id, l) not in self._r5_stripped
+                and truth.value(f.text[l]) is True
+            }
+            if add:
+                changed |= self._set_pred(f.q.id, pred | add, "R4")
         return changed
 
     def _apply_r5(self) -> bool:
@@ -299,26 +274,23 @@ class _Engine:
         # True in the group, that conflict is recorded, and the strip is
         # remembered so R4 leaves it out.
         changed = False
-        for state in self.groups:
-            truth = state.truth
-            for f in state.facts:
-                pred = self.preds[f.q.id]
-                after = f.r5(pred)
-                for odd in sorted(pred - after):
-                    if odd in f.substantive and truth.value(f.text[odd]) is True:
-                        self._contradict(
-                            "R5", f.q.id, f.text[odd], "stripped letter's text is True in the group"
-                        )
-                    self._r5_stripped.add((f.q.id, odd))
-                changed |= self._set_pred(f.q.id, after, "R5")
+        for f, truth in self.members:
+            pred = self.preds[f.q.id]
+            after = f.r5(pred)
+            for odd in sorted(pred - after):
+                if odd in f.substantive and truth.value(f.text[odd]) is True:
+                    self._contradict(
+                        "R5", f.q.id, f.text[odd], "stripped letter's text is True in the group"
+                    )
+                self._r5_stripped.add((f.q.id, odd))
+            changed |= self._set_pred(f.q.id, after, "R5")
         return changed
 
     def _apply_r6(self) -> bool:
         changed = False
-        for state in self.groups:
-            truth = state.truth
+        for facts, truth in self.groups:
             # marking: every substantive text of a rejection-only question is False
-            for f in state.facts:
+            for f in facts:
                 if f.is_none_only(self.preds[f.q.id]):
                     for text in f.substantive_texts:
                         if truth.value(text) is True:
@@ -326,10 +298,10 @@ class _Engine:
                                 "R6", f.q.id, text, "text is already True elsewhere in the group"
                             )
                         else:
-                            truth.mark(text, False, "R6", f.q.id, self.iteration, self.contradictions)
+                            changed |= truth.mark(text, False, "R6", self.iteration)
             # unselection: drop False texts wherever selected, unless that
             # would empty a prediction (deferred to R7/R8)
-            for f in state.facts:
+            for f in facts:
                 pred = set(self.preds[f.q.id])
                 for text in f.substantive_texts:
                     if truth.value(text) is not False:
@@ -342,89 +314,76 @@ class _Engine:
         return changed
 
     def _apply_r7(self) -> bool:
-        for state in self.groups:
-            truth = state.truth
-            for f in state.facts:
-                statuses = {t: truth.value(t) for t in f.substantive_texts}
-                non_false = [t for t, s in statuses.items() if s is not False]
-                if len(non_false) == 1 and statuses[non_false[0]] is None:
-                    truth.mark(non_false[0], True, "R7", f.q.id, self.iteration, self.contradictions)
-        return False  # R7 touches truth only; predictions move via R4/R8
+        # touches truth only; predictions follow through R4 and R8
+        changed = False
+        for f, truth in self.members:
+            statuses = {t: truth.value(t) for t in f.substantive_texts}
+            non_false = [t for t, s in statuses.items() if s is not False]
+            if len(non_false) == 1 and statuses[non_false[0]] is None:
+                changed |= truth.mark(non_false[0], True, "R7", self.iteration)
+        return changed
 
     def _apply_r8(self) -> bool:
         changed = False
-        for state in self.groups:
-            truth = state.truth
-            for f in state.facts:
-                candidates = [
-                    cls
-                    for cls in f.classes
-                    if cls & f.none_letters or truth.value(f.text[next(iter(cls))]) is not False
-                ]
-                if not candidates:
-                    # Unsatisfiable question; put the normalized input back
-                    # and stop touching it so the loop can settle.
-                    self._contradict(
-                        "R8", f.q.id, "", "every option is False; prediction restored to its input"
-                    )
-                    if f.q.id not in self.frozen:
-                        restored = f.local_normalize(self.original[f.q.id])
-                        changed |= self._set_pred(f.q.id, restored, "R8", force=True)
-                        self.frozen.add(f.q.id)
-                elif len(candidates) == 1:
-                    target = frozenset(candidates[0])
-                    changed |= self._set_pred(f.q.id, target, "R8")
+        for f, truth in self.members:
+            candidates = [
+                cls
+                for cls in f.classes
+                if cls & f.none_letters or truth.value(f.text[next(iter(cls))]) is not False
+            ]
+            if not candidates:
+                # Unsatisfiable question; put the normalized input back
+                # and stop touching it so the loop can settle.
+                self._contradict(
+                    "R8", f.q.id, "", "every option is False; prediction restored to its input"
+                )
+                if f.q.id not in self.frozen:
+                    restored = f.local_normalize(self.original[f.q.id])
+                    changed |= self._set_pred(f.q.id, restored, "R8", force=True)
+                    self.frozen.add(f.q.id)
+            elif len(candidates) == 1:
+                target = frozenset(candidates[0])
+                changed |= self._set_pred(f.q.id, target, "R8")
         return changed
 
     def run(self, max_iterations: int = 10) -> ConsistencyOutcome:
-        for state in self.groups:
-            state.truth = seed_truth(state.facts, self.preds, state.key)
         converged = False
-        iterations = 0
-        for iteration in range(1, max_iterations + 1):
-            self.iteration = iteration
-            iterations = iteration
-            truth_before = self._truth_size()
-            changed = False
-            changed |= self._apply_local("R1", QuestionFacts.r1)
-            changed |= self._apply_local("R2", QuestionFacts.r2)
-            changed |= self._apply_local("R3", QuestionFacts.r3)
-            changed |= self._apply_r4()
-            changed |= self._apply_r5()
-            changed |= self._apply_r6()
-            changed |= self._apply_r7()
-            changed |= self._apply_r8()
-            # new truth marks must feed R4 on the next pass even when no
-            # prediction moved in this one
-            if not changed and self._truth_size() == truth_before:
+        for self.iteration in range(1, max_iterations + 1):
+            # a truth mark counts as a change: it can feed R4 on the next
+            # pass even when no prediction moved in this one. | runs every rule.
+            changed = (
+                self._apply_local("R1", QuestionFacts.r1)
+                | self._apply_local("R2", QuestionFacts.r2)
+                | self._apply_local("R3", QuestionFacts.r3)
+                | self._apply_r4()
+                | self._apply_r5()
+                | self._apply_r6()
+                | self._apply_r7()
+                | self._apply_r8()
+            )
+            if not changed:
                 converged = True
                 break
         if not converged:
             logger.warning("consistency pass hit the iteration cap (%d)", max_iterations)
         # anything still selected against a False text could not be repaired
-        for state in self.groups:
-            for f in state.facts:
-                for letter in sorted(self.preds[f.q.id] & f.substantive):
-                    if state.truth.value(f.text[letter]) is False:
-                        self._contradict(
-                            "R6",
-                            f.q.id,
-                            f.text[letter],
-                            "False text still selected after convergence",
-                        )
-        rule_counts = {rule: 0 for rule in RULES}
-        for change in self.changes:
-            rule_counts[change.rule] += 1
-        truth_log: list[TruthTransition] = []
-        for state in self.groups:
-            truth_log.extend(state.truth.transitions)
+        for f, truth in self.members:
+            for letter in sorted(self.preds[f.q.id] & f.substantive):
+                if truth.value(f.text[letter]) is False:
+                    self._contradict(
+                        "R6",
+                        f.q.id,
+                        f.text[letter],
+                        "False text still selected after convergence",
+                    )
+        rule_counts = Counter(change.rule for change in self.changes)
         report = FixedPointReport(
-            iterations=iterations,
+            iterations=self.iteration,
             converged=converged,
             changes=self.changes,
-            rule_counts=rule_counts,
+            rule_counts={rule: rule_counts[rule] for rule in RULES},
             contradictions=self.contradictions,
-            truth_log=truth_log,
+            truth_log=[t for _, truth in self.groups for t in truth.transitions],
         )
         return ConsistencyOutcome(predictions=dict(self.preds), report=report, facts=self.facts_by_id)
 

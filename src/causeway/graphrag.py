@@ -121,11 +121,10 @@ def build_graphs(
 
     Every pair's weight blends its cosine and its lexical similarity, each
     clamped into [0, 1], and the pair is an edge when its weight reaches the
-    threshold (inclusive). A topic's scores are computed as it arrives, so an
-    iterator of topics keeps one index alive at a time; the clamps, blend,
-    threshold and edge list then run once over every pair of every topic,
-    pairs in row-major order. Each cosine is the float `cosine` gives and
-    each lexical score the one `lexical_similarity` gives."""
+    threshold (inclusive). A topic's scores are computed as it arrives; the
+    clamps, blend, threshold and edge list then run once over every pair of
+    every topic, pairs in row-major order. Each cosine is the float `cosine`
+    gives and each lexical score the one `lexical_similarity` gives."""
     nodes: list[tuple[int, tuple[str, ...]]] = []
     # per topic, per pair: both documents' positions in the ids of all
     # topics, their dot product, both norms and the lexical score

@@ -340,6 +340,25 @@ class TestManifests:
         }
         assert len(hashes) == 1
 
+    def test_inline_script_is_hashed_like_a_script_file(self, run_dir, tmp_path):
+        # an inline llm.script enters the config hash and infer's inputs, so
+        # two runs that differ only in it are told apart
+        config = read_json(FIXTURE_DIR / "config.json")
+        script = read_json(FIXTURE_DIR / config["llm"].pop("script_path"))
+        config["questions"] = str(FIXTURE_DIR / config["questions"])
+        config["docs"] = str(FIXTURE_DIR / config["docs"])
+        manifests = []
+        for name, inline in (("same", script), ("other", {**script, "q101a": ["<answer>D</answer>"]})):
+            out = tmp_path / name
+            shutil.copytree(run_dir, out)
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps({**config, "llm": {**config["llm"], "script": inline}}), encoding="utf-8")
+            assert main(["infer", "--config", str(config_path), "--out", str(out)]) == 0
+            manifests.append(read_json(out / "manifests" / "infer.json"))
+        assert (tmp_path / "same" / "samples.jsonl").read_bytes() == (run_dir / "samples.jsonl").read_bytes()
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+        assert manifests[0]["inputs"]["script"] != manifests[1]["inputs"]["script"]
+
 
 class TestDeterminism:
     def test_two_fresh_runs_are_byte_identical(self, run_dir, tmp_path):
@@ -474,6 +493,20 @@ def _entities_lacking_a_topic(out: Path) -> None:
     _relist(out, "graphs/entities.json")
 
 
+def _entities_not_an_object(out: Path) -> None:
+    (out / "graphs" / "entities.json").write_text('["101", "102", "103"]', encoding="utf-8")
+    _relist(out, "graphs/entities.json")
+
+
+def _graph_lacking_a_node(out: Path) -> None:
+    path = out / "graphs" / "topic_101.json"
+    graph = read_json(path)
+    node = graph["nodes"].pop()
+    graph["edges"] = [e for e in graph["edges"] if node not in (e["a"], e["b"])]
+    path.write_text(json.dumps(graph), encoding="utf-8")
+    _relist(out, "graphs/topic_101.json")
+
+
 @pytest.fixture
 def built(monkeypatch) -> list[int]:
     """The document count of every LexIndex.build from here on."""
@@ -518,6 +551,14 @@ def _term_counts_lacking_a_document(out: Path) -> None:
     path = out / "graphs" / "term_counts.json"
     term_counts = read_json(path)
     del term_counts["102"]["w3"]
+    path.write_text(json.dumps(term_counts), encoding="utf-8")
+    _relist(out, "graphs/term_counts.json")
+
+
+def _term_counts_not_objects(out: Path) -> None:
+    path = out / "graphs" / "term_counts.json"
+    term_counts = read_json(path)
+    term_counts["102"]["w3"] = sorted(term_counts["102"]["w3"])
     path.write_text(json.dumps(term_counts), encoding="utf-8")
     _relist(out, "graphs/term_counts.json")
 
@@ -594,11 +635,14 @@ class TestBuildGraphReuse:
             (_edited_entities, 3),
             (_unlisted_entities, 3),
             (_entities_lacking_a_topic, 3),
+            (_entities_not_an_object, 3),
             (_drop_term_counts, 3),
             (_edited_term_counts, 3),
             (_unlisted_term_counts, 3),
             (_term_counts_lacking_a_topic, 3),
             (_term_counts_lacking_a_document, 3),
+            (_term_counts_not_objects, 3),
+            (_graph_lacking_a_node, 3),
             (_other_docs, 3),
             (_other_embedder, 3),
         ],

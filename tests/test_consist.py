@@ -95,28 +95,21 @@ class TestR5TripleExclusion:
 class TestTruthAssignment:
     def test_unknown_hardens(self):
         truth = TruthAssignment((1, "e"))
-        sink = []
-        assert truth.mark("t", True, "seed", "q1", 0, sink)
+        assert truth.mark("t", True, "seed", 0)
         assert truth.value("t") is True
         assert len(truth.transitions) == 1
-        assert sink == []
 
     def test_remark_same_value_no_transition(self):
         truth = TruthAssignment((1, "e"))
-        sink = []
-        truth.mark("t", False, "R6", "q1", 1, sink)
-        assert not truth.mark("t", False, "R6", "q1", 2, sink)
+        truth.mark("t", False, "R6", 1)
+        assert not truth.mark("t", False, "R6", 2)
         assert len(truth.transitions) == 1
-        assert sink == []
 
-    def test_flip_attempt_contradicts_and_keeps_value(self):
+    def test_flip_attempt_is_refused(self):
         truth = TruthAssignment((1, "e"))
-        sink = []
-        truth.mark("t", True, "seed", "q1", 0, sink)
-        assert not truth.mark("t", False, "R6", "q2", 1, sink)
+        truth.mark("t", True, "seed", 0)
+        assert not truth.mark("t", False, "R6", 1)
         assert truth.value("t") is True
-        assert len(sink) == 1
-        assert sink[0].rule == "R6"
         assert len(truth.transitions) == 1
 
     def test_unseen_text_is_unknown(self):
@@ -238,6 +231,19 @@ class TestEngineSiblingGroups:
             t.text for t in out.report.truth_log if t.new is False and t.rule == "R6"
         }
         assert falsified == {"t", "u", "v"}
+        # the marking pass changed truth only; one more pass finds nothing to do
+        assert out.report.iterations == 2
+
+    def test_pass_that_changes_only_truth_is_followed(self):
+        # pass 1 moves no prediction: R6 falsifies u, v, w and R7 makes t
+        # True; pass 2 lets R4 select t in q2 and R6 drop u
+        q1 = make_question(qid="q1", a="u", b="v", c="w", d=NONE_TEXT)
+        q2 = make_question(qid="q2", a="u", b="v", c="t", d=NONE_TEXT)
+        out = run_to_fixed_point([q1, q2], {"q1": fs("D"), "q2": fs("A")})
+        assert out.predictions["q2"] == fs("C")
+        assert out.report.iterations == 3
+        assert out.report.rule_counts["R4"] == 1
+        assert out.report.rule_counts["R6"] == 1
 
     def test_r6_deferred_when_it_would_empty(self):
         q1 = make_question(qid="q1", a="t", b="u", c="v", d=NONE_TEXT)
@@ -256,12 +262,10 @@ class TestEngineSiblingGroups:
         q1 = make_question(qid="q1", a="t", b="u", c="v", d=NONE_TEXT)
         q2 = make_question(qid="q2", a="t", b="x", c="y", d="z")
         engine = _Engine([q1, q2], {"q1": fs("D"), "q2": fs("B")})
-        for state in engine.groups:
-            state.truth = seed_truth(state.facts, engine.preds, state.key)
-            state.truth.mark("t", True, "R4", "q2", 0, engine.contradictions)
+        [(_, truth)] = engine.groups
+        truth.mark("t", True, "R4", 0)
         engine._apply_r6()
-        state = engine.groups[0]
-        assert state.truth.value("t") is True
+        assert truth.value("t") is True
         assert any(c.rule == "R6" and c.text == "t" for c in engine.contradictions)
         assert engine.preds["q2"] == fs("B")
 
