@@ -348,7 +348,8 @@ def _saved_graph_level(
     """The graph, the entity list and the lexical index of each topic of
     topic_ids as build-graph saved them, keyed as _topic_graphs keys them, or
     None when a file is not listed, not the listed one or not of the shape
-    build-graph writes. Containers are checked, not each term count."""
+    build-graph writes. Containers are checked, and a term count that is not
+    a number fails the level."""
     rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
     files = [_read_listed(out_dir, manifest, rel) for rel in rels]
     if None in files:
@@ -359,16 +360,18 @@ def _saved_graph_level(
         lists = {str(t): entities[str(t)] for t in topic_ids}
         # the saved counts are in sorted order; each index takes the docs file's
         counts = {t: {d.id: term_counts[str(t)][d.id] for d in topics[t]} for t in topic_ids}
-    except (KeyError, TypeError, ValueError):  # malformed JSON, a missing key or a wrong container
+        if not all(
+            graphs[t].nodes == tuple(d.id for d in topics[t])
+            and isinstance(lists[str(t)], list)
+            and all(isinstance(entity, str) for entity in lists[str(t)])
+            and all(isinstance(doc_counts, dict) for doc_counts in counts[t].values())
+            for t in topic_ids
+        ):
+            return None
+        indexes = {t: LexIndex.from_counts(counts[t]) for t in topic_ids}
+    except (KeyError, TypeError, ValueError):  # malformed JSON, a missing key, a wrong container or count
         return None
-    shaped = all(
-        graphs[t].nodes == tuple(d.id for d in topics[t])
-        and isinstance(lists[str(t)], list)
-        and all(isinstance(entity, str) for entity in lists[str(t)])
-        and all(isinstance(doc_counts, dict) for doc_counts in counts[t].values())
-        for t in topic_ids
-    )
-    return (graphs, lists, {t: LexIndex.from_counts(counts[t]) for t in topic_ids}) if shaped else None
+    return graphs, lists, indexes
 
 
 def _build_retrievers(

@@ -44,21 +44,30 @@ class RemoteClient:
         self.spec = spec
         self.session = requests.Session()
         self._sleep = sleep
+        # the token, netrc, proxies and CA bundle are read here once, not per
+        # request; the token is set after netrc's Basic auth so that it wins
+        self._template = self.session.prepare_request(requests.Request("POST", spec.endpoint))
+        token = os.environ.get(spec.auth_env, "") if spec.auth_env else ""
+        if token:
+            self._template.headers["Authorization"] = f"Bearer {token}"
+        self._settings = self.session.merge_environment_settings(self._template.url, {}, None, None, None)
 
     def _post(self, payload: dict, read: Callable[[dict], T]) -> T:
-        """POSTs payload to spec.endpoint, with a bearer token from the
-        variable spec.auth_env names when it is set, and returns read(response
-        body). A transport error, an HTTP error status, a body that is not
-        JSON or a read that raises KeyError or ValueError uses up one of
+        """POSTs payload to spec.endpoint with the token and settings the
+        client read when it was made, and returns read(response body). A
+        transport error, an HTTP error status, a body that is not JSON or a
+        read that raises KeyError or ValueError uses up one of
         spec.max_retries attempts, and failed attempt n sleeps
         spec.backoff_base * 2**(n-1)."""
         spec = self.spec
-        token = os.environ.get(spec.auth_env, "") if spec.auth_env else ""
-        headers = {"Authorization": f"Bearer {token}"} if token else {}
         last: Exception | None = None
         for attempt in range(1, spec.max_retries + 1):
             try:
-                resp = self.session.post(spec.endpoint, json=payload, headers=headers, timeout=self.timeout)
+                # each attempt sends the cookies the endpoint has set so far
+                request = self._template.copy()
+                request.prepare_body(None, None, json=payload)
+                request.prepare_cookies(self.session.cookies)
+                resp = self.session.send(request, timeout=self.timeout, **self._settings)
                 resp.raise_for_status()
                 return read(resp.json())
             except (requests.RequestException, KeyError, ValueError) as exc:

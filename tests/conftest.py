@@ -11,11 +11,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server API)
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length) or b"{}")
-        status, payload = self.server.responder(self.path, body, dict(self.headers))
+        status, payload, *extra = self.server.responder(self.path, body, dict(self.headers))
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -24,7 +26,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class FakeServer:
-    """Tiny local HTTP endpoint whose behaviour tests swap per case."""
+    """Tiny local HTTP endpoint whose behaviour tests swap per case. A
+    responder takes (path, body, headers) and returns (status, body) or
+    (status, body, extra response headers)."""
 
     def __init__(self):
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)

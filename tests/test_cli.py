@@ -25,6 +25,7 @@ from causeway.cli import RunConfig, build_config, load_predictions, main, _build
 from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
 from causeway.lexindex import LexIndex, extract_entities, tokenize
+from causeway.reason import OverlapMockClient
 from causeway.remote import ConfigError
 from helpers import config_objects, flag_args, record_texts
 
@@ -388,6 +389,27 @@ class TestThreadedInfer:
         for name in ("samples.jsonl", "predictions.jsonl"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_two_workers_match_serial_run_through_a_remote_client(self, tmp_path, fake_server, monkeypatch):
+        # the clients' workers share one prepared request template
+        model = OverlapMockClient()
+        fake_server.set_responder(
+            lambda path, body, headers: (200, {"content": model.complete(body["messages"][0]["content"])})
+        )
+        config = read_json(FIXTURE_DIR / "config.json")
+        config["llm"] = {"kind": "remote", "endpoint": fake_server.url + "/chat", "model": "m"}
+        config_path = tmp_path / "remote.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+        for out, workers in ((serial, "1"), (threaded, "2")):
+            for stage in ("build-graph", "retrieve", "infer"):
+                extra = ["--max-workers", workers] if stage == "infer" else []
+                assert main([stage, "--config", str(config_path), "--out", str(out), *extra]) == 0
+        n_questions = len(load_questions(FIXTURE_DIR / "questions.jsonl"))
+        assert len(fake_server.requests) == 2 * n_questions * config["sampling"]["k"]
+        for name in ("samples.jsonl", "predictions.jsonl"):
+            assert (threaded / name).read_bytes() == (serial / name).read_bytes()
+
 
 DOC_TEXTS = {document_text(d) for docs in load_docs(FIXTURE_DIR / "docs.jsonl").values() for d in docs}
 
@@ -563,6 +585,14 @@ def _term_counts_not_objects(out: Path) -> None:
     _relist(out, "graphs/term_counts.json")
 
 
+def _term_count_is_a_string(out: Path) -> None:
+    path = out / "graphs" / "term_counts.json"
+    term_counts = read_json(path)
+    term_counts["101"]["p1"]["port"] = str(term_counts["101"]["p1"]["port"])
+    path.write_text(json.dumps(term_counts), encoding="utf-8")
+    _relist(out, "graphs/term_counts.json")
+
+
 def _keys_not_an_object(out: Path) -> None:
     manifest_path = out / "manifests" / "build-graph.json"
     manifest = read_json(manifest_path)
@@ -642,6 +672,7 @@ class TestBuildGraphReuse:
             (_term_counts_lacking_a_topic, 3),
             (_term_counts_lacking_a_document, 3),
             (_term_counts_not_objects, 3),
+            (_term_count_is_a_string, 3),
             (_graph_lacking_a_node, 3),
             (_other_docs, 3),
             (_other_embedder, 3),

@@ -4,10 +4,13 @@ local HTTP server."""
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+from urllib.parse import urlsplit
 
 import pytest
+import requests
 
 from causeway.embed import EmbedderSpec, EmbedError, RemoteEmbedder
 from causeway.reason import LlmClientSpec, LlmError, RemoteChatClient
@@ -110,3 +113,79 @@ def test_no_authorization_without_a_token(kind, fake_server, monkeypatch, token)
     sent = {name.lower() for name in fake_server.requests[0]["headers"]}
     assert "authorization" not in sent
 
+
+
+def _netrc_for(url: str, tmp_path, monkeypatch) -> None:
+    """Points NETRC at a file that holds a login for url's host."""
+    path = tmp_path / "netrc"
+    path.write_text(f"machine {urlsplit(url).hostname} login user password pw\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(path))
+
+
+def test_token_wins_over_netrc(kind, fake_server, monkeypatch, tmp_path):
+    _netrc_for(fake_server.url, tmp_path, monkeypatch)
+    monkeypatch.setenv("TEST_REMOTE_KEY", "sk-123")
+    fake_server.set_responder(lambda path, body, headers: (200, OK_BODY))
+    kind.call(kind.make(fake_server.url, lambda s: None, auth_env="TEST_REMOTE_KEY"))
+    assert fake_server.requests[0]["headers"]["Authorization"] == "Bearer sk-123"
+
+
+def test_netrc_applies_without_a_token(kind, fake_server, monkeypatch, tmp_path):
+    _netrc_for(fake_server.url, tmp_path, monkeypatch)
+    monkeypatch.delenv("TEST_REMOTE_KEY", raising=False)
+    fake_server.set_responder(lambda path, body, headers: (200, OK_BODY))
+    kind.call(kind.make(fake_server.url, lambda s: None, auth_env="TEST_REMOTE_KEY"))
+    assert fake_server.requests[0]["headers"]["Authorization"] == "Basic dXNlcjpwdw=="  # user:pw
+
+
+def test_environment_is_read_once_per_client(kind, fake_server, monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(name: str, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        requests.Session, "merge_environment_settings",
+        counted("merge_environment_settings", requests.Session.merge_environment_settings),
+    )
+    monkeypatch.setattr(requests.sessions, "get_netrc_auth", counted("get_netrc_auth", requests.sessions.get_netrc_auth))
+    responses = iter([(500, {})] + [(200, OK_BODY)] * 20)
+    fake_server.set_responder(lambda path, body, headers: next(responses))
+    for _ in range(2):
+        client = kind.make(fake_server.url, lambda s: None)
+        for _ in range(5):
+            kind.call(client)
+    assert len(fake_server.requests) == 11  # one retried post
+    assert calls == {"merge_environment_settings": 2, "get_netrc_auth": 2}
+
+
+def test_proxy_set_before_the_client_routes_its_posts(kind, fake_server, monkeypatch):
+    for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", fake_server.url)
+    fake_server.set_responder(lambda path, body, headers: (200, OK_BODY))
+    client = kind.make(fake_server.url, lambda s: None)
+    monkeypatch.delenv("HTTP_PROXY")  # read when the client was made
+    kind.call(client)
+    kind.call(client)
+    # a request through a proxy names the whole URL on its request line
+    assert [r["path"] for r in fake_server.requests] == [client.spec.endpoint] * 2
+
+
+def test_cookie_from_the_endpoint_is_sent_back(kind, fake_server):
+    fake_server.set_responder(lambda path, body, headers: (200, OK_BODY, {"Set-Cookie": "sid=abc"}))
+    client = kind.make(fake_server.url, lambda s: None)
+    kind.call(client)
+    kind.call(client)
+    assert [r["headers"].get("Cookie") for r in fake_server.requests] == [None, "sid=abc"]
+
+
+def test_cookie_from_a_failed_attempt_is_sent_on_the_retry(kind, fake_server):
+    responses = iter([(500, {}, {"Set-Cookie": "sid=abc"}), (200, OK_BODY)])
+    fake_server.set_responder(lambda path, body, headers: next(responses))
+    kind.call(kind.make(fake_server.url, lambda s: None, max_retries=2))
+    assert [r["headers"].get("Cookie") for r in fake_server.requests] == [None, "sid=abc"]
