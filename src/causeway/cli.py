@@ -752,7 +752,7 @@ FLAGS: tuple[tuple[str, str, dict], ...] = (
 
 # Each checked config value's lowest and highest allowed value (None: no upper bound).
 RANGES: dict[str, tuple[float, float | None]] = {
-    "sampling.k": (1, None), "max_workers": (1, None),
+    "sampling.k": (1, None), "max_workers": (1, None), "embedder.dim": (1, None),
     "hybrid.alpha": (0, 1), "hybrid.edge_threshold": (0, 1), "theta": (0, 1),
 }
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object",

@@ -67,7 +67,6 @@ class Contradiction:
 class TruthTransition:
     group_key: tuple[int, str]
     text: str
-    old: bool | None
     new: bool
     rule: str
     iteration: int
@@ -163,7 +162,7 @@ class TruthAssignment:
             return False
         self._values[text] = value
         self.transitions.append(
-            TruthTransition(self.group_key, text, None, value, rule, iteration)
+            TruthTransition(self.group_key, text, value, rule, iteration)
         )
         return True
 

@@ -41,18 +41,6 @@ class EmbedderSpec:
     backoff_base: float = 0.5
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 class MockEmbedder:
     """Hashes character trigrams into buckets and projects the counts through
     a seed-derived pseudorandom matrix, then L2-normalizes.

@@ -11,15 +11,12 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord
-from .embed import cosine  # noqa: F401  (kept as graphrag.cosine: bench/layers.py traces it)
 from .lexindex import (
     Bm25Params,
     LexIndex,
-    bm25_plus,  # noqa: F401  (kept as graphrag.bm25_plus: bench/layers.py traces it)
-    bm25_plus_scores,
+    bm25_plus,
     extract_entities,  # noqa: F401  (cli calls it as graphrag.extract_entities, which bench/layers.py traces)
-    lexical_scores,
-    lexical_similarity,  # noqa: F401  (kept as graphrag.lexical_similarity: bench/layers.py traces it)
+    lexical_similarity,
     tokenize,
 )
 
@@ -93,15 +90,20 @@ class DocGraph:
         )
 
 
-def _norms(vecs: Mapping[str, np.ndarray]) -> dict[str, float]:
-    """Each vector's L2 norm, as `cosine` computes it."""
-    return {key: float(np.linalg.norm(v)) for key, v in vecs.items()}
+def _norms(vecs: Iterable[np.ndarray]) -> np.ndarray:
+    """Each float64 vector's L2 norm, for `cosine`."""
+    return np.array([np.linalg.norm(v) for v in vecs], dtype=np.float64)
 
 
-def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
-    """`cosine(u, v)` of two float64 vectors whose norms are given: the same
-    float, without computing the norms again."""
-    return 0.0 if nu == 0.0 or nv == 0.0 else float(np.dot(u, v) / (nu * nv))
+def cosine(a: Sequence[np.ndarray], b: Sequence[np.ndarray], norm_a: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
+    """The cosine of each pair of float64 vectors a[i] and b[i], whose norms
+    (`_norms`) are norm_a[i] and norm_b[i]; 0.0 where either norm is 0.
+
+    One dot per pair, a[i] first, as `np.dot` takes it: a row-wise product
+    can round differently (ndarray.dot is np.dot without its dispatch
+    wrapper). Every cosine the pipeline uses comes from here."""
+    dots = np.fromiter(map(np.ndarray.dot, a, b), np.float64, len(a))
+    return np.divide(dots, norm_a * norm_b, out=np.zeros_like(dots), where=(norm_a != 0.0) & (norm_b != 0.0))
 
 
 def _unit_clamp(x: np.ndarray) -> np.ndarray:
@@ -123,11 +125,10 @@ def build_graphs(
     clamped into [0, 1], and the pair is an edge when its weight reaches the
     threshold (inclusive). A topic's scores are computed as it arrives; the
     clamps, blend, threshold and edge list then run once over every pair of
-    every topic, pairs in row-major order. Each cosine is the float `cosine`
-    gives and each lexical score the one `lexical_similarity` gives."""
+    every topic, pairs in row-major order."""
     nodes: list[tuple[int, tuple[str, ...]]] = []
     # per topic, per pair: both documents' positions in the ids of all
-    # topics, their dot product, both norms and the lexical score
+    # topics, their cosine and their lexical similarity
     topic_pairs = []
     offset = 0
     for topic_id, doc_ids, index, entities, vectors in topics:
@@ -135,20 +136,17 @@ def build_graphs(
         if len(vectors) != len(ids):
             raise GraphError(f"{len(vectors)} document vectors for {len(ids)} documents in topic {topic_id}")
         vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-        norms = np.array([np.linalg.norm(v) for v in vecs])
+        norms = _norms(vecs)
         first, second = np.nonzero(~np.tri(len(ids), dtype=bool))  # i < j, row-major
-        # one dot per pair, as `cosine` takes it: a row-wise product can round
-        # differently (ndarray.dot is np.dot without its dispatch wrapper)
         pairs = ([vecs[a] for a in first.tolist()], [vecs[b] for b in second.tolist()])
-        dots = np.fromiter(map(np.ndarray.dot, *pairs), np.float64, len(first))
-        lexical = lexical_scores(ids, index, bm25_params, entities)[first, second]
-        topic_pairs.append((first + offset, second + offset, dots, norms[first], norms[second], lexical))
+        cos = cosine(*pairs, norms[first], norms[second])
+        lexical = lexical_similarity(ids, index, bm25_params, entities)[first, second]
+        topic_pairs.append((first + offset, second + offset, cos, lexical))
         nodes.append((topic_id, ids))
         offset += len(ids)
     if not nodes:
         return []
-    first, second, dots, norm_a, norm_b, lexical = map(np.concatenate, zip(*topic_pairs))
-    cos = np.divide(dots, norm_a * norm_b, out=np.zeros_like(dots), where=(norm_a != 0.0) & (norm_b != 0.0))
+    first, second, cos, lexical = map(np.concatenate, zip(*topic_pairs))
     weights = hybrid_weight(_unit_clamp(cos), _unit_clamp(lexical), params.alpha)
     kept = np.flatnonzero(weights >= params.edge_threshold)
     all_ids = [doc_id for _, ids in nodes for doc_id in ids]
@@ -198,23 +196,21 @@ def entry_points(
     query: str,
     doc_ids: Sequence[str],
     query_vec: np.ndarray,
-    doc_vecs: Mapping[str, np.ndarray],
+    doc_vecs: np.ndarray,
     index: LexIndex,
     bm25_params: Bm25Params,
     entities: frozenset[str],
     params: HybridParams,
-    doc_norms: Mapping[str, float] | None = None,
+    doc_norms: np.ndarray,
 ) -> EntryPoints:
     """Top k_dense documents by query cosine plus top k_sparse by BM25+,
-    each ranked descending with ties broken by ascending doc id. The query's
-    norm is computed once and each document's is taken from doc_norms when
-    given, so each cosine is the same float as `cosine`'s."""
+    each ranked descending with ties broken by ascending doc id. doc_vecs
+    holds one float64 row per document of doc_ids, in that order, and
+    doc_norms their norms (`_norms`)."""
     q = np.asarray(query_vec, dtype=np.float64)
-    nq = float(np.linalg.norm(q))
-    vecs = {d: np.asarray(doc_vecs[d], dtype=np.float64) for d in doc_ids}
-    norms = doc_norms if doc_norms is not None else _norms(vecs)
-    dense_ranked = sorted(doc_ids, key=lambda d: (-_cosine(q, nq, vecs[d], norms[d]), d))
-    sparse = dict(zip(doc_ids, bm25_plus_scores(tokenize(query), doc_ids, index, bm25_params, entities)))
+    dense = dict(zip(doc_ids, cosine([q] * len(doc_ids), doc_vecs, _norms([q]), doc_norms).tolist()))
+    dense_ranked = sorted(doc_ids, key=lambda d: (-dense[d], d))
+    sparse = dict(zip(doc_ids, bm25_plus(tokenize(query), doc_ids, index, bm25_params, entities)))
     sparse_ranked = sorted(doc_ids, key=lambda d: (-sparse[d], d))
     return EntryPoints(
         dense=tuple(dense_ranked[: params.k_dense]),
@@ -314,7 +310,7 @@ class TopicRetriever:
         self.graph = graph
         self.entities = frozenset(entities)
         self.index = index
-        self.doc_vecs = {d.id: np.asarray(v, dtype=np.float64) for d, v in zip(self.docs, doc_vecs)}
+        self.doc_vecs = np.asarray(doc_vecs, dtype=np.float64)
         self.doc_norms = _norms(self.doc_vecs)
 
     def retrieve_query(self, query: str, query_vec: np.ndarray) -> RetrievalResult:

@@ -23,7 +23,7 @@ STOPWORDS = frozenset(
     """.split()
 )
 
-# terms per document profile in `lexical_scores`
+# terms per document profile in `lexical_similarity`
 PROFILE_SIZE = 20
 
 _LEAD_TRIM = "\"'“”‘’([{<«"
@@ -170,29 +170,18 @@ def _bm25_rows(
 
 def bm25_plus(
     query_terms: Sequence[str],
-    doc_id: str,
-    index: LexIndex,
-    params: Bm25Params = Bm25Params(),
-    entities: AbstractSet[str] = frozenset(),
-) -> float:
-    """Sum of per-term BM25+ contributions, tripled (by default) for entity
-    terms.
-
-    Query terms outside the corpus vocabulary contribute nothing. Terms known
-    to the corpus but absent from this document contribute the delta floor.
-    """
-    return bm25_plus_scores(query_terms, [doc_id], index, params, entities)[0]
-
-
-def bm25_plus_scores(
-    query_terms: Sequence[str],
     doc_ids: Sequence[str],
     index: LexIndex,
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
 ) -> list[float]:
-    """`bm25_plus` of one query against each document in turn: the kernel's
-    one-row case."""
+    """The query's BM25+ score in each document in turn: the sum of its
+    per-term contributions, tripled (by default) for entity terms. The
+    kernel's one-row case.
+
+    Query terms outside the corpus vocabulary contribute nothing. Terms known
+    to the corpus but absent from a document contribute the delta floor.
+    """
     weights = _term_weights(query_terms, index.idfs, params, entities)
     return _bm25_rows([weights], doc_ids, index, params)[0].tolist()
 
@@ -206,14 +195,15 @@ def top_terms(doc_id: str, index: LexIndex, k: int = 20) -> list[str]:
     return [t for _, t in ranked[:k]]
 
 
-def lexical_scores(
+def lexical_similarity(
     doc_ids: Sequence[str],
     index: LexIndex,
     params: Bm25Params = Bm25Params(),
     entities: AbstractSet[str] = frozenset(),
 ) -> np.ndarray:
-    """`lexical_similarity` of every pair of doc_ids before its clamp into
-    [0, 1], as an (n, n) matrix; 0 where either self-score is not positive.
+    """Symmetrized, self-normalized BM25+ similarity of every pair of
+    doc_ids, as an (n, n) matrix, before any clamp into [0, 1]; 0 where
+    either self-score is not positive (for example an empty document).
 
     Each document's profile is its PROFILE_SIZE top terms with their BM25+
     weights, and raw[a, b] is the kernel's score of a's profile in b, so the
@@ -223,17 +213,3 @@ def lexical_scores(
     positive = raw.diagonal() > 0.0
     scaled = np.divide(raw, raw.diagonal()[:, None], out=np.zeros_like(raw), where=positive[:, None])
     return np.where(positive[:, None] & positive, 0.5 * (scaled + scaled.T), 0.0)
-
-
-def lexical_similarity(
-    a: str,
-    b: str,
-    index: LexIndex,
-    params: Bm25Params = Bm25Params(),
-    entities: AbstractSet[str] = frozenset(),
-) -> float:
-    """Symmetrized, self-normalized BM25+ similarity between two documents,
-    clamped to [0, 1]. If either document has a zero self-score (for example
-    an empty document), the pair similarity is 0."""
-    sim = float(lexical_scores([a, b], index, params, entities)[0, 1])
-    return min(1.0, max(0.0, sim))

@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from causeway.cli import FLAGS, RunConfig
 from causeway.corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
-from causeway.embed import cosine
 from causeway.graphrag import DocGraph, HybridParams, RetrievalResult, TopicRetriever, build_graph, hybrid_weight
-from causeway.lexindex import STOPWORDS, Bm25Params, LexIndex, extract_entities
+from causeway.lexindex import STOPWORDS, Bm25Params, LexIndex, extract_entities, lexical_similarity
 
 NONE_TEXT = "None of the others are correct causes."
 
@@ -263,6 +262,32 @@ def lexical_similarity_reference(
     if self_a <= 0.0 or self_b <= 0.0:
         return 0.0
     sim = 0.5 * (score(profile_a, b) / self_a + score(profile_b, a) / self_b)
+    return min(1.0, max(0.0, sim))
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of two vectors by the two-vector formula; 0.0 when either is zero."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def pair_similarity(
+    a: str,
+    b: str,
+    index: LexIndex,
+    params: Bm25Params = Bm25Params(),
+    entities: AbstractSet[str] = frozenset(),
+) -> float:
+    """`lexical_similarity`'s entry for the pair (a, b), clamped into [0, 1]
+    as the graph build clamps it."""
+    sim = float(lexical_similarity([a, b], index, params, entities)[0, 1])
     return min(1.0, max(0.0, sim))
 
 

@@ -136,7 +136,7 @@ def test_bm25_matches_direct_formula():
             for _ in range(20):
                 query = rng.choices(vocab, k=rng.randint(1, 6))
                 doc_id = rng.choice(list(texts))
-                got = bm25_plus(query, doc_id, index, params, entities)
+                got = bm25_plus(query, [doc_id], index, params, entities)[0]
                 want = bm25_reference(query, doc_tokens, doc_id, entities=entities)
                 if want:
                     worst = max(worst, abs(got - want) / abs(want))
@@ -144,8 +144,8 @@ def test_bm25_matches_direct_formula():
         # the entity multiplier scales a single-term score by exactly 3
         texts = {"a": "reactor coolant pump", "b": "reactor shutdown log"}
         index = LexIndex.build(texts)
-        plain = bm25_plus(["reactor"], "a", index, Bm25Params(), frozenset())
-        boosted = bm25_plus(["reactor"], "a", index, Bm25Params(), frozenset({"reactor"}))
+        plain = bm25_plus(["reactor"], ["a"], index, Bm25Params(), frozenset())[0]
+        boosted = bm25_plus(["reactor"], ["a"], index, Bm25Params(), frozenset({"reactor"}))[0]
         assert plain > 0.0
         assert boosted / plain == pytest.approx(3.0, abs=1e-9)
     assert t.elapsed < 5.0

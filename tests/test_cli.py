@@ -265,6 +265,17 @@ class TestScore:
         assert report["partial"] == 3
         assert report["zero"] == 1
 
+    def test_questions_without_gold_answers_are_refused(self, run_dir, tmp_path):
+        questions = tmp_path / "questions.jsonl"
+        rows = read_jsonl(FIXTURE_DIR / "questions.jsonl")
+        questions.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "golden_answer"}) + "\n"
+                                     for row in rows), encoding="utf-8")
+        extra = ("--preds", str(run_dir / "predictions.jsonl"), "--questions", str(questions))
+        with pytest.raises(SystemExit) as exc:
+            run_stages(tmp_path / "out", stages=("score",), extra=extra)
+        assert exc.value.code == "error: the questions file carries no gold answers"
+        assert not (tmp_path / "out" / "score_report.json").exists()
+
 
 @pytest.fixture(scope="module")
 def agree_dir(run_dir, tmp_path_factory) -> Path:
@@ -314,6 +325,27 @@ class TestAgree:
     def test_agree_requires_two_files(self, run_dir):
         with pytest.raises(SystemExit):
             main(["agree", "--out", str(run_dir), str(run_dir / "predictions.jsonl")])
+
+    def test_model_named_by_file_stem(self, run_dir, agree_dir, tmp_path, capsys):
+        shutil.copy(run_dir / "predictions.jsonl", tmp_path / "raw.jsonl")
+        shutil.copy(run_dir / "predictions.final.jsonl", tmp_path / "final.jsonl")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        run_stages(out, stages=("agree",), extra=(str(tmp_path / "raw.jsonl"), str(tmp_path / "final.jsonl")))
+        assert "agree: 2 models on 12 questions\n" in capsys.readouterr().out
+        report = (out / "agreement_report.json").read_bytes()
+        assert report == (agree_dir / "agreement_report.json").read_bytes()
+
+    def test_duplicate_model_name_is_refused(self, run_dir, tmp_path):
+        # two files whose stems are both "predictions"
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(run_dir / "predictions.final.jsonl", other / "predictions.jsonl")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["agree", "--out", str(out), str(run_dir / "predictions.jsonl"), str(other / "predictions.jsonl")])
+        assert exc.value.code == "error: duplicate model name 'predictions'"
+        assert not (out / "agreement_report.json").exists()
 
 
 class TestReport:
@@ -423,9 +455,9 @@ def embedded(monkeypatch) -> list[str]:
     return texts
 
 
-def _relist(out: Path, rel: str) -> None:
-    """Records a file's current content hash in the build-graph manifest."""
-    manifest_path = out / "manifests" / "build-graph.json"
+def _relist(out: Path, rel: str, stage: str = "build-graph") -> None:
+    """Records a file's current content hash in stage's manifest."""
+    manifest_path = out / "manifests" / f"{stage}.json"
     manifest = read_json(manifest_path)
     manifest["outputs"][rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -1003,26 +1035,58 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
         assert not (out / "manifests" / "ingest.json").exists()
 
+    def test_question_topic_absent_from_docs_exits_2(self, tmp_path, capsys, monkeypatch):
+        docs = tmp_path / "docs.jsonl"
+        lines = (FIXTURE_DIR / "docs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        docs.write_text("".join(line for line in lines if '"topic_id": 103' not in line), encoding="utf-8")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        out = tmp_path / "out"
+        assert main(["retrieve", "--config", "config.json", "--out", str(out), "--docs", str(docs)]) == 2
+        assert capsys.readouterr().err == "error: questions reference topic 103 absent from the docs file\n"
+        assert not (out / "retrieval.jsonl").exists()
+
+    def test_question_without_retrieval_trace_exits_2(self, tmp_path, capsys, monkeypatch, llm_calls):
+        # a listed retrieval.jsonl that lacks the first question's row
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph", "retrieve"))
+        path = out / "retrieval.jsonl"
+        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]), encoding="utf-8")
+        _relist(out, "retrieval.jsonl", "retrieve")
+        monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
+        capsys.readouterr()
+        assert main(["infer", "--config", "config.json", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no retrieval trace for question 'q101a'\n"
+        assert llm_calls == []
+        assert not (out / "predictions.jsonl").exists()
+
     @pytest.mark.parametrize(
         "section, spec, stage, message",
         [
             ("embedder", {"kind": "remote", "dim": 64}, "build-graph", "remote embedding client requires an endpoint"),
             ("embedder", {"kind": "nope", "dim": 64}, "build-graph", "unknown embedder kind 'nope'"),
-            ("embedder", {"kind": "mock", "dim": 0}, "build-graph", "embedder dim must be positive"),
+            ("embedder", {"kind": "mock", "dim": 0}, "build-graph", "embedder.dim must be at least 1, got 0"),
+            # refused before any document is posted (endpoint: fake_server's)
+            ("embedder", {"kind": "remote", "dim": 0, "endpoint": None, "max_retries": 1}, "build-graph",
+             "embedder.dim must be at least 1, got 0"),
             ("llm", {"kind": "nope", "script_path": "script.json"}, "infer", "unknown LLM client kind 'nope'"),
         ],
-        ids=["remote-embedder-without-endpoint", "unknown-embedder-kind", "zero-dim", "unknown-llm-kind"],
+        ids=["remote-embedder-without-endpoint", "unknown-embedder-kind", "zero-dim", "remote-zero-dim",
+             "unknown-llm-kind"],
     )
-    def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, section, spec, stage, message):
+    def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch, fake_server, section, spec, stage, message):
         out = tmp_path / "out"
         if stage == "infer":
             run_stages(out, stages=("build-graph", "retrieve"))
+        fake_server.set_responder(lambda path, body, headers: (200, {"vectors": [[1.0] * 8 for _ in body["texts"]]}))
+        if "endpoint" in spec:
+            spec = {**spec, "endpoint": fake_server.url + "/embed"}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**read_json(FIXTURE_DIR / "config.json"), section: spec}), encoding="utf-8")
         monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
         capsys.readouterr()
         assert main([stage, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert fake_server.requests == []
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_max_workers_below_1_exits_2(self, tmp_path, capsys, monkeypatch, source):

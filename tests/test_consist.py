@@ -393,7 +393,6 @@ class TestEngineProperties:
             seen: dict[tuple, bool] = {}
             for t in out.report.truth_log:
                 key = (t.group_key, t.text)
-                assert t.old is None
                 assert key not in seen
                 seen[key] = t.new
 

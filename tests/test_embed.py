@@ -13,30 +13,9 @@ from causeway.embed import (
     MockEmbedder,
     RemoteEmbedder,
     VectorCache,
-    cosine,
     make_embedder,
 )
-from helpers import mock_embed_reference
-
-
-class TestCosine:
-    def test_parallel(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, 2.0 * v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == pytest.approx(0.0)
-
-    def test_opposite(self):
-        v = np.array([1.0, -2.0])
-        assert cosine(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_vector_gives_zero(self):
-        assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.zeros(4))
+from helpers import cosine, mock_embed_reference
 
 
 class TestMockEmbedder:

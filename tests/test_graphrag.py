@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causeway.corpus import DocumentRecord, document_text
-from causeway.embed import MockEmbedder, cosine
+from causeway.embed import MockEmbedder
 from causeway.graphrag import (
     DENSE_ENTRY,
     SPARSE_ENTRY,
@@ -22,17 +22,20 @@ from causeway.graphrag import (
     TopicRetriever,
     build_graph,
     build_graphs,
+    cosine as graphrag_cosine,
     entry_points,
     hybrid_weight,
     make_query,
     retrieve,
 )
-from causeway.lexindex import Bm25Params, LexIndex, extract_entities, lexical_similarity, tokenize
+from causeway.lexindex import Bm25Params, LexIndex, extract_entities, tokenize
 from helpers import (
     TOPIC_WORDS,
     component_reference,
+    cosine,
     graph_edges_reference,
     make_question,
+    pair_similarity,
     topic_entities,
     topic_retriever,
     topic_texts,
@@ -123,7 +126,7 @@ class TestBuildGraph:
 
     def _expected_weight(self, a, b, index, entities, embeddings, alpha=0.7):
         sem = min(1.0, max(0.0, cosine(embeddings[a], embeddings[b])))
-        lex = lexical_similarity(a, b, index, Bm25Params(), entities)
+        lex = pair_similarity(a, b, index, Bm25Params(), entities)
         return hybrid_weight(sem, lex, alpha)
 
     def test_edges_match_component_computation(self):
@@ -167,7 +170,7 @@ class TestBuildGraph:
             1, docs, embeddings, index, Bm25Params(), frozenset(), HybridParams(edge_threshold=0.0)
         )
         (a, b, w) = graph.edges[0]
-        lex = lexical_similarity("d1", "d2", index)
+        lex = pair_similarity("d1", "d2", index)
         assert w == pytest.approx(hybrid_weight(0.0, lex))
 
     def test_unnormalized_and_zero_vectors_match_per_pair_cosine(self):
@@ -250,7 +253,7 @@ class TestBuildGraph:
         assert got == want
         for a, b, w in got:
             if "d2" in (a, b):
-                assert w == hybrid_weight(0.0, lexical_similarity(a, b, index, Bm25Params(), entities))
+                assert w == hybrid_weight(0.0, pair_similarity(a, b, index, Bm25Params(), entities))
 
     def test_alpha_out_of_range_raises(self):
         docs, index, entities, embeddings = self._topic()
@@ -302,6 +305,36 @@ class TestBuildGraphs:
             build_graphs([(1, ["d1", "d2"], index, frozenset(), [np.ones(4)])], Bm25Params(), HybridParams())
 
 
+def norms(vecs) -> np.ndarray:
+    """Each vector's L2 norm, one np.linalg.norm per vector."""
+    return np.array([np.linalg.norm(v) for v in vecs])
+
+
+def pair_cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """graphrag.cosine of the one pair (u, v)."""
+    return float(graphrag_cosine([u], [v], norms([u]), norms([v]))[0])
+
+
+class TestCosine:
+    def test_parallel(self):
+        v = np.array([1.0, 2.0, 3.0])
+        assert pair_cosine(v, 2.0 * v) == pytest.approx(1.0)
+
+    def test_orthogonal(self):
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == pytest.approx(0.0)
+
+    def test_opposite(self):
+        v = np.array([1.0, -2.0])
+        assert pair_cosine(v, -v) == pytest.approx(-1.0)
+
+    def test_zero_vector_gives_zero(self):
+        assert pair_cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            pair_cosine(np.zeros(3), np.zeros(4))
+
+
 class TestMakeQuery:
     def test_concatenates_event_and_options(self):
         q = make_question(event="The dam failed", a="rain", b="quake", c="age", d="none of the above")
@@ -312,12 +345,7 @@ class TestEntryPoints:
     def _setup(self):
         doc_ids = ["d1", "d2", "d3", "d4"]
         query_vec = np.array([1.0, 0.0])
-        doc_vecs = {
-            "d4": np.array([1.0, 0.0]),
-            "d1": np.array([1.0, 0.0]),
-            "d2": np.array([0.8, 0.6]),
-            "d3": np.array([0.0, 1.0]),
-        }
+        doc_vecs = np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0], [1.0, 0.0]])  # in doc_ids order
         texts = {
             "d1": "lake concert crowd",
             "d2": "flood warning issued",
@@ -330,14 +358,16 @@ class TestEntryPoints:
     def test_dense_ties_broken_by_id(self):
         doc_ids, query_vec, doc_vecs, index = self._setup()
         eps = entry_points(
-            "flood dam", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), HybridParams()
+            "flood dam", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), HybridParams(),
+            norms(doc_vecs),
         )
         assert eps.dense == ("d1", "d4", "d2")
 
     def test_sparse_ranked_by_bm25(self):
         doc_ids, query_vec, doc_vecs, index = self._setup()
         eps = entry_points(
-            "flood dam collapse", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), HybridParams()
+            "flood dam collapse", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), HybridParams(),
+            norms(doc_vecs),
         )
         assert eps.sparse[0] == "d3"
         assert len(eps.sparse) == 2
@@ -354,14 +384,13 @@ class TestEntryPoints:
         doc_vecs["d5"] = 3.0 * doc_vecs["d1"]
         index = LexIndex.build({d: "flood warning" for d in doc_ids})
         params = HybridParams(k_dense=len(doc_ids))
+        block = np.array([doc_vecs[d] for d in doc_ids])
         for query_vec in (rng.standard_normal(8), doc_vecs["d1"], np.zeros(8)):
             want = sorted(doc_ids, key=lambda d: (-cosine(query_vec, doc_vecs[d]), d))
-            norms = {d: float(np.linalg.norm(v)) for d, v in doc_vecs.items()}
-            for doc_norms in (None, norms):
-                eps = entry_points(
-                    "flood", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), params, doc_norms
-                )
-                assert list(eps.dense) == want
+            eps = entry_points(
+                "flood", doc_ids, query_vec, block, index, Bm25Params(), frozenset(), params, norms(block)
+            )
+            assert list(eps.dense) == want
 
     def test_ordered_deduplicates(self):
         eps = EntryPoints(dense=("a", "b"), sparse=("b", "c"))
@@ -371,7 +400,7 @@ class TestEntryPoints:
         doc_ids, query_vec, doc_vecs, index = self._setup()
         params = HybridParams(k_dense=10, k_sparse=10)
         eps = entry_points(
-            "flood", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), params
+            "flood", doc_ids, query_vec, doc_vecs, index, Bm25Params(), frozenset(), params, norms(doc_vecs)
         )
         assert sorted(eps.dense) == sorted(doc_ids)
         assert sorted(eps.sparse) == sorted(doc_ids)

@@ -14,9 +14,7 @@ from causeway.lexindex import (
     LexIndex,
     LexIndexError,
     bm25_plus,
-    bm25_plus_scores,
     extract_entities,
-    lexical_similarity,
     tokenize,
     top_terms,
 )
@@ -27,6 +25,7 @@ from helpers import (
     entity_texts,
     extract_entities_reference,
     lexical_similarity_reference,
+    pair_similarity,
     topic_entities,
     topic_texts,
 )
@@ -163,7 +162,7 @@ class TestLexIndex:
     def test_unknown_doc_raises(self):
         index = LexIndex.build(_toy_texts())
         with pytest.raises(LexIndexError):
-            bm25_plus(["rain"], "nope", index)
+            bm25_plus(["rain"], ["nope"], index)[0]
 
 
 class TestBm25Plus:
@@ -173,7 +172,7 @@ class TestBm25Plus:
         tokens = _tokens(texts)
         for doc_id in texts:
             for query in (["rain"], ["dam", "rain"], ["the", "valley", "turbines"]):
-                got = bm25_plus(query, doc_id, index)
+                got = bm25_plus(query, [doc_id], index)[0]
                 want = bm25_reference(query, tokens, doc_id)
                 assert got == pytest.approx(want, rel=1e-12), (doc_id, query)
 
@@ -190,7 +189,7 @@ class TestBm25Plus:
             entities = frozenset(rng.sample(vocab, 3))
             query = rng.choices(vocab + ["zzz-unknown"], k=rng.randint(1, 6))
             doc_id = rng.choice(list(texts))
-            got = bm25_plus(query, doc_id, index, entities=entities)
+            got = bm25_plus(query, [doc_id], index, entities=entities)[0]
             want = bm25_reference(query, tokens, doc_id, entities=entities)
             assert got == pytest.approx(want, rel=1e-9), trial
 
@@ -201,12 +200,12 @@ class TestBm25Plus:
         index = LexIndex.build(texts)
         tokens = _tokens(texts)
         query = tokenize(queries[0])
-        got = bm25_plus_scores(query, list(texts), index, entities=entities)
+        got = bm25_plus(query, list(texts), index, entities=entities)
         want = [bm25_reference(query, tokens, doc_id, entities=entities) for doc_id in texts]
         assert got == pytest.approx(want, rel=1e-9)
-        assert got == [bm25_plus(query, doc_id, index, entities=entities) for doc_id in texts]
+        assert got == [bm25_plus(query, [doc_id], index, entities=entities)[0] for doc_id in texts]
         with pytest.raises(LexIndexError):
-            bm25_plus_scores(query, ["d0", "nope"], index)
+            bm25_plus(query, ["d0", "nope"], index)
 
     @given(
         st.one_of(st.just([]), topic_texts),
@@ -221,36 +220,36 @@ class TestBm25Plus:
         texts = {f"d{i}": content for i, content in enumerate(contents)}
         index = LexIndex.build(texts)
         want = [bm25_plus_sequential(query, doc_id, index, params, entities) for doc_id in texts]
-        assert bm25_plus_scores(query, list(texts), index, params, entities) == want
-        assert bm25_plus_scores(query, [], index, params, entities) == []
+        assert bm25_plus(query, list(texts), index, params, entities) == want
+        assert bm25_plus(query, [], index, params, entities) == []
 
     def test_out_of_vocabulary_terms_contribute_zero(self):
         index = LexIndex.build(_toy_texts())
-        base = bm25_plus(["rain"], "d1", index)
-        assert bm25_plus(["rain", "xylophone"], "d1", index) == pytest.approx(base)
-        assert bm25_plus(["xylophone"], "d1", index) == 0.0
+        base = bm25_plus(["rain"], ["d1"], index)[0]
+        assert bm25_plus(["rain", "xylophone"], ["d1"], index)[0] == pytest.approx(base)
+        assert bm25_plus(["xylophone"], ["d1"], index)[0] == 0.0
 
     def test_vocabulary_term_absent_from_doc_gets_delta_floor(self):
         index = LexIndex.build(_toy_texts())
         # "valley" occurs only in d2; for d1 the tf part is zero.
-        score = bm25_plus(["valley"], "d1", index)
+        score = bm25_plus(["valley"], ["d1"], index)[0]
         assert score == pytest.approx(index.idfs["valley"] * 1.0)
 
     def test_empty_query_scores_zero(self):
         index = LexIndex.build(_toy_texts())
-        assert bm25_plus([], "d1", index) == 0.0
+        assert bm25_plus([], ["d1"], index)[0] == 0.0
 
     def test_entity_boost_is_exact_multiplier(self):
         index = LexIndex.build(_toy_texts())
-        plain = bm25_plus(["rain"], "d1", index)
-        boosted = bm25_plus(["rain"], "d1", index, entities=frozenset({"rain"}))
+        plain = bm25_plus(["rain"], ["d1"], index)[0]
+        boosted = bm25_plus(["rain"], ["d1"], index, entities=frozenset({"rain"}))[0]
         assert boosted == pytest.approx(3.0 * plain, rel=1e-12)
 
     def test_custom_boost_value(self):
         index = LexIndex.build(_toy_texts())
         params = Bm25Params(entity_boost=5.0)
-        plain = bm25_plus(["dam"], "d3", index)
-        boosted = bm25_plus(["dam"], "d3", index, params=params, entities=frozenset({"dam"}))
+        plain = bm25_plus(["dam"], ["d3"], index)[0]
+        boosted = bm25_plus(["dam"], ["d3"], index, params=params, entities=frozenset({"dam"}))[0]
         assert boosted == pytest.approx(5.0 * plain, rel=1e-12)
 
     def test_boost_never_decreases_scores(self):
@@ -264,8 +263,8 @@ class TestBm25Plus:
             index = LexIndex.build(texts)
             query = rng.choices(vocab, k=4)
             doc_id = rng.choice(list(texts))
-            plain = bm25_plus(query, doc_id, index)
-            boosted = bm25_plus(query, doc_id, index, entities=frozenset(query))
+            plain = bm25_plus(query, [doc_id], index)[0]
+            boosted = bm25_plus(query, [doc_id], index, entities=frozenset(query))[0]
             assert boosted >= plain
 
     def test_term_frequency_monotonicity(self):
@@ -276,8 +275,8 @@ class TestBm25Plus:
         index = LexIndex.build(texts)
         # Same document length normalization target; more occurrences of the
         # query term must not score lower.
-        s_short = bm25_plus(["rain"], "short", index)
-        s_long = bm25_plus(["rain"], "long", index)
+        s_short = bm25_plus(["rain"], ["short"], index)[0]
+        s_long = bm25_plus(["rain"], ["long"], index)[0]
         assert s_long >= s_short
 
 
@@ -307,16 +306,16 @@ class TestLexicalSimilarity:
     def test_identical_documents_score_one(self):
         texts = {"d1": "heavy rain flooded the valley", "d2": "heavy rain flooded the valley", "d3": "unrelated talk"}
         index = LexIndex.build(texts)
-        assert lexical_similarity("d1", "d2", index) == pytest.approx(1.0)
+        assert pair_similarity("d1", "d2", index) == pytest.approx(1.0)
 
     def test_self_similarity_is_one(self):
         index = LexIndex.build(_toy_texts())
-        assert lexical_similarity("d1", "d1", index) == pytest.approx(1.0)
+        assert pair_similarity("d1", "d1", index) == pytest.approx(1.0)
 
     def test_symmetry(self):
         index = LexIndex.build(_toy_texts())
-        assert lexical_similarity("d1", "d2", index) == pytest.approx(
-            lexical_similarity("d2", "d1", index)
+        assert pair_similarity("d1", "d2", index) == pytest.approx(
+            pair_similarity("d2", "d1", index)
         )
 
     def test_range(self):
@@ -329,14 +328,14 @@ class TestLexicalSimilarity:
         ids = list(texts)
         for a in ids:
             for b in ids:
-                sim = lexical_similarity(a, b, index)
+                sim = pair_similarity(a, b, index)
                 assert 0.0 <= sim <= 1.0
 
     def test_empty_document_scores_zero(self):
         texts = {"d1": "heavy rain", "d2": ""}
         index = LexIndex.build(texts)
-        assert lexical_similarity("d1", "d2", index) == 0.0
-        assert lexical_similarity("d2", "d1", index) == 0.0
+        assert pair_similarity("d1", "d2", index) == 0.0
+        assert pair_similarity("d2", "d1", index) == 0.0
 
     def test_matches_hand_computation(self):
         texts = _toy_texts()
@@ -350,7 +349,7 @@ class TestLexicalSimilarity:
 
         want = 0.5 * (directed("d1", "d2") + directed("d2", "d1"))
         want = min(1.0, max(0.0, want))
-        assert lexical_similarity("d1", "d2", index) == pytest.approx(want, rel=1e-12)
+        assert pair_similarity("d1", "d2", index) == pytest.approx(want, rel=1e-12)
 
     @given(topic_texts, topic_entities)
     @settings(max_examples=100, deadline=None)
@@ -362,7 +361,7 @@ class TestLexicalSimilarity:
             for a in texts:
                 for b in texts:
                     want = lexical_similarity_reference(a, b, tokens, entities)
-                    assert lexical_similarity(a, b, index, Bm25Params(), entities) == want
+                    assert pair_similarity(a, b, index, Bm25Params(), entities) == want
 
     def test_shared_vocabulary_scores_higher(self):
         texts = {
@@ -371,4 +370,4 @@ class TestLexicalSimilarity:
             "c": "a concert by the lake drew a cheerful crowd tonight",
         }
         index = LexIndex.build(texts)
-        assert lexical_similarity("a", "b", index) > lexical_similarity("a", "c", index)
+        assert pair_similarity("a", "b", index) > pair_similarity("a", "c", index)
