@@ -27,16 +27,14 @@ from .corpus import (
     DocumentRecord,
     QuestionRecord,
     document_text,
-    duplicate_classes,
     load_docs,
     load_predictions,
     load_questions,
-    none_letters,
     parse_predictions,
     sibling_groups,
 )
 from .embed import EmbedderSpec, make_embedder
-from .evaluate import agreement_report, bias_stats, oracle_report, score_run
+from .evaluate import EvalError, agreement_report, bias_stats, oracle_report, score_run
 from .graphrag import (
     Bm25Params,
     DocGraph,
@@ -47,7 +45,6 @@ from .graphrag import (
 )
 from .lexindex import LexIndex
 from .reason import (
-    AggregationParams,
     LlmClientSpec,
     SamplingParams,
     aggregate,
@@ -254,8 +251,8 @@ def _ingest(run: StageInput) -> StageResult:
         "n_topics_questions": len({q.topic_id for q in questions}),
         "n_topics_docs": len(topics),
         "n_docs": n_docs,
-        "none_option_questions": sum(1 for q in questions if none_letters(q)),
-        "duplicate_option_questions": sum(1 for q in questions if len(duplicate_classes(q)) < len(LETTERS)),
+        "none_option_questions": sum(1 for q in questions if q.none_letters),
+        "duplicate_option_questions": sum(1 for q in questions if len(q.classes) < len(LETTERS)),
         "n_sibling_groups": len(groups),
         "questions_in_multi_question_groups": len(multi_group_qids),
         "gold_available": sum(1 for q in questions if q.gold is not None),
@@ -490,17 +487,16 @@ def _infer(run: StageInput) -> StageResult:
     data, retrieval_hash = _upstream(run, "retrieve", "retrieval.jsonl")
     traces = {row["id"]: row for row in map(json.loads, data.splitlines())}
     doc_lookup = {tid: {d.id: d for d in docs} for tid, docs in run.topics.items()}
+    # a missing trace is refused before any LLM call is paid for
+    for q in questions:
+        if q.id not in traces:
+            raise CorpusError(f"no retrieval trace for question {q.id!r}")
     client = _make_llm_client(config)
-    agg = AggregationParams(theta=config.theta)
 
     def run_one(q: QuestionRecord):
-        trace = traces.get(q.id)
-        if trace is None:
-            raise CorpusError(f"no retrieval trace for question {q.id!r}")
-        ctx_docs = [doc_lookup[q.topic_id][doc_id] for doc_id in trace["selected"]]
+        ctx_docs = [doc_lookup[q.topic_id][doc_id] for doc_id in traces[q.id]["selected"]]
         samples = sample_question(q, ctx_docs, client, config.sampling)
-        pred = aggregate(tally(samples), q, agg)
-        return samples, pred
+        return samples, aggregate(tally(samples), q, config.theta)
 
     if config.max_workers > 1:
         with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
@@ -574,7 +570,7 @@ def _postprocess(run: StageInput) -> StageResult:
             "rule_counts": outcome.report.rule_counts,
             "n_changes": len(outcome.report.changes),
             "contradictions": [c.to_json() for c in outcome.report.contradictions],
-            "violations": output_validity_violations(scoped, outcome.predictions, outcome.facts),
+            "violations": output_validity_violations(scoped, outcome.predictions),
         }
         line = (
             f"postprocess: {summary['n_changes']} changes in {summary['iterations']} iterations, "
@@ -852,7 +848,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = build_config(args)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         run_stage(args.command, config, getattr(args, "preds", None))
-    except (CorpusError, ConfigError, OSError) as exc:
+    except (CorpusError, ConfigError, EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

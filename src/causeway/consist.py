@@ -14,14 +14,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import (
-    LETTERS,
-    QuestionRecord,
-    letter_classes,
-    none_letters,
-    normalize_text,
-    sibling_groups,
-)
+from .corpus import LETTERS, QuestionRecord, sibling_groups
+from .corpus import normalize_text  # noqa: F401 (bench/layers.py traces consist.normalize_text)
 
 logger = logging.getLogger(__name__)
 
@@ -86,60 +80,50 @@ class FixedPointReport:
 class ConsistencyOutcome:
     predictions: dict[str, frozenset[str]]
     report: FixedPointReport
-    # the engine's per-question facts, by question id, for output_validity_violations
-    facts: Mapping[str, QuestionFacts] = field(default_factory=dict, repr=False, compare=False)
 
 
-class QuestionFacts:
-    """Precomputed per-question structure: normalized texts, rejection-style
-    letters, and duplicate classes. The engine builds one per question and
-    applies the local rules through it."""
+def is_none_only(q: QuestionRecord, pred: frozenset[str]) -> bool:
+    return bool(pred) and pred <= q.none_letters
 
-    def __init__(self, q: QuestionRecord):
-        self.q = q
-        self.text = {l: normalize_text(q.options[l]) for l in LETTERS}
-        self.none_letters = none_letters(q)
-        self.classes = letter_classes(self.text)
-        self.substantive = frozenset(LETTERS) - self.none_letters
-        self.substantive_texts = sorted({self.text[l] for l in self.substantive})
 
-    def is_none_only(self, pred: frozenset[str]) -> bool:
-        return bool(pred) and pred <= self.none_letters
+def r1(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
+    """A rejection option cannot coexist with substantive picks; the
+    substantive side wins."""
+    if pred & q.none_letters and pred - q.none_letters:
+        return pred - q.none_letters
+    return pred
 
-    def r1(self, pred: frozenset[str]) -> frozenset[str]:
-        """A rejection option cannot coexist with substantive picks; the
-        substantive side wins."""
-        if pred & self.none_letters and pred - self.none_letters:
-            return pred - self.none_letters
-        return pred
 
-    def r2(self, pred: frozenset[str]) -> frozenset[str]:
-        """Selecting one member of a duplicate class selects the whole class."""
-        out = set(pred)
-        for cls in self.classes:
-            if out & cls:
-                out |= cls
-        return frozenset(out)
+def r2(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
+    """Selecting one member of a duplicate class selects the whole class."""
+    out = set(pred)
+    for cls in q.classes:
+        if out & cls:
+            out |= cls
+    return frozenset(out)
 
-    def r3(self, pred: frozenset[str]) -> frozenset[str]:
-        """All four letters selected alongside a rejection option: drop the
-        rejection letters."""
-        if pred == FULL_SET and self.none_letters and pred - self.none_letters:
-            return pred - self.none_letters
-        return pred
 
-    def r5(self, pred: frozenset[str]) -> frozenset[str]:
-        """Three identical options all selected: the odd letter out is dropped."""
-        out = set(pred)
-        for cls in self.classes:
-            if len(cls) == 3 and cls <= out:
-                out -= FULL_SET - cls
-        return frozenset(out)
+def r3(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
+    """All four letters selected alongside a rejection option: drop the
+    rejection letters."""
+    if pred == FULL_SET and q.none_letters and pred - q.none_letters:
+        return pred - q.none_letters
+    return pred
 
-    def local_normalize(self, pred: frozenset[str]) -> frozenset[str]:
-        """One pass of the per-question rules, used to sanitize a restored
-        prediction so it still meets the output contract."""
-        return self.r5(self.r3(self.r2(self.r1(pred))))
+
+def r5(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
+    """Three identical options all selected: the odd letter out is dropped."""
+    out = set(pred)
+    for cls in q.classes:
+        if len(cls) == 3 and cls <= out:
+            out -= FULL_SET - cls
+    return frozenset(out)
+
+
+def local_normalize(q: QuestionRecord, pred: frozenset[str]) -> frozenset[str]:
+    """One pass of the per-question rules, used to sanitize a restored
+    prediction so it still meets the output contract."""
+    return r5(q, r3(q, r2(q, r1(q, pred))))
 
 
 class TruthAssignment:
@@ -168,7 +152,7 @@ class TruthAssignment:
 
 
 def seed_truth(
-    facts: Sequence[QuestionFacts],
+    questions: Sequence[QuestionRecord],
     predictions: Mapping[str, frozenset[str]],
     group_key: tuple[int, str],
 ) -> TruthAssignment:
@@ -179,14 +163,14 @@ def seed_truth(
     artifacts (rejection mixes, incomplete duplicate classes, overselected
     triples) do not seed truth."""
     truth = TruthAssignment(group_key)
-    normalized = {f.q.id: f.local_normalize(predictions.get(f.q.id, frozenset())) for f in facts}
+    normalized = {q.id: local_normalize(q, predictions.get(q.id, frozenset())) for q in questions}
     blocked: set[str] = set()
-    for f in facts:
-        if f.is_none_only(normalized[f.q.id]):
-            blocked.update(f.substantive_texts)
-    for f in facts:
-        for letter in sorted(normalized[f.q.id] & f.substantive):
-            text = f.text[letter]
+    for q in questions:
+        if is_none_only(q, normalized[q.id]):
+            blocked.update(q.substantive_texts)
+    for q in questions:
+        for letter in sorted(normalized[q.id] & q.substantive):
+            text = q.texts[letter]
             if text not in blocked:
                 truth.mark(text, True, "seed", 0)
     return truth
@@ -194,12 +178,12 @@ def seed_truth(
 
 class _Engine:
     def __init__(self, questions: Sequence[QuestionRecord], predictions: Mapping[str, frozenset[str]]):
-        questions = list(questions)
-        by_id = {q.id: q for q in questions}
+        self.questions = list(questions)
+        by_id = {q.id: q for q in self.questions}
         for qid in predictions:
             if qid not in by_id:
                 raise ConsistError(f"prediction for unknown question {qid!r}")
-        for q in questions:
+        for q in self.questions:
             pred = predictions.get(q.id)
             if pred is None:
                 raise ConsistError(f"missing prediction for question {q.id!r}")
@@ -211,15 +195,13 @@ class _Engine:
         # letters R5 removed; R4 must not reinstate them or the two rules
         # chase each other forever
         self._r5_stripped: set[tuple[str, str]] = set()
-        self.facts = [QuestionFacts(q) for q in questions]
-        self.facts_by_id = {f.q.id: f for f in self.facts}
         # each sibling group's questions and truth; members pairs every
         # grouped question with its group's truth, in group order
-        self.groups: list[tuple[list[QuestionFacts], TruthAssignment]] = []
-        for g in sibling_groups(questions):
-            facts = [self.facts_by_id[qid] for qid in g.question_ids]
-            self.groups.append((facts, seed_truth(facts, self.preds, (g.topic_id, g.event_key))))
-        self.members = [(f, truth) for facts, truth in self.groups for f in facts]
+        self.groups: list[tuple[list[QuestionRecord], TruthAssignment]] = []
+        for g in sibling_groups(self.questions):
+            group = [by_id[qid] for qid in g.question_ids]
+            self.groups.append((group, seed_truth(group, self.preds, (g.topic_id, g.event_key))))
+        self.members = [(q, truth) for group, truth in self.groups for q in group]
         self.changes: list[ChangeRecord] = []
         self.contradictions: list[Contradiction] = []
         self._seen_contradictions: set[tuple[str, str, str]] = set()
@@ -248,24 +230,23 @@ class _Engine:
 
     def _apply_local(self, rule_name: str, fn) -> bool:
         changed = False
-        for f in self.facts:
-            after = fn(f, self.preds[f.q.id])
-            changed |= self._set_pred(f.q.id, after, rule_name)
+        for q in self.questions:
+            changed |= self._set_pred(q.id, fn(q, self.preds[q.id]), rule_name)
         return changed
 
     def _apply_r4(self) -> bool:
         changed = False
-        for f, truth in self.members:
-            pred = self.preds[f.q.id]
+        for q, truth in self.members:
+            pred = self.preds[q.id]
             add = {
                 l
-                for l in f.substantive
+                for l in q.substantive
                 if l not in pred
-                and (f.q.id, l) not in self._r5_stripped
-                and truth.value(f.text[l]) is True
+                and (q.id, l) not in self._r5_stripped
+                and truth.value(q.texts[l]) is True
             }
             if add:
-                changed |= self._set_pred(f.q.id, pred | add, "R4")
+                changed |= self._set_pred(q.id, pred | add, "R4")
         return changed
 
     def _apply_r5(self) -> bool:
@@ -273,50 +254,50 @@ class _Engine:
         # True in the group, that conflict is recorded, and the strip is
         # remembered so R4 leaves it out.
         changed = False
-        for f, truth in self.members:
-            pred = self.preds[f.q.id]
-            after = f.r5(pred)
+        for q, truth in self.members:
+            pred = self.preds[q.id]
+            after = r5(q, pred)
             for odd in sorted(pred - after):
-                if odd in f.substantive and truth.value(f.text[odd]) is True:
+                if odd in q.substantive and truth.value(q.texts[odd]) is True:
                     self._contradict(
-                        "R5", f.q.id, f.text[odd], "stripped letter's text is True in the group"
+                        "R5", q.id, q.texts[odd], "stripped letter's text is True in the group"
                     )
-                self._r5_stripped.add((f.q.id, odd))
-            changed |= self._set_pred(f.q.id, after, "R5")
+                self._r5_stripped.add((q.id, odd))
+            changed |= self._set_pred(q.id, after, "R5")
         return changed
 
     def _apply_r6(self) -> bool:
         changed = False
-        for facts, truth in self.groups:
+        for group, truth in self.groups:
             # marking: every substantive text of a rejection-only question is False
-            for f in facts:
-                if f.is_none_only(self.preds[f.q.id]):
-                    for text in f.substantive_texts:
+            for q in group:
+                if is_none_only(q, self.preds[q.id]):
+                    for text in q.substantive_texts:
                         if truth.value(text) is True:
                             self._contradict(
-                                "R6", f.q.id, text, "text is already True elsewhere in the group"
+                                "R6", q.id, text, "text is already True elsewhere in the group"
                             )
                         else:
                             changed |= truth.mark(text, False, "R6", self.iteration)
             # unselection: drop False texts wherever selected, unless that
             # would empty a prediction (deferred to R7/R8)
-            for f in facts:
-                pred = set(self.preds[f.q.id])
-                for text in f.substantive_texts:
+            for q in group:
+                pred = set(self.preds[q.id])
+                for text in q.substantive_texts:
                     if truth.value(text) is not False:
                         continue
-                    letters = {l for l in f.substantive if f.text[l] == text and l in pred}
+                    letters = {l for l in q.substantive if q.texts[l] == text and l in pred}
                     if letters and pred - letters:
                         pred -= letters
-                if frozenset(pred) != self.preds[f.q.id]:
-                    changed |= self._set_pred(f.q.id, frozenset(pred), "R6")
+                if frozenset(pred) != self.preds[q.id]:
+                    changed |= self._set_pred(q.id, frozenset(pred), "R6")
         return changed
 
     def _apply_r7(self) -> bool:
         # touches truth only; predictions follow through R4 and R8
         changed = False
-        for f, truth in self.members:
-            statuses = {t: truth.value(t) for t in f.substantive_texts}
+        for q, truth in self.members:
+            statuses = {t: truth.value(t) for t in q.substantive_texts}
             non_false = [t for t, s in statuses.items() if s is not False]
             if len(non_false) == 1 and statuses[non_false[0]] is None:
                 changed |= truth.mark(non_false[0], True, "R7", self.iteration)
@@ -324,25 +305,25 @@ class _Engine:
 
     def _apply_r8(self) -> bool:
         changed = False
-        for f, truth in self.members:
+        for q, truth in self.members:
             candidates = [
                 cls
-                for cls in f.classes
-                if cls & f.none_letters or truth.value(f.text[next(iter(cls))]) is not False
+                for cls in q.classes
+                if cls & q.none_letters or truth.value(q.texts[next(iter(cls))]) is not False
             ]
             if not candidates:
                 # Unsatisfiable question; put the normalized input back
                 # and stop touching it so the loop can settle.
                 self._contradict(
-                    "R8", f.q.id, "", "every option is False; prediction restored to its input"
+                    "R8", q.id, "", "every option is False; prediction restored to its input"
                 )
-                if f.q.id not in self.frozen:
-                    restored = f.local_normalize(self.original[f.q.id])
-                    changed |= self._set_pred(f.q.id, restored, "R8", force=True)
-                    self.frozen.add(f.q.id)
+                if q.id not in self.frozen:
+                    restored = local_normalize(q, self.original[q.id])
+                    changed |= self._set_pred(q.id, restored, "R8", force=True)
+                    self.frozen.add(q.id)
             elif len(candidates) == 1:
                 target = frozenset(candidates[0])
-                changed |= self._set_pred(f.q.id, target, "R8")
+                changed |= self._set_pred(q.id, target, "R8")
         return changed
 
     def run(self, max_iterations: int = 10) -> ConsistencyOutcome:
@@ -351,9 +332,9 @@ class _Engine:
             # a truth mark counts as a change: it can feed R4 on the next
             # pass even when no prediction moved in this one. | runs every rule.
             changed = (
-                self._apply_local("R1", QuestionFacts.r1)
-                | self._apply_local("R2", QuestionFacts.r2)
-                | self._apply_local("R3", QuestionFacts.r3)
+                self._apply_local("R1", r1)
+                | self._apply_local("R2", r2)
+                | self._apply_local("R3", r3)
                 | self._apply_r4()
                 | self._apply_r5()
                 | self._apply_r6()
@@ -366,13 +347,13 @@ class _Engine:
         if not converged:
             logger.warning("consistency pass hit the iteration cap (%d)", max_iterations)
         # anything still selected against a False text could not be repaired
-        for f, truth in self.members:
-            for letter in sorted(self.preds[f.q.id] & f.substantive):
-                if truth.value(f.text[letter]) is False:
+        for q, truth in self.members:
+            for letter in sorted(self.preds[q.id] & q.substantive):
+                if truth.value(q.texts[letter]) is False:
                     self._contradict(
                         "R6",
-                        f.q.id,
-                        f.text[letter],
+                        q.id,
+                        q.texts[letter],
                         "False text still selected after convergence",
                     )
         rule_counts = Counter(change.rule for change in self.changes)
@@ -384,7 +365,7 @@ class _Engine:
             contradictions=self.contradictions,
             truth_log=[t for _, truth in self.groups for t in truth.transitions],
         )
-        return ConsistencyOutcome(predictions=dict(self.preds), report=report, facts=self.facts_by_id)
+        return ConsistencyOutcome(predictions=dict(self.preds), report=report)
 
 
 def run_to_fixed_point(
@@ -401,13 +382,10 @@ def run_to_fixed_point(
 def output_validity_violations(
     questions: Sequence[QuestionRecord],
     predictions: Mapping[str, frozenset[str]],
-    facts: Mapping[str, QuestionFacts] | None = None,
 ) -> list[str]:
     """Checks the output contract: non-empty subsets of A-D, no rejection
     letter mixed with substantive letters, duplicate classes all-in or
-    all-out. facts, a ConsistencyOutcome's for these questions, spares
-    normalizing every option text again."""
-    facts = facts or {}
+    all-out."""
     problems: list[str] = []
     for q in questions:
         pred = predictions.get(q.id)
@@ -418,10 +396,9 @@ def output_validity_violations(
             problems.append(f"{q.id}: empty prediction")
         if not set(pred) <= set(LETTERS):
             problems.append(f"{q.id}: letters outside A-D: {sorted(pred)}")
-        f = facts.get(q.id) or QuestionFacts(q)
-        if pred & f.none_letters and pred - f.none_letters:
+        if pred & q.none_letters and pred - q.none_letters:
             problems.append(f"{q.id}: rejection letter mixed with substantive letters")
-        for cls in f.classes:
+        for cls in q.classes:
             if pred & cls and not cls <= pred:
                 problems.append(f"{q.id}: duplicate class {sorted(cls)} partially selected")
     return problems

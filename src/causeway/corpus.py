@@ -8,6 +8,7 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -38,11 +39,49 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class QuestionRecord:
+    """One question. The facts the stages read about it are computed from
+    its fields on first use and kept on the record, so a stage normalizes
+    each text once however many rules ask."""
+
     topic_id: int
     id: str
     target_event: str
     options: dict[str, str]
     gold: frozenset[str] | None = None
+
+    @cached_property
+    def texts(self) -> dict[str, str]:
+        """Each option's normalized text, by letter."""
+        return {l: normalize_text(self.options[l]) for l in LETTERS}
+
+    @cached_property
+    def none_letters(self) -> frozenset[str]:
+        """Letters of "none of the others" style rejection options."""
+        return frozenset(l for l in LETTERS if self.texts[l].startswith(_NONE_PREFIX))
+
+    @cached_property
+    def substantive(self) -> frozenset[str]:
+        """Letters that are not rejection options."""
+        return frozenset(LETTERS) - self.none_letters
+
+    @cached_property
+    def substantive_texts(self) -> list[str]:
+        """The distinct normalized texts of the substantive letters, sorted."""
+        return sorted({self.texts[l] for l in self.substantive})
+
+    @cached_property
+    def classes(self) -> tuple[frozenset[str], ...]:
+        """Partition of the four letters by normalized option text, ordered
+        by first member letter."""
+        by_text: dict[str, list[str]] = {}
+        for letter in LETTERS:
+            by_text.setdefault(self.texts[letter], []).append(letter)
+        return tuple(frozenset(group) for group in sorted(by_text.values()))
+
+    @cached_property
+    def event_key(self) -> str:
+        """The normalized target event, which names the sibling group."""
+        return normalize_text(self.target_event)
 
 
 @dataclass(frozen=True)
@@ -89,36 +128,12 @@ def normalize_text(text: str) -> str:
     return nxt
 
 
-def detect_none_option(option_text: str) -> bool:
-    """True when the option is a "none of the others" style rejection."""
-    return normalize_text(option_text).startswith(_NONE_PREFIX)
-
-
-def none_letters(q: QuestionRecord) -> frozenset[str]:
-    return frozenset(l for l in LETTERS if detect_none_option(q.options[l]))
-
-
-def letter_classes(texts: dict[str, str]) -> tuple[frozenset[str], ...]:
-    """Partition of the four letters by their already-normalized option
-    texts, ordered by first member letter."""
-    by_text: dict[str, list[str]] = {}
-    for letter in LETTERS:
-        by_text.setdefault(texts[letter], []).append(letter)
-    return tuple(frozenset(group) for group in sorted(by_text.values()))
-
-
-def duplicate_classes(q: QuestionRecord) -> tuple[frozenset[str], ...]:
-    """letter_classes of the question's normalized option texts."""
-    return letter_classes({l: normalize_text(q.options[l]) for l in LETTERS})
-
-
 def sibling_groups(questions: list[QuestionRecord]) -> list[SiblingGroup]:
     """Group questions by (topic_id, normalized target event), preserving the
     input order of both groups and members."""
     grouped: dict[tuple[int, str], list[str]] = {}
     for q in questions:
-        key = (q.topic_id, normalize_text(q.target_event))
-        grouped.setdefault(key, []).append(q.id)
+        grouped.setdefault((q.topic_id, q.event_key), []).append(q.id)
     return [
         SiblingGroup(topic_id=topic_id, event_key=event_key, question_ids=tuple(ids))
         for (topic_id, event_key), ids in grouped.items()

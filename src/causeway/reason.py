@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, unescape
 
-from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, none_letters
+from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
 from .lexindex import tokenize
 from .remote import ConfigError, RemoteClient, RemoteError
 
@@ -122,11 +122,6 @@ class SamplingParams:
     k: int = 3
     temperature: float = 1.0
     max_retries_on_parse_failure: int = 2
-
-
-@dataclass(frozen=True)
-class AggregationParams:
-    theta: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -329,17 +324,13 @@ def threshold_votes(votes: VoteTally, theta: float) -> frozenset[str]:
     return frozenset(l for l in LETTERS if votes.counts[l] / votes.k >= theta)
 
 
-def aggregate(
-    votes: VoteTally,
-    q: QuestionRecord,
-    params: AggregationParams = AggregationParams(),
-) -> frozenset[str]:
+def aggregate(votes: VoteTally, q: QuestionRecord, theta: float = 0.5) -> frozenset[str]:
     """Thresholds the tally, then resolves mixed rejection/substantive picks
     in favor of the higher-voted side (ties keep the substantive side). An
     empty result falls back to the single top-voted letter, alphabetical on
     ties. Never returns an empty set."""
-    raw = threshold_votes(votes, params.theta)
-    nones = none_letters(q)
+    raw = threshold_votes(votes, theta)
+    nones = q.none_letters
     none_part = raw & nones
     subst_part = raw - nones
     if none_part and subst_part:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from causeway import cli, consist, graphrag
+from causeway import cli, consist, corpus, embed, evaluate, graphrag, lexindex, reason, remote
 from causeway.cli import RunConfig, build_config, load_predictions, main, _build_parser
 from causeway.corpus import document_text, load_docs, load_questions
 from causeway.embed import MockEmbedder
@@ -222,16 +222,6 @@ class TestPostprocess:
             "R1": 0, "R2": 1, "R3": 0, "R4": 3, "R5": 0, "R6": 1, "R7": 0, "R8": 0,
         }
 
-    def test_each_option_normalized_once(self, run_dir, tmp_path, monkeypatch):
-        # the output check reads the consistency engine's facts
-        out = _copy_run(run_dir, tmp_path)
-        normalized: list[str] = []
-        normalize_text = consist.normalize_text
-        monkeypatch.setattr(consist, "normalize_text", lambda text: normalized.append(text) or normalize_text(text))
-        run_stages(out, stages=("postprocess",))
-        assert len(normalized) == 4 * 12
-        assert (out / "consistency.json").read_bytes() == (run_dir / "consistency.json").read_bytes()
-
     def test_audit_log_sequence(self, run_dir):
         rows = read_jsonl(run_dir / "audit.jsonl")
         assert [(r["rule"], r["question_id"]) for r in rows] == [
@@ -244,6 +234,28 @@ class TestPostprocess:
         assert all(r["iteration"] == 1 for r in rows)
         r2 = rows[0]
         assert (r2["before"], r2["after"]) == ("B", "B,C")
+
+
+class TestNormalization:
+    def test_each_stage_normalizes_each_text_once(self, run_dir, tmp_path, monkeypatch):
+        # a question's facts live on its record: ingest and postprocess
+        # normalize its target event and four options, infer only the
+        # options, for its rejection letters
+        normalized: list[str] = []
+        normalize_text = corpus.normalize_text
+        counting = lambda text: normalized.append(text) or normalize_text(text)  # noqa: E731
+        for module in (cli, consist, corpus, embed, evaluate, graphrag, lexindex, reason, remote):
+            if hasattr(module, "normalize_text"):  # every name a caller resolves
+                monkeypatch.setattr(module, "normalize_text", counting)
+        out = tmp_path / "out"
+        counts = {}
+        for stage in ("ingest", "build-graph", "retrieve", "infer", "postprocess", "score"):
+            normalized.clear()
+            run_stages(out, stages=(stage,))
+            counts[stage] = len(normalized)
+        assert counts == {"ingest": 60, "build-graph": 0, "retrieve": 0, "infer": 48, "postprocess": 60, "score": 0}
+        digest = tree_digest(out)
+        assert digest == {rel: h for rel, h in tree_digest(run_dir).items() if rel in digest}
 
 
 class TestScore:
@@ -335,6 +347,17 @@ class TestAgree:
         assert "agree: 2 models on 12 questions\n" in capsys.readouterr().out
         report = (out / "agreement_report.json").read_bytes()
         assert report == (agree_dir / "agreement_report.json").read_bytes()
+
+    @pytest.mark.parametrize("other_rows", [[{"id": "q999", "prediction": "A"}], []], ids=["other-questions", "empty"])
+    def test_models_sharing_no_question_exit_2(self, run_dir, tmp_path, capsys, other_rows):
+        # a file of other questions, or an empty one
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(row) + "\n" for row in other_rows), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["agree", "--out", str(out), f"a={run_dir / 'predictions.jsonl'}", f"b={other}"]) == 2
+        assert capsys.readouterr().err == "error: models share no questions\n"
+        assert not (out / "agreement_report.json").exists()
 
     def test_duplicate_model_name_is_refused(self, run_dir, tmp_path):
         # two files whose stems are both "predictions"
@@ -1045,17 +1068,21 @@ class TestErrors:
         assert capsys.readouterr().err == "error: questions reference topic 103 absent from the docs file\n"
         assert not (out / "retrieval.jsonl").exists()
 
-    def test_question_without_retrieval_trace_exits_2(self, tmp_path, capsys, monkeypatch, llm_calls):
-        # a listed retrieval.jsonl that lacks the first question's row
+    @pytest.mark.parametrize("row, qid", [(0, "q101a"), (-1, "q103d")], ids=["first-row", "last-row"])
+    def test_question_without_retrieval_trace_exits_2(self, tmp_path, capsys, monkeypatch, llm_calls, row, qid):
+        # a listed retrieval.jsonl that lacks one question's row: infer
+        # checks every question's trace before its first LLM call
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph", "retrieve"))
         path = out / "retrieval.jsonl"
-        path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]), encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        del lines[row]
+        path.write_text("".join(lines), encoding="utf-8")
         _relist(out, "retrieval.jsonl", "retrieve")
         monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
         capsys.readouterr()
         assert main(["infer", "--config", "config.json", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: no retrieval trace for question 'q101a'\n"
+        assert capsys.readouterr().err == f"error: no retrieval trace for question {qid!r}\n"
         assert llm_calls == []
         assert not (out / "predictions.jsonl").exists()
 

@@ -4,13 +4,17 @@ import random
 
 import pytest
 
-from causeway import consist
+from causeway import consist, corpus
 from causeway.consist import (
     ConsistError,
-    QuestionFacts,
     TruthAssignment,
     _Engine,
+    local_normalize,
     output_validity_violations,
+    r1,
+    r2,
+    r3,
+    r5,
     run_to_fixed_point,
     seed_truth,
 )
@@ -25,71 +29,71 @@ def fs(*letters: str) -> frozenset[str]:
 class TestR1NoneExclusivity:
     def test_drops_rejection_from_mixed_pick(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).r1(fs("A", "D")) == fs("A")
+        assert r1(q, fs("A", "D")) == fs("A")
 
     def test_rejection_alone_kept(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).r1(fs("D")) == fs("D")
+        assert r1(q, fs("D")) == fs("D")
 
     def test_pure_substantive_kept(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).r1(fs("A", "B")) == fs("A", "B")
+        assert r1(q, fs("A", "B")) == fs("A", "B")
 
     def test_two_rejection_options(self):
         q = make_question(c=NONE_TEXT, d="None of the causes listed apply.")
-        assert QuestionFacts(q).r1(fs("A", "C", "D")) == fs("A")
-        assert QuestionFacts(q).r1(fs("C", "D")) == fs("C", "D")
+        assert r1(q, fs("A", "C", "D")) == fs("A")
+        assert r1(q, fs("C", "D")) == fs("C", "D")
 
 
 class TestR2DuplicateConsistency:
     def test_selecting_one_member_selects_class(self):
         q = make_question(a="The dam failed.", c="the dam failed")
-        assert QuestionFacts(q).r2(fs("A")) == fs("A", "C")
-        assert QuestionFacts(q).r2(fs("C")) == fs("A", "C")
+        assert r2(q, fs("A")) == fs("A", "C")
+        assert r2(q, fs("C")) == fs("A", "C")
 
     def test_untouched_when_class_not_selected(self):
         q = make_question(a="x", c="x")
-        assert QuestionFacts(q).r2(fs("B")) == fs("B")
+        assert r2(q, fs("B")) == fs("B")
 
     def test_already_consistent(self):
         q = make_question(a="x", c="x")
-        assert QuestionFacts(q).r2(fs("A", "C")) == fs("A", "C")
+        assert r2(q, fs("A", "C")) == fs("A", "C")
 
     def test_multiple_classes(self):
         q = make_question(a="x", b="y", c="x", d="y")
-        assert QuestionFacts(q).r2(fs("A", "B")) == fs("A", "B", "C", "D")
+        assert r2(q, fs("A", "B")) == fs("A", "B", "C", "D")
 
 
 class TestR3OverselectionGuard:
     def test_full_selection_with_rejection_drops_it(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).r3(fs(*LETTERS)) == fs("A", "B", "C")
+        assert r3(q, fs(*LETTERS)) == fs("A", "B", "C")
 
     def test_full_selection_without_rejection_kept(self):
         q = make_question()
-        assert QuestionFacts(q).r3(fs(*LETTERS)) == fs(*LETTERS)
+        assert r3(q, fs(*LETTERS)) == fs(*LETTERS)
 
     def test_partial_selection_untouched(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).r3(fs("A", "B", "D")) == fs("A", "B", "D")
+        assert r3(q, fs("A", "B", "D")) == fs("A", "B", "D")
 
 
 class TestR5TripleExclusion:
     def test_full_triple_drops_odd_letter(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert QuestionFacts(q).r5(fs(*LETTERS)) == fs("A", "B", "C")
+        assert r5(q, fs(*LETTERS)) == fs("A", "B", "C")
 
     def test_triple_alone_kept(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert QuestionFacts(q).r5(fs("A", "B", "C")) == fs("A", "B", "C")
+        assert r5(q, fs("A", "B", "C")) == fs("A", "B", "C")
 
     def test_partial_triple_untouched(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert QuestionFacts(q).r5(fs("A", "B", "D")) == fs("A", "B", "D")
+        assert r5(q, fs("A", "B", "D")) == fs("A", "B", "D")
 
     def test_no_triple_class(self):
         q = make_question(a="x", b="x", c="y", d="z")
-        assert QuestionFacts(q).r5(fs(*LETTERS)) == fs(*LETTERS)
+        assert r5(q, fs(*LETTERS)) == fs(*LETTERS)
 
 
 class TestTruthAssignment:
@@ -119,19 +123,19 @@ class TestTruthAssignment:
 class TestSeedTruth:
     def test_selected_substantive_texts_true(self):
         q1 = make_question(qid="q1", a="alpha", b="beta")
-        truth = seed_truth([QuestionFacts(q1)], {"q1": fs("A")}, (1, "e"))
+        truth = seed_truth([q1], {"q1": fs("A")}, (1, "e"))
         assert truth.value("alpha") is True
         assert truth.value("beta") is None
 
     def test_rejection_letters_never_seed_truth(self):
         q1 = make_question(qid="q1", d=NONE_TEXT)
-        truth = seed_truth([QuestionFacts(q1)], {"q1": fs("D")}, (1, "e"))
+        truth = seed_truth([q1], {"q1": fs("D")}, (1, "e"))
         assert truth.value(NONE_TEXT.lower()) is None
 
     def test_texts_of_rejection_only_questions_stay_unknown(self):
         q1 = make_question(qid="q1", a="alpha", b="beta", c="gamma", d=NONE_TEXT)
         q2 = make_question(qid="q2", a="alpha", b="other")
-        truth = seed_truth([QuestionFacts(q1), QuestionFacts(q2)], {"q1": fs("D"), "q2": fs("A", "B")}, (1, "e"))
+        truth = seed_truth([q1, q2], {"q1": fs("D"), "q2": fs("A", "B")}, (1, "e"))
         # alpha is claimed by q2 but q1's rejection-only answer blocks it
         assert truth.value("alpha") is None
         assert truth.value("other") is True
@@ -139,7 +143,7 @@ class TestSeedTruth:
     def test_normalization_shares_truth(self):
         q1 = make_question(qid="q1", a="The Dam failed!")
         q2 = make_question(qid="q2", b="the dam failed")
-        truth = seed_truth([QuestionFacts(q1), QuestionFacts(q2)], {"q1": fs("A"), "q2": fs("C")}, (1, "e"))
+        truth = seed_truth([q1, q2], {"q1": fs("A"), "q2": fs("C")}, (1, "e"))
         assert truth.value("the dam failed") is True
 
 
@@ -397,16 +401,18 @@ class TestEngineProperties:
                 seen[key] = t.new
 
     def test_each_question_normalized_once(self, monkeypatch):
-        # the four option texts per question, however many passes and rules
-        # run; corpus.sibling_groups normalizes the target event
+        # the target event and the four option texts of each question, once,
+        # however many passes and rules run
         normalized: list[str] = []
-        normalize_text = consist.normalize_text
-        monkeypatch.setattr(
-            consist, "normalize_text", lambda text: normalized.append(text) or normalize_text(text)
-        )
+        normalize_text = corpus.normalize_text
+        for module in (consist, corpus):
+            monkeypatch.setattr(
+                module, "normalize_text", lambda text: normalized.append(text) or normalize_text(text)
+            )
         questions, _, out = self._run_random(7, 15)
         assert out.report.iterations >= 2
-        assert len(normalized) == 4 * len(questions)
+        assert len(normalized) == 5 * len(questions)
+        assert sorted(normalized) == sorted(t for q in questions for t in (q.target_event, *q.options.values()))
 
     def test_deterministic(self):
         questions, preds, first = self._run_random(42, 12)
@@ -420,11 +426,11 @@ class TestEngineProperties:
 class TestLocalNormalize:
     def test_rejection_mix_then_class_closure(self):
         q = make_question(a="x", b="x", d=NONE_TEXT)
-        assert QuestionFacts(q).local_normalize(fs("A", "D")) == fs("A", "B")
+        assert local_normalize(q, fs("A", "D")) == fs("A", "B")
 
     def test_valid_input_untouched(self):
         q = make_question(d=NONE_TEXT)
-        assert QuestionFacts(q).local_normalize(fs("B", "C")) == fs("B", "C")
+        assert local_normalize(q, fs("B", "C")) == fs("B", "C")
 
 
 class TestOutputValidity:

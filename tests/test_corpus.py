@@ -13,13 +13,10 @@ from causeway.corpus import (
     CorpusError,
     DocumentRecord,
     QuestionRecord,
-    detect_none_option,
     document_text,
-    duplicate_classes,
     load_docs,
     load_predictions,
     load_questions,
-    none_letters,
     normalize_text,
     parse_gold,
     sibling_groups,
@@ -73,7 +70,7 @@ class TestNoneOption:
         ],
     )
     def test_detected(self, text):
-        assert detect_none_option(text)
+        assert make_question(a=text).none_letters == frozenset({"A"})
 
     @pytest.mark.parametrize(
         "text",
@@ -85,19 +82,19 @@ class TestNoneOption:
         ],
     )
     def test_not_detected(self, text):
-        assert not detect_none_option(text)
+        assert make_question(a=text).none_letters == frozenset()
 
     def test_none_letters(self):
         q = make_question(d="None of the others are correct causes.")
-        assert none_letters(q) == frozenset({"D"})
+        assert q.none_letters == frozenset({"D"})
         q2 = make_question()
-        assert none_letters(q2) == frozenset()
+        assert q2.none_letters == frozenset()
 
 
 class TestDuplicateClasses:
     def test_all_distinct(self):
         q = make_question()
-        assert duplicate_classes(q) == (
+        assert q.classes == (
             frozenset({"A"}),
             frozenset({"B"}),
             frozenset({"C"}),
@@ -106,21 +103,21 @@ class TestDuplicateClasses:
 
     def test_pair_merged(self):
         q = make_question(a="The dam failed.", c="the dam failed")
-        classes = duplicate_classes(q)
+        classes = q.classes
         assert frozenset({"A", "C"}) in classes
         assert len(classes) == 3
 
     def test_normalization_applies(self):
         q = make_question(b="Heavy  Rain fell!", d="heavy rain fell")
-        assert frozenset({"B", "D"}) in duplicate_classes(q)
+        assert frozenset({"B", "D"}) in q.classes
 
     def test_triple(self):
         q = make_question(a="x", b="x", c="x", d="y")
-        assert duplicate_classes(q) == (frozenset({"A", "B", "C"}), frozenset({"D"}))
+        assert q.classes == (frozenset({"A", "B", "C"}), frozenset({"D"}))
 
     def test_ordered_by_first_letter(self):
         q = make_question(a="p", b="q", c="q", d="p")
-        assert duplicate_classes(q) == (frozenset({"A", "D"}), frozenset({"B", "C"}))
+        assert q.classes == (frozenset({"A", "D"}), frozenset({"B", "C"}))
 
 
 class TestSiblingGroups:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from causeway.corpus import LETTERS, DocumentRecord
 from causeway.reason import (
     PROMPT_TEMPLATE,
-    AggregationParams,
     LlmClientSpec,
     LlmError,
     OverlapMockClient,
@@ -384,42 +383,42 @@ class TestAggregate:
     def test_majority(self):
         q = make_question()
         votes = _tally(a=3, b=1, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"A"})
+        assert aggregate(votes, q, 0.5) == frozenset({"A"})
 
     def test_multi_label(self):
         q = make_question()
         votes = _tally(a=2, c=2, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"A", "C"})
+        assert aggregate(votes, q, 0.5) == frozenset({"A", "C"})
 
     def test_conflict_resolved_toward_higher_votes(self):
         q = make_question(d=NONE_TEXT)
         votes = _tally(a=2, d=3, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"D"})
+        assert aggregate(votes, q, 0.5) == frozenset({"D"})
 
     def test_conflict_tie_keeps_substantive(self):
         q = make_question(d=NONE_TEXT)
         votes = _tally(a=2, d=2, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"A"})
+        assert aggregate(votes, q, 0.5) == frozenset({"A"})
 
     def test_conflict_without_none_option_untouched(self):
         q = make_question()
         votes = _tally(a=2, d=2, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"A", "D"})
+        assert aggregate(votes, q, 0.5) == frozenset({"A", "D"})
 
     def test_empty_threshold_falls_back_to_top_voted(self):
         q = make_question()
         votes = _tally(a=1, b=2, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=1.0)) == frozenset({"B"})
+        assert aggregate(votes, q, 1.0) == frozenset({"B"})
 
     def test_fallback_tie_alphabetical(self):
         q = make_question()
         votes = _tally(b=1, c=1, k=3)
-        assert aggregate(votes, q, AggregationParams(theta=1.0)) == frozenset({"B"})
+        assert aggregate(votes, q, 1.0) == frozenset({"B"})
 
     def test_all_invalid_falls_back_to_a(self):
         q = make_question()
         votes = _tally(k=3)
-        assert aggregate(votes, q, AggregationParams(theta=0.5)) == frozenset({"A"})
+        assert aggregate(votes, q, 0.5) == frozenset({"A"})
 
     def test_never_empty_exhaustive_k3(self):
         q = make_question(d=NONE_TEXT)
@@ -428,7 +427,7 @@ class TestAggregate:
                 continue
             votes = _tally(*counts, k=3)
             for theta in (0.33, 0.5, 0.67, 1.0):
-                assert aggregate(votes, q, AggregationParams(theta=theta))
+                assert aggregate(votes, q, theta)
 
     def test_strict_equals_intersection_at_k3(self):
         q = make_question(d=NONE_TEXT)
@@ -436,8 +435,8 @@ class TestAggregate:
             if sum(counts) > 3:
                 continue
             votes = _tally(*counts, k=3)
-            strict = aggregate(votes, q, AggregationParams(theta=0.67))
-            inter = aggregate(votes, q, AggregationParams(theta=1.0))
+            strict = aggregate(votes, q, 0.67)
+            inter = aggregate(votes, q, 1.0)
             assert strict == inter, counts
 
     @given(
