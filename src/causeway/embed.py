@@ -4,9 +4,9 @@ and a remote HTTP client with batching, retries, and a disk cache."""
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,11 +103,12 @@ class MockEmbedder:
 
 
 class VectorCache:
-    """One JSON file per (endpoint, dim, model, input type, text) key, with
-    the endpoint and dim fixed per cache, so that embedders of another dim or
-    at another endpoint keep their own entries in a shared directory. Writes
-    go through a temp file and an atomic rename, so concurrent readers never
-    see partial content and the last writer wins."""
+    """One raw float64 `.npy` file per (endpoint, dim, model, input type,
+    text) key, with the endpoint and dim fixed per cache, so that embedders
+    of another dim or at another endpoint keep their own entries in a shared
+    directory. An entry that is not a 1-D float64 array is a miss. Writes go
+    through a temp file named by process and thread and an atomic rename, so
+    concurrent readers never see partial content and the last writer wins."""
 
     def __init__(self, root: str | Path, endpoint: str | None = None, dim: int | None = None):
         self.root = Path(root)
@@ -119,22 +120,27 @@ class VectorCache:
         for part in (*self._scope, model or "", input_type or "", text):
             key.update(part.encode("utf-8"))
             key.update(b"\x00")
-        return self.root / f"{key.hexdigest()}.json"
+        return self.root / f"{key.hexdigest()}.npy"
 
     def get(self, model: str | None, text: str, input_type: str | None) -> np.ndarray | None:
         path = self._path(model, text, input_type)
         try:
-            return np.asarray(json.loads(path.read_text(encoding="utf-8"))["vector"], dtype=np.float64)
+            with open(path, "rb") as fh:
+                vector = np.load(fh, allow_pickle=False)
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError):
-            logger.warning("discarding unreadable cache entry %s", path)
-            return None
+        except (ValueError, EOFError):
+            vector = None
+        if isinstance(vector, np.ndarray) and vector.ndim == 1 and vector.dtype == np.float64:
+            return vector
+        logger.warning("discarding unreadable cache entry %s", path)
+        return None
 
     def put(self, model: str | None, text: str, input_type: str | None, vector: Sequence[float]) -> None:
         path = self._path(model, text, input_type)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({"vector": [float(x) for x in vector]}), encoding="utf-8")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.asarray(vector, dtype=np.float64), allow_pickle=False)
         os.replace(tmp, path)
 
 

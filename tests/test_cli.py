@@ -855,10 +855,16 @@ class TestOneEmbeddingPass:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
 
-        def run(stage: str, out: Path, *extra: str) -> list[int]:
-            """The text count of each request the stage sent."""
+        def run(stage: str, out: Path, *extra: str, cache_dir: Path | None = None) -> list[int]:
+            """The text count of each request the stage sent; with cache_dir,
+            the embedder keeps its vector cache there."""
+            path = config_path
+            if cache_dir is not None:
+                path = tmp_path / "remote-cached.json"
+                cached = {**config, "embedder": {**config["embedder"], "cache_dir": str(cache_dir)}}
+                path.write_text(json.dumps(cached), encoding="utf-8")
             del fake_server.requests[:]
-            assert main([stage, "--config", str(config_path), "--out", str(out), *extra]) == 0
+            assert main([stage, "--config", str(path), "--out", str(out), *extra]) == 0
             return [len(r["body"]["texts"]) for r in fake_server.requests]
 
         return run
@@ -869,6 +875,16 @@ class TestOneEmbeddingPass:
         assert remote("retrieve", out) == [3]  # the first question of each topic
         for rel in ("retrieval.jsonl", "graphs/doc_vectors.npy"):
             assert (out / rel).read_bytes() == (run_dir / rel).read_bytes()
+
+    def test_vector_cache_changes_no_output(self, tmp_path, remote):
+        cache = tmp_path / "vectors"
+        cold, warm, uncached = (tmp_path / name for name in ("cold", "warm", "uncached"))
+        assert remote("build-graph", cold, cache_dir=cache) == [18]
+        assert len(list(cache.glob("*.npy"))) == 18
+        assert remote("build-graph", warm, cache_dir=cache) == []
+        assert remote("build-graph", uncached) == [18]
+        for rel in ("graphs/doc_vectors.npy", "manifests/build-graph.json"):
+            assert (cold / rel).read_bytes() == (warm / rel).read_bytes() == (uncached / rel).read_bytes()
 
     def test_recomputed_documents_take_one_request(self, run_dir, tmp_path, remote):
         out = tmp_path / "out"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import logging
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causeway import embed
 from causeway.embed import (
     EmbedderSpec,
     EmbedError,
@@ -122,6 +125,33 @@ class TestVectorCache:
         assert cache.get("m", "query", "t") is None
         entry.write_text('{"vector": ["x", "y"]}', encoding="utf-8")
         assert cache.get("m", "query", "t") is None
+
+    def test_same_key_from_two_threads(self, tmp_path, monkeypatch):
+        cache = VectorCache(tmp_path)
+        real_replace = embed.os.replace
+        errors: list[Exception] = []
+
+        def other_put():
+            try:
+                cache.put("m", "query", "t", np.full(2, 2.0))
+            except Exception as err:  # surfaced in the main thread
+                errors.append(err)
+
+        def interleaved(src, dst):
+            # the first put has written its temp file; a second thread puts
+            # the same key before the first renames
+            monkeypatch.setattr(embed.os, "replace", real_replace)
+            thread = threading.Thread(target=other_put)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(embed.os, "replace", interleaved)
+        cache.put("m", "query", "t", np.ones(2))
+        assert errors == []
+        np.testing.assert_array_equal(cache.get("m", "query", "t"), np.ones(2))
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
 def _vectors_payload(texts, dim=4):
@@ -308,6 +338,51 @@ class TestRemoteEmbedder:
         again = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
         assert len(fake_server.requests) == 1
         np.testing.assert_array_equal(again[0], out[0])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            np.ones(4, dtype=np.float32),
+            np.ones(4, dtype=np.int64),
+            np.ones((1, 4)),
+            np.array([1.0, 2.0, 3.0, "x"], dtype=object),
+        ],
+        ids=["float32", "int64", "2-d", "object"],
+    )
+    def test_entry_not_1d_float64_is_fetched_again(self, fake_server, tmp_path, caplog, entry):
+        fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
+        spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
+        want = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])[0]
+        (path,) = tmp_path.iterdir()
+        with open(path, "wb") as fh:
+            np.save(fh, entry, allow_pickle=True)
+        fake_server.requests.clear()
+        with caplog.at_level(logging.WARNING, logger="causeway.embed"):
+            out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
+        assert caplog.text.count("discarding unreadable cache entry") == 1
+        assert [r["body"]["texts"] for r in fake_server.requests] == [["hello"]]
+        np.testing.assert_array_equal(out[0], want)
+        fake_server.requests.clear()
+        again = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
+        assert fake_server.requests == []
+        np.testing.assert_array_equal(again[0], want)
+
+    def test_json_entries_of_older_versions_are_misses(self, fake_server, tmp_path):
+        fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
+        spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
+        texts = ["a", "bb", "ccc"]
+        # the layout of the JSON cache: the same key, a .json suffix
+        cache = VectorCache(tmp_path, spec.endpoint, spec.dim)
+        old = {}
+        for text in texts:
+            path = cache._path(spec.model, text, None).with_suffix(".json")
+            path.write_text(json.dumps({"vector": [9.0] * spec.dim}), encoding="utf-8")
+            old[path] = path.read_bytes()
+        out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(texts)
+        assert [t for r in fake_server.requests for t in r["body"]["texts"]] == texts
+        assert [v.tolist() for v in out] == _vectors_payload(texts)["vectors"]
+        assert sorted(p.name for p in tmp_path.glob("*.npy")) == sorted(p.with_suffix(".npy").name for p in old)
+        assert {p: p.read_bytes() for p in tmp_path.glob("*.json")} == old
 
     def test_missing_vector_raises_instead_of_shifting(self, fake_server, monkeypatch):
         embedder = RemoteEmbedder(self._spec(fake_server.url), sleep=lambda s: None)
