@@ -26,6 +26,7 @@ from .corpus import (
     CorpusError,
     DocumentRecord,
     QuestionRecord,
+    _rows,
     document_text,
     load_docs,
     load_predictions,
@@ -33,7 +34,7 @@ from .corpus import (
     parse_predictions,
     sibling_groups,
 )
-from .embed import EmbedderSpec, make_embedder
+from .embed import EmbedderSpec, load_vectors, make_embedder, save_vectors
 from .evaluate import EvalError, agreement_report, bias_stats, oracle_report, score_run
 from .graphrag import (
     Bm25Params,
@@ -56,8 +57,13 @@ from .remote import ConfigError
 
 logger = logging.getLogger(__name__)
 
-# build-graph's document vectors, each topic's sorted entity list and each
-# topic's per-document term counts, relative to --out
+
+class StageError(Exception):
+    """A stage refuses to run on the files or arguments it was given."""
+
+
+# build-graph's document vectors (topics sorted, documents in docs-file order),
+# each topic's sorted entity list and per-document term counts, relative to --out
 DOC_VECTORS = "graphs/doc_vectors.npy"
 ENTITIES = "graphs/entities.json"
 TERM_COUNTS = "graphs/term_counts.json"
@@ -136,8 +142,18 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+def _json_form(obj):
+    """What _dump writes for a value JSON has no form of: a dataclass as its
+    fields, a letter set as its sorted comma text ("A,C")."""
+    if isinstance(obj, (set, frozenset)):
+        return ",".join(sorted(obj))
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+# The JSON text of every result, manifest and hashed value, from one encoder
+_dump = json.JSONEncoder(sort_keys=True, ensure_ascii=False, default=_json_form).encode
 
 
 def _digest(obj) -> str:
@@ -197,18 +213,6 @@ def _read_listed(out_dir: Path, manifest: dict | None, rel: str) -> bytes | None
         return None
     data = path.read_bytes()
     return data if hashlib.sha256(data).hexdigest() == listed else None
-
-
-def _save_doc_vectors(path: Path, vectors: np.ndarray) -> None:
-    """One float64 row per document, topics in sorted order and documents in
-    docs-file order, as a .npy array without pickled objects."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.save(fh, np.asarray(vectors, dtype=np.float64), allow_pickle=False)
-
-
-def _load_doc_vectors(data: bytes) -> np.ndarray:
-    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +394,7 @@ def _build_retrievers(
     vectors = None
     if inputs.get("docs") == docs_hash and keys.get("vectors") == config.vectors_key():
         data = _read_listed(out_dir, manifest, DOC_VECTORS)
-        vectors = None if data is None else _load_doc_vectors(data)
+        vectors = None if data is None else load_vectors(io.BytesIO(data))
     if vectors is not None and vectors.shape != (sum(map(len, topics.values())), config.embedder.dim):
         vectors = None
     saved = None
@@ -441,7 +445,7 @@ def _retrieve(run: StageInput) -> StageResult:
             if q.topic_id in contexts:
                 result = contexts[q.topic_id].union(result, retriever.graph)
             contexts[q.topic_id] = result
-        rows.append({"id": q.id, **contexts[q.topic_id].to_json()})
+        rows.append({"id": q.id, **vars(contexts[q.topic_id])})
     hits = len(questions) - len(paying)
     hit_rate = hits / len(questions) if questions else 0.0
     counts = {
@@ -468,34 +472,49 @@ def _make_llm_client(config: RunConfig):
     return make_client(spec)
 
 
-def _upstream(run: StageInput, stage: str, rel: str) -> tuple[bytes, str]:
-    """The bytes of rel and their hash, as the latest manifest of stage lists
-    them. Refuses a missing or unreadable manifest, a file that is not the
+def _upstream(run: StageInput, stage: str, rel: str) -> tuple[Path, io.TextIOWrapper, str]:
+    """rel's path, its lines and its hash, as the latest manifest of stage
+    lists it. Refuses a missing or unreadable manifest, a file that is not the
     listed one, and a stage run on other config files than this stage reads."""
     out_dir = Path(run.config.out)
     manifest = _read_manifest(out_dir, stage)
     data = _read_listed(out_dir, manifest, rel)
     if data is None:
-        raise SystemExit(f"error: {rel} is missing or not the file its manifest lists: run the {stage} stage")
+        raise StageError(f"{rel} is missing or not the file its manifest lists: run the {stage} stage")
     if any(manifest["inputs"].get(name) != digest for name, digest in run.hashes.items()):
-        raise SystemExit(f"error: {stage} ran on other questions or documents: run the {stage} stage again")
-    return data, manifest["outputs"][rel]
+        raise StageError(f"{stage} ran on other questions or documents: run the {stage} stage again")
+    return out_dir / rel, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), manifest["outputs"][rel]
+
+
+def _retrieved_docs(run: StageInput) -> tuple[dict[str, list[DocumentRecord]], str]:
+    """Each question's retrieved documents, by id, and retrieval.jsonl's hash.
+    A row of no question or of ids not in its question's topic is refused."""
+    path, lines, digest = _upstream(run, "retrieve", "retrieval.jsonl")
+    topic_of = {q.id: q.topic_id for q in run.questions}
+    docs = {topic_id: {d.id: d for d in topic} for topic_id, topic in run.topics.items()}
+    contexts: dict[str, list[DocumentRecord]] = {}
+    for where, row in _rows(path, lines, ("id", "selected")):
+        qid, selected = str(row["id"]), row["selected"]
+        if qid not in topic_of:
+            raise CorpusError(f"{where}: no question {qid!r} in the questions file")
+        topic = docs.get(topic_of[qid], {})
+        if not isinstance(selected, list) or not all(isinstance(d, str) and d in topic for d in selected):
+            raise CorpusError(f"{where}: selected {selected!r} is not a list of topic {topic_of[qid]}'s document ids")
+        contexts[qid] = [topic[doc_id] for doc_id in selected]
+    return contexts, digest
 
 
 def _infer(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
-    data, retrieval_hash = _upstream(run, "retrieve", "retrieval.jsonl")
-    traces = {row["id"]: row for row in map(json.loads, data.splitlines())}
-    doc_lookup = {tid: {d.id: d for d in docs} for tid, docs in run.topics.items()}
+    contexts, retrieval_hash = _retrieved_docs(run)
     # a missing trace is refused before any LLM call is paid for
     for q in questions:
-        if q.id not in traces:
+        if q.id not in contexts:
             raise CorpusError(f"no retrieval trace for question {q.id!r}")
     client = _make_llm_client(config)
 
     def run_one(q: QuestionRecord):
-        ctx_docs = [doc_lookup[q.topic_id][doc_id] for doc_id in traces[q.id]["selected"]]
-        samples = sample_question(q, ctx_docs, client, config.sampling)
+        samples = sample_question(q, contexts[q.id], client, config.sampling)
         return samples, aggregate(tally(samples), q, config.theta)
 
     if config.max_workers > 1:
@@ -519,7 +538,7 @@ def _infer(run: StageInput) -> StageResult:
                 }
             )
             n_invalid += 0 if s.valid else 1
-        pred_rows.append({"id": q.id, "prediction": ",".join(sorted(pred))})
+        pred_rows.append({"id": q.id, "prediction": pred})
     counts = {
         "n_questions": len(questions),
         "k": config.sampling.k,
@@ -542,9 +561,8 @@ def _predictions(run: StageInput, stage: str, rel: str) -> tuple[dict[str, froze
     """The --preds file as it is, or else rel as stage's manifest lists it, parsed, and its hash."""
     if run.preds:
         return load_predictions(run.preds), _sha256_file(run.preds)
-    data, digest = _upstream(run, stage, rel)
-    lines = io.StringIO(data.decode("utf-8"), newline=None)
-    return parse_predictions(Path(run.config.out) / rel, lines), digest
+    path, lines, digest = _upstream(run, stage, rel)
+    return parse_predictions(path, lines), digest
 
 
 def _postprocess(run: StageInput) -> StageResult:
@@ -562,14 +580,14 @@ def _postprocess(run: StageInput) -> StageResult:
     else:
         outcome = run_to_fixed_point(scoped, {q.id: preds[q.id] for q in scoped}, config.heuristics.max_iterations)
         final.update(outcome.predictions)
-        audit = [c.to_json() for c in outcome.report.changes]
+        audit = outcome.report.changes
         summary = {
             "enabled": True,
             "iterations": outcome.report.iterations,
             "converged": outcome.report.converged,
             "rule_counts": outcome.report.rule_counts,
             "n_changes": len(outcome.report.changes),
-            "contradictions": [c.to_json() for c in outcome.report.contradictions],
+            "contradictions": outcome.report.contradictions,
             "violations": output_validity_violations(scoped, outcome.predictions),
         }
         line = (
@@ -577,7 +595,7 @@ def _postprocess(run: StageInput) -> StageResult:
             f"rule counts {summary['rule_counts']}"
         )
     outputs = {
-        "predictions.final.jsonl": [{"id": qid, "prediction": ",".join(sorted(final[qid]))} for qid in preds],
+        "predictions.final.jsonl": [{"id": qid, "prediction": final[qid]} for qid in preds],
         "audit.jsonl": audit,
         "consistency.json": summary,
     }
@@ -592,7 +610,7 @@ def _score(run: StageInput) -> StageResult:
         preds, preds_hash = _predictions(run, "infer", "predictions.jsonl")
     golds = {q.id: q.gold for q in run.questions if q.gold is not None}
     if not golds:
-        raise SystemExit("error: the questions file carries no gold answers")
+        raise StageError("the questions file carries no gold answers")
     report = score_run(preds, golds)
     lines = [
         f"score: mean {report.mean:.4f} over {report.n} questions",
@@ -605,7 +623,7 @@ def _score(run: StageInput) -> StageResult:
         f"({report.multi.count} questions), gap {report.exact_gap:.4f}",
     ]
     return StageResult(
-        {"score_report.json": report.to_json()},
+        {"score_report.json": report},
         {"mean": report.mean, "n": report.n},
         {"predictions": preds_hash},
         lines=lines,
@@ -614,7 +632,7 @@ def _score(run: StageInput) -> StageResult:
 
 def _agree(run: StageInput) -> StageResult:
     if len(run.preds) < 2:
-        raise SystemExit("error: agree needs at least two prediction files")
+        raise StageError("agree needs at least two prediction files")
     model_preds: dict[str, dict[str, frozenset[str]]] = {}
     inputs: dict[str, str] = {}
     for spec in run.preds:
@@ -623,7 +641,7 @@ def _agree(run: StageInput) -> StageResult:
         else:
             name, path = Path(spec).stem, spec
         if name in model_preds:
-            raise SystemExit(f"error: duplicate model name {name!r}")
+            raise StageError(f"duplicate model name {name!r}")
         model_preds[name] = load_predictions(path)
         inputs[f"predictions:{name}"] = _sha256_file(path)
     questions = load_questions(run.config.questions) if run.config.questions else []
@@ -641,7 +659,7 @@ def _agree(run: StageInput) -> StageResult:
         oracle = oracle_report(model_preds, golds)
         bias = bias_stats(model_preds, golds)
         outputs["oracle_report.json"] = oracle.to_json()
-        outputs["bias_report.json"] = bias.to_json()
+        outputs["bias_report.json"] = bias
         lines += [
             f"  oracle mean         {oracle.mean:.4f}",
             f"  under/over selection {bias.under_selection}/{bias.over_selection} "
@@ -703,7 +721,7 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
     paths = {key: getattr(config, key) for key in reads}
     for key, path in paths.items():
         if not path:
-            raise SystemExit(f"error: --{key} is required (flag or config file)")
+            raise StageError(f"--{key} is required (flag or config file)")
     # load_questions and load_docs are looked up here, at call time, so that
     # names patched on this module take effect
     questions = load_questions(paths["questions"]) if "questions" in paths else None
@@ -713,7 +731,9 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
     out_dir = Path(config.out)
     for rel, content in result.outputs.items():
         if isinstance(content, np.ndarray):
-            _save_doc_vectors(out_dir / rel, content)
+            (out_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+            with open(out_dir / rel, "wb") as fh:
+                save_vectors(fh, content)
         elif isinstance(content, list):
             _write_jsonl(out_dir / rel, content)
         else:
@@ -848,7 +868,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = build_config(args)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         run_stage(args.command, config, getattr(args, "preds", None))
-    except (CorpusError, ConfigError, EvalError, OSError) as exc:
+    except (CorpusError, ConfigError, EvalError, StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

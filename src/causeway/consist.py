@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import LETTERS, QuestionRecord, sibling_groups
@@ -36,15 +36,6 @@ class ChangeRecord:
     after: frozenset[str]
     iteration: int
 
-    def to_json(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "rule": self.rule,
-            "before": ",".join(sorted(self.before)),
-            "after": ",".join(sorted(self.after)),
-            "iteration": self.iteration,
-        }
-
 
 @dataclass(frozen=True)
 class Contradiction:
@@ -52,9 +43,6 @@ class Contradiction:
     question_id: str
     text: str
     detail: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

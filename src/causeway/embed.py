@@ -10,7 +10,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -102,6 +102,16 @@ class MockEmbedder:
         return out
 
 
+def save_vectors(fh: BinaryIO, vectors) -> None:
+    """Writes vectors to fh as a float64 .npy array without pickled objects."""
+    np.save(fh, np.asarray(vectors, dtype=np.float64), allow_pickle=False)
+
+
+def load_vectors(fh: BinaryIO) -> np.ndarray:
+    """The .npy array in fh; one holding pickled objects is a ValueError."""
+    return np.load(fh, allow_pickle=False)
+
+
 class VectorCache:
     """One raw float64 `.npy` file per (endpoint, dim, model, input type,
     text) key, with the endpoint and dim fixed per cache, so that embedders
@@ -126,7 +136,7 @@ class VectorCache:
         path = self._path(model, text, input_type)
         try:
             with open(path, "rb") as fh:
-                vector = np.load(fh, allow_pickle=False)
+                vector = load_vectors(fh)
         except FileNotFoundError:
             return None
         except (ValueError, EOFError):
@@ -140,7 +150,7 @@ class VectorCache:
         path = self._path(model, text, input_type)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "wb") as fh:
-            np.save(fh, np.asarray(vector, dtype=np.float64), allow_pickle=False)
+            save_vectors(fh, vector)
         os.replace(tmp, path)
 
 

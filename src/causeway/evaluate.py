@@ -5,8 +5,8 @@ oracle selection, and selection-bias counts."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import AbstractSet, Mapping, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Hashable, Mapping, Sequence
 
 from .corpus import LETTERS
 
@@ -54,9 +54,6 @@ class ScoreReport:
     single: CardinalitySlice
     multi: CardinalitySlice
     exact_gap: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _slice(scores: list[float]) -> CardinalitySlice:
@@ -110,12 +107,7 @@ def score_run(
     )
 
 
-def canonical_category(letters: AbstractSet[str]) -> str:
-    """Stable nominal label for a predicted set, e.g. 'A,C'."""
-    return ",".join(sorted(letters))
-
-
-def fleiss_kappa(items: Sequence[Sequence[str]]) -> float:
+def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
     """Fleiss kappa over nominal categories; every item needs the same
     number of ratings (>= 2). Perfect agreement with a degenerate expected
     rate returns 1.0."""
@@ -142,7 +134,7 @@ def fleiss_kappa(items: Sequence[Sequence[str]]) -> float:
     return (p_bar - p_e) / (1.0 - p_e)
 
 
-def cohen_kappa(a: Sequence[str], b: Sequence[str]) -> float:
+def cohen_kappa(a: Sequence[Hashable], b: Sequence[Hashable]) -> float:
     if len(a) != len(b) or not a:
         raise EvalError("raters must rate the same non-empty items")
     n = len(a)
@@ -237,20 +229,19 @@ def agreement_report(
     qids = sorted(common)
     if not qids:
         raise EvalError("models share no questions")
-    items = [[canonical_category(model_preds[m][qid]) for m in models] for qid in qids]
     sets = [[frozenset(model_preds[m][qid]) for m in models] for qid in qids]
-    columns = dict(zip(models, zip(*items)))
+    columns = dict(zip(models, zip(*sets)))
     pairwise: dict[str, dict[str, float]] = {m: {} for m in models}
     for i, a in enumerate(models):
         for b in models[i:]:
             value = 1.0 if a == b else cohen_kappa(columns[a], columns[b])
             pairwise[a][b] = value
             pairwise[b][a] = value
-    unanimous = sum(1 for row in items if len(set(row)) == 1) / len(items)
+    unanimous = sum(1 for row in sets if len(set(row)) == 1) / len(sets)
     per_topic: dict[int, float] = {}
     if topics:
-        by_topic: dict[int, list[list[str]]] = {}
-        for qid, row in zip(qids, items):
+        by_topic: dict[int, list[list[frozenset[str]]]] = {}
+        for qid, row in zip(qids, sets):
             topic = topics.get(qid)
             if topic is not None:
                 by_topic.setdefault(topic, []).append(row)
@@ -259,7 +250,7 @@ def agreement_report(
     return AgreementReport(
         models=models,
         n_questions=len(qids),
-        fleiss=fleiss_kappa(items),
+        fleiss=fleiss_kappa(sets),
         kripp_nominal=krippendorff_alpha(sets, "nominal"),
         kripp_jaccard=krippendorff_alpha(sets, "jaccard"),
         pairwise_cohen=pairwise,
@@ -306,9 +297,6 @@ class BiasReport:
     over_selection: int
     mean_pred_cardinality: float
     mean_gold_cardinality: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def bias_stats(

@@ -226,15 +226,6 @@ class RetrievalResult:
     provenance: dict[str, str]
     excluded: list[str]
 
-    def to_json(self) -> dict:
-        return {
-            "topic_id": self.topic_id,
-            "query_text": self.query_text,
-            "selected": list(self.selected),
-            "provenance": dict(self.provenance),
-            "excluded": list(self.excluded),
-        }
-
     def union(self, other: "RetrievalResult", graph: DocGraph) -> "RetrievalResult":
         """This result's documents, then those of other it lacks, each with the
         provenance of the result it came from; the rest of graph is excluded."""

@@ -57,6 +57,31 @@ FINAL_PREDICTIONS = {
 
 DISTRACTORS = {101: "p6", 102: "w6", 103: "f6"}
 
+# The sha256 of each file of the toy tree: every stage through score, agree
+# on the raw and final predictions, then report. Left out are graphs/* and
+# manifests/build-graph.json, whose float bytes depend on the numpy build.
+TOY_TREE_SHA256 = {
+    "agreement_report.json": "16a7f4c15d9fd0cea006c4ea263b71e05973d2e57b55ddf5d641e62dce707bd9",
+    "audit.jsonl": "1f48a3cc3e403b6be633d5ab691424730ccdcc2b89b5beedf153a75456c92f78",
+    "bias_report.json": "34c318f98ccb8f73129a9b592aba6f7fb9d4d7028a0bd372388c7c778f80278b",
+    "consistency.json": "7259479d507c5eef2d3709e42206518bbf0bfe7442d09548f0eb21d7918657ce",
+    "ingest/siblings.jsonl": "7bdc4cd797b17b694a5d22bbb4bd261411cd559c5bd754820468e85ebe9324d9",
+    "ingest/structure.json": "a6ed43304c14f20f7439c06334dbef2b598f394783903080630640bbd7861581",
+    "manifests/agree.json": "f970621510e6e58e6549ab08f41dcf96c55a8409eb745d4b5beb3d4e8804b9be",
+    "manifests/infer.json": "a22d1b1f6ce902ab254d6c6fc213a59d219d7a20bf736878aff85db6526b0b14",
+    "manifests/ingest.json": "dbd54d2af294c018906eb77ace15a68078318ca7ea867656b09ae7711231d037",
+    "manifests/postprocess.json": "3c280a5681f6276e3f013316c946c6e55df877c3dcf3616b5a0fefef15259282",
+    "manifests/retrieve.json": "43b590d581fb072b1ef055c9851bfd98a82a57d761eac1c239a8eab482cd25bb",
+    "manifests/score.json": "86e261cb645ef23476ca33b00f5f63adbaae1636eb5fa4a60ae5cff95281f6a2",
+    "oracle_report.json": "eba83b72460d06f5d14d31a7b4bf03da02d3bcf7015b4fd6aca674fa3adf5b74",
+    "predictions.final.jsonl": "65e4ac28b2010d491476a914bcc9e27acedc2a85c8fc02bf910c1bbe36ee7c26",
+    "predictions.jsonl": "586f86639ac16461ed81156fa9addb844694dc6697f4b7e9e1c155f1a50030cd",
+    "report.json": "6135fd62f07bf24384277ba6d207d3f843c98da7a093b80a2e429d645922066a",
+    "retrieval.jsonl": "2f6c9af8479919d164068985ee2d777352e861dac039ee151110670186b70eac",
+    "samples.jsonl": "8cebb66b5222ae49f4e598ffebbd83fa5fd77cc14764d5efed2a792b15982d5f",
+    "score_report.json": "88459bb61aa662911c97ff1b006d4abe118d9a9d6353d83d944d04b0951c98aa",
+}
+
 
 def run_stages(out_dir: Path, stages=STAGES, extra=()):
     """Runs pipeline stages from the fixture directory so the relative paths
@@ -69,6 +94,29 @@ def run_stages(out_dir: Path, stages=STAGES, extra=()):
             assert code == 0, f"stage {stage} exited with {code}"
     finally:
         os.chdir(old)
+
+
+def refusal(capsys, argv: list[str]) -> str:
+    """What main(argv), run from the fixture directory, prints to stderr;
+    the run must exit 2."""
+    capsys.readouterr()
+    old = os.getcwd()
+    os.chdir(FIXTURE_DIR)
+    try:
+        assert main(argv) == 2
+    finally:
+        os.chdir(old)
+    return capsys.readouterr().err
+
+
+def unlisted(rel: str, stage: str) -> str:
+    """The refusal of a file its stage's manifest does not list as it is."""
+    return f"error: {rel} is missing or not the file its manifest lists: run the {stage} stage\n"
+
+
+def stale(stage: str) -> str:
+    """The refusal of a stage that ran on other questions or documents."""
+    return f"error: {stage} ran on other questions or documents: run the {stage} stage again\n"
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -277,15 +325,14 @@ class TestScore:
         assert report["partial"] == 3
         assert report["zero"] == 1
 
-    def test_questions_without_gold_answers_are_refused(self, run_dir, tmp_path):
+    def test_questions_without_gold_answers_are_refused(self, run_dir, tmp_path, capsys):
         questions = tmp_path / "questions.jsonl"
         rows = read_jsonl(FIXTURE_DIR / "questions.jsonl")
         questions.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "golden_answer"}) + "\n"
                                      for row in rows), encoding="utf-8")
         extra = ("--preds", str(run_dir / "predictions.jsonl"), "--questions", str(questions))
-        with pytest.raises(SystemExit) as exc:
-            run_stages(tmp_path / "out", stages=("score",), extra=extra)
-        assert exc.value.code == "error: the questions file carries no gold answers"
+        argv = ["score", "--config", "config.json", "--out", str(tmp_path / "out"), *extra]
+        assert refusal(capsys, argv) == "error: the questions file carries no gold answers\n"
         assert not (tmp_path / "out" / "score_report.json").exists()
 
 
@@ -334,9 +381,9 @@ class TestAgree:
         assert bias["under_selection"] == 3
         assert bias["over_selection"] == 1
 
-    def test_agree_requires_two_files(self, run_dir):
-        with pytest.raises(SystemExit):
-            main(["agree", "--out", str(run_dir), str(run_dir / "predictions.jsonl")])
+    def test_agree_requires_two_files(self, run_dir, capsys):
+        argv = ["agree", "--out", str(run_dir), str(run_dir / "predictions.jsonl")]
+        assert refusal(capsys, argv) == "error: agree needs at least two prediction files\n"
 
     def test_model_named_by_file_stem(self, run_dir, agree_dir, tmp_path, capsys):
         shutil.copy(run_dir / "predictions.jsonl", tmp_path / "raw.jsonl")
@@ -359,15 +406,14 @@ class TestAgree:
         assert capsys.readouterr().err == "error: models share no questions\n"
         assert not (out / "agreement_report.json").exists()
 
-    def test_duplicate_model_name_is_refused(self, run_dir, tmp_path):
+    def test_duplicate_model_name_is_refused(self, run_dir, tmp_path, capsys):
         # two files whose stems are both "predictions"
         other = tmp_path / "other"
         other.mkdir()
         shutil.copy(run_dir / "predictions.final.jsonl", other / "predictions.jsonl")
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["agree", "--out", str(out), str(run_dir / "predictions.jsonl"), str(other / "predictions.jsonl")])
-        assert exc.value.code == "error: duplicate model name 'predictions'"
+        argv = ["agree", "--out", str(out), str(run_dir / "predictions.jsonl"), str(other / "predictions.jsonl")]
+        assert refusal(capsys, argv) == "error: duplicate model name 'predictions'\n"
         assert not (out / "agreement_report.json").exists()
 
 
@@ -427,6 +473,20 @@ class TestDeterminism:
         assert digests_a == digests_b
         # and they match the module-level run as well
         assert digests_a == tree_digest(run_dir)
+
+    def test_toy_tree_matches_pinned_hashes(self, tmp_path):
+        out = tmp_path / "out"
+        run_stages(out, stages=STAGES[:-1])
+        preds = (f"raw={out / 'predictions.jsonl'}", f"final={out / 'predictions.final.jsonl'}")
+        run_stages(out, stages=("agree",), extra=preds)
+        run_stages(out, stages=("report",))
+        digests = tree_digest(out)
+        assert sorted(rel for rel in digests if rel.startswith("graphs/")) == [
+            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/term_counts.json",
+            "graphs/topic_101.json", "graphs/topic_102.json", "graphs/topic_103.json",
+        ]
+        del digests["manifests/build-graph.json"]
+        assert {rel: h for rel, h in digests.items() if not rel.startswith("graphs/")} == TOY_TREE_SHA256
 
 
 class TestThreadedInfer:
@@ -963,12 +1023,13 @@ class TestInferChecksRetrieval:
             _retrieve_manifest_outputs_a_list,
         ],
     )
-    def test_unvouched_retrieval_is_refused(self, run_dir, tmp_path, llm_calls, tamper):
+    def test_unvouched_retrieval_is_refused(self, run_dir, tmp_path, capsys, llm_calls, tamper):
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph", "retrieve"))
         tamper(out)
-        with pytest.raises(SystemExit, match="retrieve"):
-            run_stages(out, stages=("infer",))
+        argv = ["infer", "--config", "config.json", "--out", str(out)]
+        stale_run = tamper is _retrieval_for_other_questions
+        assert refusal(capsys, argv) == (stale("retrieve") if stale_run else unlisted("retrieval.jsonl", "retrieve"))
         assert llm_calls == []
         run_stages(out, stages=("retrieve", "infer"))
         assert llm_calls
@@ -1099,6 +1160,40 @@ class TestErrors:
         capsys.readouterr()
         assert main(["infer", "--config", "config.json", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: no retrieval trace for question {qid!r}\n"
+        assert llm_calls == []
+        assert not (out / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[0].update(selected=["no-such-doc"]),
+             "line 1: selected ['no-such-doc'] is not a list of topic 101's document ids"),
+            (lambda rows: rows[-1].update(selected=["p1"]),
+             "line 12: selected ['p1'] is not a list of topic 103's document ids"),
+            (lambda rows: rows[-1].update(selected="f1"),
+             "line 12: selected 'f1' is not a list of topic 103's document ids"),
+            (lambda rows: rows.append({"id": "q999", "selected": []}),
+             "line 13: no question 'q999' in the questions file"),
+            (lambda rows: rows[0].pop("selected"),
+             "line 1: missing required fields ['selected']"),
+            (lambda rows: rows.__setitem__(0, '{"id": "q101a"'),
+             "line 1: malformed JSON: Expecting ',' delimiter: line 2 column 1 (char 15)"),
+        ],
+        ids=["unknown-doc-first-row", "other-topics-doc-last-row", "selected-not-a-list", "row-of-no-question",
+             "no-selected-field", "malformed-line"],
+    )
+    def test_bad_retrieval_row_exits_2(self, tmp_path, capsys, llm_calls, edit, message):
+        # a listed retrieval.jsonl with one bad row: infer reads every row
+        # before its first LLM call
+        out = tmp_path / "out"
+        run_stages(out, stages=("build-graph", "retrieve"))
+        path = out / "retrieval.jsonl"
+        rows = read_jsonl(path)
+        edit(rows)
+        path.write_text("".join((row if isinstance(row, str) else json.dumps(row)) + "\n" for row in rows), "utf-8")
+        _relist(out, "retrieval.jsonl", "retrieve")
+        argv = ["infer", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == f"error: {path}: {message}\n"
         assert llm_calls == []
         assert not (out / "predictions.jsonl").exists()
 
@@ -1248,19 +1343,14 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {script}: {message}")
         assert not (out / "predictions.jsonl").exists()
 
-    def test_missing_required_flag_is_fatal(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["ingest", "--out", str(tmp_path / "out")])
+    def test_missing_required_flag_is_fatal(self, tmp_path, capsys):
+        argv = ["ingest", "--out", str(tmp_path / "out")]
+        assert refusal(capsys, argv) == "error: --questions is required (flag or config file)\n"
 
-    def test_infer_before_retrieve_is_fatal(self, tmp_path):
+    def test_infer_before_retrieve_is_fatal(self, tmp_path, capsys):
         out = tmp_path / "half"
-        with pytest.raises(SystemExit, match="retrieve"):
-            old = os.getcwd()
-            os.chdir(FIXTURE_DIR)
-            try:
-                main(["infer", "--config", "config.json", "--out", str(out)])
-            finally:
-                os.chdir(old)
+        argv = ["infer", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == unlisted("retrieval.jsonl", "retrieve")
 
 
 class TestLoadPredictions:
@@ -1286,26 +1376,26 @@ class TestPredictionsChecked:
     manifest of the stage that wrote them lists them, and only when that
     stage read the same questions file."""
 
-    def test_edited_predictions_are_refused_by_postprocess(self, run_dir, tmp_path):
+    def test_edited_predictions_are_refused_by_postprocess(self, run_dir, tmp_path, capsys):
         out = _copy_run(run_dir, tmp_path)
         _drop_first_line(out / "predictions.jsonl")
-        with pytest.raises(SystemExit, match="infer"):
-            run_stages(out, stages=("postprocess",))
+        argv = ["postprocess", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == unlisted("predictions.jsonl", "infer")
 
-    def test_infer_on_other_questions_is_refused_by_postprocess(self, run_dir, tmp_path):
+    def test_infer_on_other_questions_is_refused_by_postprocess(self, run_dir, tmp_path, capsys):
         out = _copy_run(run_dir, tmp_path)
         lines = (FIXTURE_DIR / "questions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         other = tmp_path / "reversed.jsonl"
         other.write_text("".join(reversed(lines)), encoding="utf-8")
         run_stages(out, stages=("retrieve", "infer"), extra=("--questions", str(other)))
-        with pytest.raises(SystemExit, match="infer"):
-            run_stages(out, stages=("postprocess",))
+        argv = ["postprocess", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == stale("infer")
 
-    def test_edited_final_predictions_are_refused_by_score(self, run_dir, tmp_path):
+    def test_edited_final_predictions_are_refused_by_score(self, run_dir, tmp_path, capsys):
         out = _copy_run(run_dir, tmp_path)
         _drop_first_line(out / "predictions.final.jsonl")
-        with pytest.raises(SystemExit, match="postprocess"):
-            run_stages(out, stages=("score",))
+        argv = ["score", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == unlisted("predictions.final.jsonl", "postprocess")
 
     def test_score_without_postprocess_manifest_reads_infer_predictions(self, run_dir, tmp_path):
         out = _copy_run(run_dir, tmp_path)

@@ -418,8 +418,8 @@ class TestEngineProperties:
         questions, preds, first = self._run_random(42, 12)
         second = run_to_fixed_point(questions, preds)
         assert second.predictions == first.predictions
-        assert [c.to_json() for c in second.report.changes] == [
-            c.to_json() for c in first.report.changes
+        assert [vars(c) for c in second.report.changes] == [
+            vars(c) for c in first.report.changes
         ]
 
 

@@ -604,7 +604,7 @@ class TestTopicRetriever:
     def test_result_shape(self):
         r = self._retriever()
         result = r.retrieve_query("strike at the port", self._query_vec("strike at the port"))
-        data = result.to_json()
+        data = vars(result)
         assert data["topic_id"] == 5
         assert data["query_text"] == "strike at the port"
         assert set(data["provenance"]) == set(data["selected"])
