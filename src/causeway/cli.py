@@ -640,6 +640,8 @@ def _agree(run: StageInput) -> StageResult:
             name, _, path = spec.partition("=")
         else:
             name, path = Path(spec).stem, spec
+        if not name:
+            raise StageError(f"empty model name in {spec!r}")
         if name in model_preds:
             raise StageError(f"duplicate model name {name!r}")
         model_preds[name] = load_predictions(path)
@@ -770,6 +772,9 @@ FLAGS: tuple[tuple[str, str, dict], ...] = (
 RANGES: dict[str, tuple[float, float | None]] = {
     "sampling.k": (1, None), "max_workers": (1, None), "embedder.dim": (1, None),
     "hybrid.alpha": (0, 1), "hybrid.edge_threshold": (0, 1), "theta": (0, 1),
+    "sampling.max_retries_on_parse_failure": (0, None), "hybrid.k_dense": (0, None), "hybrid.k_sparse": (0, None),
+    "llm.max_retries": (1, None), "embedder.max_retries": (1, None), "embedder.batch_size": (1, None),
+    "llm.backoff_base": (0, None), "embedder.backoff_base": (0, None),
 }
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object",
           type(None): "null"}

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Mapping, Sequence
+from itertools import permutations
+from typing import AbstractSet, Callable, Hashable, Mapping, Sequence
 
 from .corpus import LETTERS
 
@@ -107,21 +108,20 @@ def score_run(
     )
 
 
-def fleiss_kappa(items: Sequence[Sequence[Hashable]]) -> float:
-    """Fleiss kappa over nominal categories; every item needs the same
-    number of ratings (>= 2). Perfect agreement with a degenerate expected
-    rate returns 1.0."""
+def fleiss_kappa(items: Sequence[Counter]) -> float:
+    """Fleiss kappa over items given as counts of ratings per category; every
+    item needs the same number of ratings (>= 2). Perfect agreement with a
+    degenerate expected rate returns 1.0."""
     if not items:
         raise EvalError("no items to rate")
-    n_raters = len(items[0])
+    n_raters = items[0].total()
     if n_raters < 2:
         raise EvalError("need at least two raters")
-    if any(len(row) != n_raters for row in items):
+    if any(counts.total() != n_raters for counts in items):
         raise EvalError("every item needs the same number of ratings")
     category_totals: Counter = Counter()
     p_bar_sum = 0.0
-    for row in items:
-        counts = Counter(row)
+    for counts in items:
         category_totals.update(counts)
         p_bar_sum += (sum(c * c for c in counts.values()) - n_raters) / (
             n_raters * (n_raters - 1)
@@ -154,40 +154,34 @@ def jaccard_distance(a: AbstractSet[str], b: AbstractSet[str]) -> float:
     return 1.0 - len(frozenset(a) & frozenset(b)) / len(union)
 
 
-def krippendorff_alpha(
-    units: Sequence[Sequence[AbstractSet[str]]],
-    metric: str = "nominal",
-) -> float:
-    """alpha = 1 - observed/expected disagreement. Units with fewer than two
-    ratings are skipped (pairwise exclusion of missing data). metric is
-    'nominal' (set equality) or 'jaccard' (1 - overlap share). Expected
-    disagreement pairs the V distinct values weighted by their counts, O(V^2)."""
-    if metric == "nominal":
-        def distance(a: AbstractSet[str], b: AbstractSet[str]) -> float:
-            return 0.0 if frozenset(a) == frozenset(b) else 1.0
-    elif metric == "jaccard":
-        distance = jaccard_distance
-    else:
+def _pair_sum(counts: Counter, distance: Callable[[AbstractSet[str], AbstractSet[str]], float]) -> float:
+    """The sum of n_a * n_b * distance(a, b) over ordered pairs of distinct values."""
+    total = 0.0
+    for (a, n_a), (b, n_b) in permutations(counts.items(), 2):
+        total += n_a * n_b * distance(a, b)
+    return total
+
+
+def krippendorff_alpha(units: Sequence[Counter], metric: str = "nominal") -> float:
+    """alpha = 1 - observed/expected disagreement over units given as counts of
+    ratings per value; units of fewer than two ratings are skipped. Each is a
+    pair sum over distinct values, so nominal's distance is 1: a unit's over its
+    ratings - 1, then the pooled count's; O(sum d_u^2 + V^2) distances."""
+    distance = {"nominal": lambda a, b: 1.0, "jaccard": jaccard_distance}.get(metric)
+    if distance is None:
         raise EvalError(f"unknown distance metric {metric!r}")
-    pairable = [list(unit) for unit in units if len(unit) >= 2]
+    pairable = [unit for unit in units if unit.total() >= 2]
     if not pairable:
         raise EvalError("no unit has two or more ratings")
-    n_values = sum(len(unit) for unit in pairable)
+    n_values = sum(unit.total() for unit in pairable)
+    pooled: Counter = Counter()
     d_o = 0.0
     for unit in pairable:
-        m = len(unit)
-        within = sum(
-            distance(unit[i], unit[j]) for i in range(m) for j in range(m) if i != j
-        )
-        d_o += within / (m - 1)
+        pooled.update(unit)
+        if len(unit) > 1:  # one distinct value adds exactly 0.0
+            d_o += _pair_sum(unit, distance) / (unit.total() - 1)
     d_o /= n_values
-    counts = Counter(frozenset(value) for unit in pairable for value in unit)
-    d_e = 0.0
-    for a, n_a in counts.items():
-        for b, n_b in counts.items():
-            if a != b:
-                d_e += n_a * n_b * distance(a, b)
-    d_e /= n_values * (n_values - 1)
+    d_e = _pair_sum(pooled, distance) / (n_values * (n_values - 1))
     if d_e == 0.0:
         return 1.0
     return 1.0 - d_o / d_e
@@ -230,6 +224,7 @@ def agreement_report(
     if not qids:
         raise EvalError("models share no questions")
     sets = [[frozenset(model_preds[m][qid]) for m in models] for qid in qids]
+    counts = [Counter(row) for row in sets]  # every statistic but Cohen's reads these
     columns = dict(zip(models, zip(*sets)))
     pairwise: dict[str, dict[str, float]] = {m: {} for m in models}
     for i, a in enumerate(models):
@@ -237,22 +232,22 @@ def agreement_report(
             value = 1.0 if a == b else cohen_kappa(columns[a], columns[b])
             pairwise[a][b] = value
             pairwise[b][a] = value
-    unanimous = sum(1 for row in sets if len(set(row)) == 1) / len(sets)
+    unanimous = sum(1 for c in counts if len(c) == 1) / len(counts)
     per_topic: dict[int, float] = {}
     if topics:
-        by_topic: dict[int, list[list[frozenset[str]]]] = {}
-        for qid, row in zip(qids, sets):
+        by_topic: dict[int, list[Counter]] = {}
+        for qid, c in zip(qids, counts):
             topic = topics.get(qid)
             if topic is not None:
-                by_topic.setdefault(topic, []).append(row)
+                by_topic.setdefault(topic, []).append(c)
         for topic in sorted(by_topic):
             per_topic[topic] = fleiss_kappa(by_topic[topic])
     return AgreementReport(
         models=models,
         n_questions=len(qids),
-        fleiss=fleiss_kappa(sets),
-        kripp_nominal=krippendorff_alpha(sets, "nominal"),
-        kripp_jaccard=krippendorff_alpha(sets, "jaccard"),
+        fleiss=fleiss_kappa(counts),
+        kripp_nominal=krippendorff_alpha(counts, "nominal"),
+        kripp_jaccard=krippendorff_alpha(counts, "jaccard"),
         pairwise_cohen=pairwise,
         unanimous_rate=unanimous,
         per_topic_fleiss=per_topic,

@@ -11,7 +11,7 @@ import math
 import random
 import re
 from collections import Counter
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Hashable, Mapping, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -393,6 +393,11 @@ def topic_union_reference(
 
 # ---------------------------------------------------------------------------
 # Agreement references: definition-level loops.
+
+
+def counted(rows: Sequence[Sequence[Hashable]]) -> list[Counter]:
+    """Rows of ratings as the per-row counts fleiss_kappa and krippendorff_alpha take."""
+    return [Counter(row) for row in rows]
 
 
 def fleiss_reference(items: Sequence[Sequence[str]]) -> float:

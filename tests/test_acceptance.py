@@ -38,6 +38,7 @@ from helpers import (
     bm25_reference,
     cohen_reference,
     component_reference,
+    counted,
     fleiss_reference,
     krippendorff_reference,
     make_question,
@@ -256,7 +257,7 @@ def test_agreement_statistics_match_brute_force():
             table = [
                 [rng.choice(categories) for _ in range(n_raters)] for _ in range(n_items)
             ]
-            assert fleiss_kappa(table) == pytest.approx(
+            assert fleiss_kappa(counted(table)) == pytest.approx(
                 fleiss_reference(table), abs=1e-9
             ), f"trial {trial}"
             a = [row[0] for row in table]
@@ -266,17 +267,17 @@ def test_agreement_statistics_match_brute_force():
                 [frozenset(c.split(",")) for c in row] for row in table
             ]
             for metric in ("nominal", "jaccard"):
-                assert krippendorff_alpha(units, metric) == pytest.approx(
+                assert krippendorff_alpha(counted(units), metric) == pytest.approx(
                     krippendorff_reference(units, metric), abs=1e-9
                 ), f"trial {trial} metric {metric}"
 
         # identical raters agree perfectly
         same = [["A,B"] * 3, ["C"] * 3, ["D"] * 3, ["B"] * 3]
-        assert fleiss_kappa(same) == 1.0
+        assert fleiss_kappa(counted(same)) == 1.0
         assert cohen_kappa([r[0] for r in same], [r[1] for r in same]) == 1.0
         units = [[frozenset(c.split(",")) for c in row] for row in same]
-        assert krippendorff_alpha(units, "nominal") == 1.0
-        assert krippendorff_alpha(units, "jaccard") == 1.0
+        assert krippendorff_alpha(counted(units), "nominal") == 1.0
+        assert krippendorff_alpha(counted(units), "jaccard") == 1.0
 
         # independent raters land near zero
         rng = random.Random(2718)

@@ -416,6 +416,13 @@ class TestAgree:
         assert refusal(capsys, argv) == "error: duplicate model name 'predictions'\n"
         assert not (out / "agreement_report.json").exists()
 
+    def test_empty_model_name_is_refused(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = f"={run_dir / 'predictions.jsonl'}"
+        argv = ["agree", "--out", str(out), spec, f"raw={run_dir / 'predictions.jsonl'}"]
+        assert refusal(capsys, argv) == f"error: empty model name in {spec!r}\n"
+        assert not (out / "agreement_report.json").exists()
+
 
 class TestReport:
     def test_report_collects_stages(self, run_dir):
@@ -1295,13 +1302,24 @@ class TestErrors:
             ([], {"llm": {"script": {"q1": 5}}}, "llm.script.q1 must be a non-empty list of strings, got 5"),
             ([], {"llm": {"script": {"q1": "<answer>A</answer>"}}},
              "llm.script.q1 must be a non-empty list of strings, got '<answer>A</answer>'"),
+            ([], {"sampling": {"max_retries_on_parse_failure": -1}},
+             "sampling.max_retries_on_parse_failure must be at least 0, got -1"),
+            ([], {"hybrid": {"k_dense": -1}}, "hybrid.k_dense must be at least 0, got -1"),
+            ([], {"hybrid": {"k_sparse": -1}}, "hybrid.k_sparse must be at least 0, got -1"),
+            ([], {"llm": {"max_retries": 0}}, "llm.max_retries must be at least 1, got 0"),
+            ([], {"embedder": {"max_retries": 0}}, "embedder.max_retries must be at least 1, got 0"),
+            ([], {"embedder": {"batch_size": 0}}, "embedder.batch_size must be at least 1, got 0"),
+            ([], {"llm": {"backoff_base": -0.5}}, "llm.backoff_base must be at least 0, got -0.5"),
+            ([], {"embedder": {"backoff_base": -0.5}}, "embedder.backoff_base must be at least 0, got -0.5"),
         ],
         ids=[
             "alpha-above-1", "alpha-string", "edge-threshold-below-0", "theta-above-1", "theta-nan",
             "k-string", "k-float", "max-workers-string", "max-workers-bool", "topic-union-string",
             "heuristics-enabled-string", "heuristics-max-iterations-string", "dim-string", "section-number",
             "flag-into-section-number", "questions-number", "cache-dir-number", "script-list",
-            "script-entry-number", "script-entry-string",
+            "script-entry-number", "script-entry-string", "parse-retries-negative", "k-dense-negative",
+            "k-sparse-negative", "llm-max-retries-0", "embedder-max-retries-0", "batch-size-0",
+            "llm-backoff-negative", "embedder-backoff-negative",
         ],
     )
     def test_config_value_out_of_its_range_exits_2(self, tmp_path, capsys, monkeypatch, flags, data, message):

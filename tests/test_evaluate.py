@@ -24,6 +24,7 @@ from causeway.evaluate import (
 from helpers import (
     METRIC_CASES,
     cohen_reference,
+    counted,
     fleiss_reference,
     krippendorff_reference,
     rating_units,
@@ -139,30 +140,30 @@ class TestFleissKappa:
         rng = random.Random(11)
         for _ in range(50):
             table = _random_table(rng, rng.randint(2, 30), rng.randint(2, 6), rng.randint(2, 5))
-            assert fleiss_kappa(table) == pytest.approx(fleiss_reference(table), abs=1e-12)
+            assert fleiss_kappa(counted(table)) == pytest.approx(fleiss_reference(table), abs=1e-12)
 
     def test_identical_raters_give_one(self):
         table = [["A"] * 4, ["B,C"] * 4, ["A"] * 4]
-        assert fleiss_kappa(table) == 1.0
+        assert fleiss_kappa(counted(table)) == 1.0
 
     def test_single_category_degenerate(self):
-        assert fleiss_kappa([["A", "A"], ["A", "A"]]) == 1.0
+        assert fleiss_kappa(counted([["A", "A"], ["A", "A"]])) == 1.0
 
     def test_total_disagreement_is_negative(self):
         table = [["A", "B"], ["B", "A"], ["A", "B"], ["B", "A"]]
-        assert fleiss_kappa(table) < 0.0
+        assert fleiss_kappa(counted(table)) < 0.0
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(EvalError):
-            fleiss_kappa([["A", "B"], ["A"]])
+            fleiss_kappa(counted([["A", "B"], ["A"]]))
 
     def test_single_rater_rejected(self):
         with pytest.raises(EvalError):
-            fleiss_kappa([["A"], ["B"]])
+            fleiss_kappa(counted([["A"], ["B"]]))
 
     def test_empty_rejected(self):
         with pytest.raises(EvalError):
-            fleiss_kappa([])
+            fleiss_kappa(counted([]))
 
 
 class TestCohenKappa:
@@ -224,7 +225,7 @@ class TestKrippendorffAlpha:
         rng = random.Random(17)
         for _ in range(40):
             units = self._random_units(rng, missing=False)
-            got = krippendorff_alpha(units, metric)
+            got = krippendorff_alpha(counted(units), metric)
             want = krippendorff_reference(units, metric)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -233,14 +234,14 @@ class TestKrippendorffAlpha:
         rng = random.Random(19)
         for _ in range(20):
             units = self._random_units(rng, missing=True)
-            got = krippendorff_alpha(units, metric)
+            got = krippendorff_alpha(counted(units), metric)
             want = krippendorff_reference(units, metric)
             assert got == pytest.approx(want, abs=1e-12)
 
     @given(rating_units(), st.sampled_from(["nominal", "jaccard"]))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_on_repeated_values(self, units, metric):
-        got = krippendorff_alpha(units, metric)
+        got = krippendorff_alpha(counted(units), metric)
         want = krippendorff_reference(units, metric)
         if metric == "nominal":
             assert got == want
@@ -262,22 +263,24 @@ class TestKrippendorffAlpha:
         rng = random.Random(23)
         values = [frozenset(x for i, x in enumerate(LETTERS) if mask >> i & 1) for mask in range(16)]
         units = [[rng.choice(values), rng.choice(values)] for _ in range(1500)]
-        krippendorff_alpha(units, "jaccard")
+        krippendorff_alpha(counted(units), "jaccard")
+        # each unit pairs its d_u distinct values, the pooled count its V
+        per_unit = sum(len(set(u)) * (len(set(u)) - 1) for u in units)
         distinct = len({value for unit in units for value in unit})
-        assert calls <= sum(len(u) * (len(u) - 1) for u in units) + distinct * (distinct - 1)
+        assert calls == per_unit + distinct * (distinct - 1)
 
     def test_identical_ratings_give_one(self):
         units = [[frozenset({"A"})] * 3, [frozenset({"B", "C"})] * 3]
-        assert krippendorff_alpha(units, "nominal") == 1.0
-        assert krippendorff_alpha(units, "jaccard") == 1.0
+        assert krippendorff_alpha(counted(units), "nominal") == 1.0
+        assert krippendorff_alpha(counted(units), "jaccard") == 1.0
 
     def test_no_pairable_units_rejected(self):
         with pytest.raises(EvalError):
-            krippendorff_alpha([[frozenset({"A"})]], "nominal")
+            krippendorff_alpha(counted([[frozenset({"A"})]]), "nominal")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(EvalError):
-            krippendorff_alpha([[frozenset({"A"}), frozenset({"B"})]], "cosine")
+            krippendorff_alpha(counted([[frozenset({"A"}), frozenset({"B"})]]), "cosine")
 
     def test_jaccard_le_nominal_disagreement(self):
         # jaccard gives partial credit for overlap, so alpha should not be
@@ -287,7 +290,7 @@ class TestKrippendorffAlpha:
             [frozenset({"C"}), frozenset({"C"})],
             [frozenset({"B"}), frozenset({"B"})],
         ]
-        assert krippendorff_alpha(units, "jaccard") >= krippendorff_alpha(units, "nominal")
+        assert krippendorff_alpha(counted(units), "jaccard") >= krippendorff_alpha(counted(units), "nominal")
 
 
 class TestAgreementReport:
@@ -341,6 +344,27 @@ class TestAgreementReport:
         data = agreement_report(self._preds()).to_json()
         assert data["models"] == ["m1", "m2", "m3"]
         assert "fleiss" in data
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_references_on_2_to_14_models(self, data):
+        pool = data.draw(st.lists(st.frozensets(st.sampled_from(LETTERS)), min_size=1, max_size=6, unique=True))
+        n_models = data.draw(st.integers(2, 14))
+        qids = [f"q{i:02d}" for i in range(data.draw(st.integers(1, 12)))]  # agreement_report sorts them
+        rows = [data.draw(st.lists(st.sampled_from(pool), min_size=n_models, max_size=n_models)) for _ in qids]
+        topics = {qid: data.draw(st.integers(1, 3)) for qid in qids}
+        models = [f"m{j:02d}" for j in range(n_models)]
+        preds = {m: {qid: row[j] for qid, row in zip(qids, rows)} for j, m in enumerate(models)}
+        report = agreement_report(preds, topics)
+        names = [[",".join(sorted(value)) for value in row] for row in rows]
+        assert report.fleiss == pytest.approx(fleiss_reference(names), abs=1e-12)
+        assert report.kripp_nominal == krippendorff_reference(rows, "nominal")
+        assert report.kripp_jaccard == pytest.approx(krippendorff_reference(rows, "jaccard"), abs=1e-12)
+        assert report.unanimous_rate == sum(1 for row in rows if len(set(row)) == 1) / len(rows)
+        by_topic = {t: [r for qid, r in zip(qids, names) if topics[qid] == t] for t in set(topics.values())}
+        assert report.per_topic_fleiss.keys() == by_topic.keys()
+        for topic, table in by_topic.items():
+            assert report.per_topic_fleiss[topic] == pytest.approx(fleiss_reference(table), abs=1e-12)
 
 
 class TestOracleReport:
