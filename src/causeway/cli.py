@@ -53,7 +53,7 @@ from .reason import (
     sample_question,
     tally,
 )
-from .remote import ConfigError
+from .remote import ConfigError, RemoteError
 
 logger = logging.getLogger(__name__)
 
@@ -873,7 +873,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = build_config(args)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         run_stage(args.command, config, getattr(args, "preds", None))
-    except (CorpusError, ConfigError, EvalError, StageError, OSError) as exc:
+    except (CorpusError, ConfigError, EvalError, StageError, RemoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,13 +1,12 @@
 """Embedding clients: a deterministic local mock for tests and offline runs,
-and a remote HTTP client with batching, retries, and a disk cache."""
+and a remote HTTP client with batching, retries, and an SQLite vector cache."""
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import os
-import threading
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -19,6 +18,8 @@ from .remote import ConfigError, RemoteClient, RemoteError
 logger = logging.getLogger(__name__)
 
 _N_BUCKETS = 4096
+# SQLite's default limit on the variables of one statement before 3.32
+_SQL_VARIABLES = 999
 
 
 class EmbedError(RemoteError):
@@ -113,45 +114,106 @@ def load_vectors(fh: BinaryIO) -> np.ndarray:
 
 
 class VectorCache:
-    """One raw float64 `.npy` file per (endpoint, dim, model, input type,
+    """The remote embedder's vectors in one SQLite database,
+    `<root>/vectors.sqlite`, one row per (endpoint, dim, model, input type,
     text) key, with the endpoint and dim fixed per cache, so that embedders
-    of another dim or at another endpoint keep their own entries in a shared
-    directory. An entry that is not a 1-D float64 array is a miss. Writes go
-    through a temp file named by process and thread and an atomic rename, so
-    concurrent readers never see partial content and the last writer wins."""
+    of another dim or at another endpoint keep their own rows in a shared
+    directory. A row holds the key's SHA-256 digest and the vector's
+    little-endian float64 bytes; a value that is not a non-empty BLOB of a
+    length divisible by 8 is a miss.
+
+    Entering the cache opens one connection (WAL, synchronous=NORMAL) and
+    leaving closes it; `load` reads the rows of a call's texts in one query
+    per _SQL_VARIABLES keys, `get` answers from them, and `put` writes a
+    batch in one transaction. A database or directory that cannot be used
+    is one warning, after which the cache reads and writes nothing: the
+    embedder never fails because of its cache."""
 
     def __init__(self, root: str | Path, endpoint: str | None = None, dim: int | None = None):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.path = Path(root) / "vectors.sqlite"
         self._scope = (endpoint or "", str(dim or ""))
+        self._db = None
+        self._rows: dict[bytes, object] = {}
 
-    def _path(self, model: str | None, text: str, input_type: str | None) -> Path:
+    def _key(self, model: str | None, text: str, input_type: str | None) -> bytes:
         key = hashlib.sha256()
         for part in (*self._scope, model or "", input_type or "", text):
             key.update(part.encode("utf-8"))
             key.update(b"\x00")
-        return self.root / f"{key.hexdigest()}.npy"
+        return key.digest()
+
+    @contextmanager
+    def _fault_is_a_miss(self):
+        """A fault of the database or its directory inside the block is one
+        warning and closes the cache, so that the call goes on uncached."""
+        import sqlite3
+
+        try:
+            yield
+        except (OSError, sqlite3.DatabaseError) as exc:
+            logger.warning("vector cache %s is unusable, going on without it: %s", self.path, exc)
+            self.close()
+
+    def __enter__(self) -> "VectorCache":
+        # imported here, not with the module: only a run with a cache pays for it
+        import sqlite3
+
+        with self._fault_is_a_miss():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            # autocommit: put begins and commits its own transactions
+            self._db = sqlite3.connect(self.path, isolation_level=None)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS vectors (key BLOB PRIMARY KEY, vector BLOB NOT NULL) WITHOUT ROWID"
+            )
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._db is not None:
+            self._db.close()
+            self._db = None
+        self._rows = {}
+
+    def load(self, model: str | None, texts: Sequence[str], input_type: str | None) -> None:
+        """Reads the rows of texts, replacing those an earlier load read."""
+        self._rows = {}
+        if self._db is None:
+            return
+        keys = [self._key(model, text, input_type) for text in texts]
+        with self._fault_is_a_miss():
+            for start in range(0, len(keys), _SQL_VARIABLES):
+                chunk = keys[start : start + _SQL_VARIABLES]
+                marks = ",".join("?" * len(chunk))
+                self._rows.update(self._db.execute(f"SELECT key, vector FROM vectors WHERE key IN ({marks})", chunk))
 
     def get(self, model: str | None, text: str, input_type: str | None) -> np.ndarray | None:
-        path = self._path(model, text, input_type)
-        try:
-            with open(path, "rb") as fh:
-                vector = load_vectors(fh)
-        except FileNotFoundError:
+        """The vector of the key among the rows load read, or None."""
+        key = self._key(model, text, input_type)
+        value = self._rows.get(key)
+        if value is None:
             return None
-        except (ValueError, EOFError):
-            vector = None
-        if isinstance(vector, np.ndarray) and vector.ndim == 1 and vector.dtype == np.float64:
-            return vector
-        logger.warning("discarding unreadable cache entry %s", path)
+        if isinstance(value, bytes) and value and len(value) % 8 == 0:
+            return np.frombuffer(value, dtype="<f8").astype(np.float64)
+        logger.warning("discarding unreadable cache entry %s in %s", key.hex(), self.path)
         return None
 
-    def put(self, model: str | None, text: str, input_type: str | None, vector: Sequence[float]) -> None:
-        path = self._path(model, text, input_type)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        with open(tmp, "wb") as fh:
-            save_vectors(fh, vector)
-        os.replace(tmp, path)
+    def put(
+        self, model: str | None, texts: Sequence[str], input_type: str | None, vectors: Sequence[np.ndarray]
+    ) -> None:
+        """Writes one row per text, all in one transaction."""
+        if self._db is None:
+            return
+        rows = [
+            (self._key(model, text, input_type), np.asarray(vector, dtype="<f8").tobytes())
+            for text, vector in zip(texts, vectors)
+        ]
+        with self._fault_is_a_miss(), self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            self._db.executemany("INSERT OR REPLACE INTO vectors VALUES (?, ?)", rows)
 
 
 class RemoteEmbedder(RemoteClient):
@@ -169,48 +231,69 @@ class RemoteEmbedder(RemoteClient):
     def __init__(self, spec: EmbedderSpec, *args, **kwargs):
         super().__init__(spec, *args, **kwargs)
         self.dim = spec.dim
-        self._cache = VectorCache(spec.cache_dir, spec.endpoint, spec.dim) if spec.cache_dir else None
 
     def embed_texts(self, texts: Sequence[str], input_type: str | None = None) -> list[np.ndarray]:
         """One vector per text, in order. Each distinct text is looked up in
         the cache and, when missing, requested once per call, in batches of
-        batch_size; every position it holds gets that one vector."""
+        batch_size; every position it holds gets that one vector. A batch is
+        checked whole and cached before the next one is requested, so a call
+        that fails keeps the batches before it."""
+        spec = self.spec
         texts = list(texts)
         positions: dict[str, list[int]] = {}
         for i, text in enumerate(texts):
             positions.setdefault(text, []).append(i)
         vectors: list[np.ndarray | None] = [None] * len(texts)
-        pending: list[str] = []
-        for text, where in positions.items():
-            cached = self._cache.get(self.spec.model, text, input_type) if self._cache else None
-            if cached is not None:
-                if cached.shape == (self.spec.dim,):
-                    for i in where:
-                        vectors[i] = cached
-                    continue
-                # only a damaged or hand-written entry has another shape
-                logger.warning(
-                    "cached vector has shape %s, configured dim is %d; fetching it again",
-                    cached.shape,
-                    self.spec.dim,
-                )
-            pending.append(text)
-        for start in range(0, len(pending), self.spec.batch_size):
-            batch = pending[start : start + self.spec.batch_size]
-            for text, raw in zip(batch, self._request(batch, input_type)):
-                arr = np.asarray(raw, dtype=np.float64)
-                if arr.shape != (self.spec.dim,):
-                    raise EmbedError(
-                        f"embedding has dimension {arr.shape}, configured dim is {self.spec.dim}"
+        with VectorCache(spec.cache_dir, spec.endpoint, spec.dim) if spec.cache_dir else nullcontext() as cache:
+            if cache is not None:
+                cache.load(spec.model, list(positions), input_type)
+            pending: list[str] = []
+            for text, where in positions.items():
+                cached = cache.get(spec.model, text, input_type) if cache is not None else None
+                if cached is not None:
+                    if cached.shape == (spec.dim,):
+                        for i in where:
+                            vectors[i] = cached
+                        continue
+                    # only a damaged or hand-written entry has another shape
+                    logger.warning(
+                        "cached vector has shape %s, configured dim is %d; fetching it again",
+                        cached.shape,
+                        spec.dim,
                     )
-                for i in positions[text]:
-                    vectors[i] = arr
-                if self._cache:
-                    self._cache.put(self.spec.model, text, input_type, arr)
-        missing = [i for i, v in enumerate(vectors) if v is None]
-        if missing:
-            raise EmbedError(f"no vector returned for {len(missing)} of {len(texts)} texts")
+                pending.append(text)
+            for start in range(0, len(pending), spec.batch_size):
+                batch = pending[start : start + spec.batch_size]
+                fetched = self._fetch(batch, input_type, positions)
+                for text, arr in zip(batch, fetched):
+                    for i in positions[text]:
+                        vectors[i] = arr
+                if cache is not None:
+                    cache.put(spec.model, batch, input_type, fetched)
         return vectors
+
+    def _fetch(self, batch: list[str], input_type: str | None, positions: dict[str, list[int]]) -> list[np.ndarray]:
+        """The vectors of batch, or EmbedError naming the first text (by its
+        first position in the call) whose vector is missing, not a list of
+        dim numbers, or holds a NaN or infinity."""
+        raw = self._request(batch, input_type)
+        if len(raw) != len(batch):
+            raise EmbedError(f"no vector returned for {len(batch) - len(raw)} of {len(batch)} texts")
+        out = []
+        for text, values in zip(batch, raw):
+            where = positions[text][0]
+            try:
+                arr = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise EmbedError(f"embedding of text {where} is not a list of numbers") from None
+            if arr.shape != (self.spec.dim,):
+                raise EmbedError(
+                    f"embedding of text {where} has dimension {arr.shape}, configured dim is {self.spec.dim}"
+                )
+            if not np.isfinite(arr).all():
+                raise EmbedError(f"embedding of text {where} has a non-finite entry")
+            out.append(arr)
+        return out
 
     def _request(self, batch: list[str], input_type: str | None) -> list[list[float]]:
         payload: dict = {"texts": batch, "model": self.spec.model}

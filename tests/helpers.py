@@ -10,7 +10,10 @@ import json
 import math
 import random
 import re
+import sqlite3
 from collections import Counter
+from contextlib import closing
+from pathlib import Path
 from typing import AbstractSet, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +54,19 @@ def question_to_row(q: QuestionRecord) -> dict:
     if q.gold is not None:
         row["golden_answer"] = ",".join(sorted(q.gold))
     return row
+
+
+def cache_rows(cache_dir: Path) -> dict[bytes, object]:
+    """The remote embedder's vector cache in cache_dir, stored key to stored
+    value."""
+    with closing(sqlite3.connect(cache_dir / "vectors.sqlite")) as db:
+        return dict(db.execute("SELECT key, vector FROM vectors"))
+
+
+def set_cache_values(cache_dir: Path, value: object) -> None:
+    """Stores value, as it is, in every row of the vector cache in cache_dir."""
+    with closing(sqlite3.connect(cache_dir / "vectors.sqlite")) as db, db:
+        db.execute("UPDATE vectors SET vector = ?", (value,))
 
 
 def record_texts(embedder, texts: list[str]):

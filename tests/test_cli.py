@@ -13,6 +13,8 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from causeway.embed import MockEmbedder
 from causeway.lexindex import LexIndex, extract_entities, tokenize
 from causeway.reason import OverlapMockClient
 from causeway.remote import ConfigError
-from helpers import config_objects, flag_args, record_texts
+from helpers import cache_rows, config_objects, flag_args, record_texts
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "toy"
 STAGES = ("ingest", "build-graph", "retrieve", "infer", "postprocess", "score", "report")
@@ -903,6 +905,30 @@ class TestBuildGraphReuse:
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
 
+def _mock_vectors(path: str, body: dict, headers: dict) -> tuple[int, dict]:
+    """An embedding endpoint's answer with the fixture config's mock vectors."""
+    return 200, {"vectors": [v.tolist() for v in MockEmbedder(dim=64, seed=0).embed_texts(body["texts"])]}
+
+
+def _remote_config(fake_server) -> dict:
+    """The fixture config with a remote embedder behind fake_server."""
+    config = read_json(FIXTURE_DIR / "config.json")
+    config["embedder"] = {"kind": "remote", "dim": 64, "endpoint": fake_server.url + "/embed", "model": "m"}
+    return config
+
+
+def _run_module(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Runs a fresh interpreter with args and the package on its path; it must
+    exit 0."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
 class TestOneEmbeddingPass:
     """Each stage embeds its texts in one embed_texts call, which a remote
     embedder splits into batch_size requests that span topics. The endpoint
@@ -912,26 +938,18 @@ class TestOneEmbeddingPass:
     @pytest.fixture
     def remote(self, tmp_path, fake_server, monkeypatch):
         """Runs a stage with the fixture config's embedder behind fake_server."""
-        embedder = MockEmbedder(dim=64, seed=0)  # the fixture config's embedder
-        fake_server.set_responder(
-            lambda path, body, headers: (200, {"vectors": [v.tolist() for v in embedder.embed_texts(body["texts"])]})
-        )
-        config = read_json(FIXTURE_DIR / "config.json")
-        config["embedder"] = {"kind": "remote", "dim": 64, "endpoint": fake_server.url + "/embed", "model": "m"}
-        config_path = tmp_path / "remote.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        fake_server.set_responder(_mock_vectors)
+        config = _remote_config(fake_server)
         monkeypatch.chdir(FIXTURE_DIR)  # the config's paths are relative
 
-        def run(stage: str, out: Path, *extra: str, cache_dir: Path | None = None) -> list[int]:
-            """The text count of each request the stage sent; with cache_dir,
-            the embedder keeps its vector cache there."""
-            path = config_path
-            if cache_dir is not None:
-                path = tmp_path / "remote-cached.json"
-                cached = {**config, "embedder": {**config["embedder"], "cache_dir": str(cache_dir)}}
-                path.write_text(json.dumps(cached), encoding="utf-8")
+        def run(stage: str, out: Path, *extra: str, code: int = 0, **embedder: object) -> list[int]:
+            """The text count of each request the stage sent, which must exit
+            with code; embedder's keys (a cache_dir, a batch_size...) replace
+            the embedder settings of the fixture's config."""
+            path = tmp_path / "remote.json"
+            path.write_text(json.dumps({**config, "embedder": {**config["embedder"], **embedder}}), encoding="utf-8")
             del fake_server.requests[:]
-            assert main([stage, "--config", str(path), "--out", str(out), *extra]) == 0
+            assert main([stage, "--config", str(path), "--out", str(out), *extra]) == code
             return [len(r["body"]["texts"]) for r in fake_server.requests]
 
         return run
@@ -946,12 +964,58 @@ class TestOneEmbeddingPass:
     def test_vector_cache_changes_no_output(self, tmp_path, remote):
         cache = tmp_path / "vectors"
         cold, warm, uncached = (tmp_path / name for name in ("cold", "warm", "uncached"))
-        assert remote("build-graph", cold, cache_dir=cache) == [18]
-        assert len(list(cache.glob("*.npy"))) == 18
-        assert remote("build-graph", warm, cache_dir=cache) == []
+        assert remote("build-graph", cold, cache_dir=str(cache)) == [18]
+        assert len(cache_rows(cache)) == 18
+        assert remote("build-graph", warm, cache_dir=str(cache)) == []
         assert remote("build-graph", uncached) == [18]
         for rel in ("graphs/doc_vectors.npy", "manifests/build-graph.json"):
             assert (cold / rel).read_bytes() == (warm / rel).read_bytes() == (uncached / rel).read_bytes()
+
+    def test_failed_run_keeps_its_finished_batches(self, run_dir, tmp_path, fake_server, remote):
+        def first_request_only(path, body, headers):
+            return _mock_vectors(path, body, headers) if len(fake_server.requests) == 1 else (500, {})
+
+        fake_server.set_responder(first_request_only)
+        embedder = {"cache_dir": str(tmp_path / "vectors"), "batch_size": 8, "max_retries": 2, "backoff_base": 0}
+        # the second request fails both its attempts
+        assert remote("build-graph", tmp_path / "failed", code=2, **embedder) == [8, 8, 8]
+        finished = set(fake_server.requests[0]["body"]["texts"])
+        fake_server.set_responder(_mock_vectors)
+        out = tmp_path / "out"
+        assert remote("build-graph", out, **embedder) == [8, 2]
+        sent = [t for r in fake_server.requests for t in r["body"]["texts"]]
+        assert sorted(sent) == sorted(DOC_TEXTS - finished)
+        assert (out / "graphs/doc_vectors.npy").read_bytes() == (run_dir / "graphs/doc_vectors.npy").read_bytes()
+
+    def test_failed_endpoint_exits_2(self, tmp_path, fake_server, remote, capsys):
+        fake_server.set_responder(lambda path, body, headers: (500, {"error": "down"}))
+        capsys.readouterr()
+        assert remote("build-graph", tmp_path / "out", code=2, max_retries=2, backoff_base=0) == [18, 18]
+        err = capsys.readouterr().err
+        assert "error: embedding request failed after 2 attempts: 500 Server Error" in err
+        assert "Traceback" not in err
+
+    def test_vector_cache_is_shared_across_processes(self, tmp_path, fake_server):
+        fake_server.set_responder(_mock_vectors)
+        config = _remote_config(fake_server)
+        config["embedder"]["cache_dir"] = str(tmp_path / "vectors")
+        path = tmp_path / "remote.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        sent = []
+        for name in ("cold", "warm"):
+            del fake_server.requests[:]
+            argv = ["build-graph", "--config", str(path), "--out", str(tmp_path / name)]
+            _run_module(["-m", "causeway.cli", *argv], cwd=FIXTURE_DIR)
+            sent.append([len(r["body"]["texts"]) for r in fake_server.requests])
+        assert sent == [[18], []]
+        rel = "graphs/doc_vectors.npy"
+        assert (tmp_path / "cold" / rel).read_bytes() == (tmp_path / "warm" / rel).read_bytes()
+
+    def test_cli_import_leaves_sqlite_unloaded(self):
+        # sqlite3 costs every CLI process its import time; only a run with a
+        # vector cache should pay it
+        code = "import sys, causeway.cli; print('sqlite3' in sys.modules)"
+        assert _run_module(["-c", code]).stdout == "False\n"
 
     def test_recomputed_documents_take_one_request(self, run_dir, tmp_path, remote):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 
 import numpy as np
@@ -18,7 +19,7 @@ from causeway.embed import (
     VectorCache,
     make_embedder,
 )
-from helpers import cosine, mock_embed_reference
+from helpers import cache_rows, cosine, mock_embed_reference, set_cache_values
 
 
 class TestMockEmbedder:
@@ -101,57 +102,91 @@ class TestMockEmbedder:
 
 class TestVectorCache:
     def test_round_trip(self, tmp_path):
-        cache = VectorCache(tmp_path)
-        vec = np.arange(4, dtype=np.float64)
-        cache.put("model-x", "query", "some text", vec)
-        got = cache.get("model-x", "query", "some text")
+        vec = np.array([0.0, 1.0, -2.5, 1e-300, np.nextafter(1.0, 2.0)])
+        with VectorCache(tmp_path) as cache:
+            cache.put("model-x", ["some text"], "query", [vec])
+        with VectorCache(tmp_path) as cache:
+            cache.load("model-x", ["some text"], "query")
+            got = cache.get("model-x", "some text", "query")
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, vec)
+        assert list(tmp_path.iterdir()) == [tmp_path / "vectors.sqlite"]
+        assert list(cache_rows(tmp_path).values()) == [vec.astype("<f8").tobytes()]
 
     def test_miss_returns_none(self, tmp_path):
-        cache = VectorCache(tmp_path)
-        assert cache.get("m", "query", "absent") is None
+        with VectorCache(tmp_path) as cache:
+            cache.load("m", ["absent"], "query")
+            assert cache.get("m", "absent", "query") is None
 
     def test_keyed_by_model_and_input_type(self, tmp_path):
-        cache = VectorCache(tmp_path)
-        cache.put("m1", "query", "t", np.ones(2))
-        assert cache.get("m2", "query", "t") is None
-        assert cache.get("m1", "document", "t") is None
+        with VectorCache(tmp_path) as cache:
+            cache.put("m1", ["t"], "query", [np.ones(2)])
+            cache.load("m2", ["t"], "query")
+            assert cache.get("m2", "t", "query") is None
+            cache.load("m1", ["t"], "document")
+            assert cache.get("m1", "t", "document") is None
+            cache.load("m1", ["t"], "query")
+            np.testing.assert_array_equal(cache.get("m1", "t", "query"), np.ones(2))
+
+    def test_load_reads_more_keys_than_one_statement_holds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "_SQL_VARIABLES", 3)
+        texts = [str(i) for i in range(7)]
+        with VectorCache(tmp_path) as cache:
+            cache.put("m", texts, None, [np.full(2, float(i)) for i in range(len(texts))])
+            cache.load("m", texts, None)
+            got = [cache.get("m", text, None) for text in texts]
+        assert [v.tolist() for v in got] == [[float(i)] * 2 for i in range(len(texts))]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
-        cache = VectorCache(tmp_path)
-        cache.put("m", "query", "t", np.ones(2))
-        entry = next(tmp_path.iterdir())
-        entry.write_bytes(b"not a numpy file")
-        assert cache.get("m", "query", "t") is None
-        entry.write_text('{"vector": ["x", "y"]}', encoding="utf-8")
-        assert cache.get("m", "query", "t") is None
+        with VectorCache(tmp_path) as cache:
+            cache.put("m", ["t"], "query", [np.ones(2)])
+        for value in (b"\x00" * 7, b"", "text", 7):
+            set_cache_values(tmp_path, value)
+            caplog.clear()
+            with VectorCache(tmp_path) as cache, caplog.at_level(logging.WARNING, logger="causeway.embed"):
+                cache.load("m", ["t"], "query")
+                assert cache.get("m", "t", "query") is None
+            assert caplog.text.count("discarding unreadable cache entry") == 1
 
-    def test_same_key_from_two_threads(self, tmp_path, monkeypatch):
-        cache = VectorCache(tmp_path)
-        real_replace = embed.os.replace
+    def test_same_key_from_two_threads(self, fake_server, tmp_path, caplog):
+        # four embedders, each in its own thread, fill one cache with
+        # overlapping texts at once; every put of a text another thread is
+        # also putting must succeed
+        fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
+        spec = EmbedderSpec(kind="remote", dim=4, endpoint=fake_server.url + "/embed", model="m",
+                            batch_size=2, cache_dir=str(tmp_path))
+        texts = ["x" * n for n in range(1, 25)]
+        shares = [texts[i * 6 : i * 6 + 12] for i in range(4)]  # each overlaps the next
+        start = threading.Barrier(len(shares))
         errors: list[Exception] = []
 
-        def other_put():
+        def embed_share(share: list[str]) -> None:
+            embedder = RemoteEmbedder(spec, sleep=lambda s: None)
             try:
-                cache.put("m", "query", "t", np.full(2, 2.0))
+                start.wait(timeout=10)
+                embedder.embed_texts(share)
             except Exception as err:  # surfaced in the main thread
                 errors.append(err)
 
-        def interleaved(src, dst):
-            # the first put has written its temp file; a second thread puts
-            # the same key before the first renames
-            monkeypatch.setattr(embed.os, "replace", real_replace)
-            thread = threading.Thread(target=other_put)
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-            real_replace(src, dst)
-
-        monkeypatch.setattr(embed.os, "replace", interleaved)
-        cache.put("m", "query", "t", np.ones(2))
+        threads = [threading.Thread(target=embed_share, args=(share,)) for share in shares]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="causeway.embed"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        np.testing.assert_array_equal(cache.get("m", "query", "t"), np.ones(2))
-        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+        assert caplog.text == ""
+        fake_server.requests.clear()
+        out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(texts)
+        assert fake_server.requests == []
+        assert [v.tolist() for v in out] == _vectors_payload(texts)["vectors"]
+        assert len(cache_rows(tmp_path)) == len(texts)
 
 
 def _vectors_payload(texts, dim=4):
@@ -280,7 +315,7 @@ class TestRemoteEmbedder:
         assert [r["body"]["texts"] for r in fake_server.requests] == [["a", "bb"]]
         np.testing.assert_array_equal(out[0], out[2])
         assert not np.array_equal(out[0], out[1])
-        assert len(list(tmp_path.iterdir())) == 2  # one cache file per distinct text
+        assert len(cache_rows(tmp_path)) == 2  # one row per distinct text
 
 
     def test_cached_vector_of_another_dim_is_a_miss(self, fake_server, tmp_path, caplog):
@@ -305,7 +340,7 @@ class TestRemoteEmbedder:
         np.testing.assert_array_equal(embed(4), first)
         np.testing.assert_array_equal(embed(8), out)
         assert len(fake_server.requests) == 1
-        assert len(list(tmp_path.iterdir())) == 2
+        assert len(cache_rows(tmp_path)) == 2
 
     def test_cached_vector_of_another_endpoint_is_a_miss(self, fake_server, tmp_path):
         # each endpoint answers with its own vectors
@@ -324,12 +359,13 @@ class TestRemoteEmbedder:
         np.testing.assert_array_equal(embed("/embed"), first_a)
         np.testing.assert_array_equal(embed("/v2/embed"), first_b)
         assert len(fake_server.requests) == 2
-        assert len(list(tmp_path.iterdir())) == 2
+        assert len(cache_rows(tmp_path)) == 2
 
     def test_cached_entry_of_the_wrong_shape_is_fetched_again(self, fake_server, tmp_path, caplog):
         fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"], 8)))
         spec = self._spec(fake_server.url, dim=8, cache_dir=str(tmp_path))
-        VectorCache(tmp_path, spec.endpoint, 8).put(spec.model, "hello", None, np.ones(4))
+        with VectorCache(tmp_path, spec.endpoint, 8) as cache:
+            cache.put(spec.model, ["hello"], None, [np.ones(4)])
         with caplog.at_level(logging.WARNING, logger="causeway.embed"):
             out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
         assert out[0].shape == (8,)
@@ -340,22 +376,13 @@ class TestRemoteEmbedder:
         np.testing.assert_array_equal(again[0], out[0])
 
     @pytest.mark.parametrize(
-        "entry",
-        [
-            np.ones(4, dtype=np.float32),
-            np.ones(4, dtype=np.int64),
-            np.ones((1, 4)),
-            np.array([1.0, 2.0, 3.0, "x"], dtype=object),
-        ],
-        ids=["float32", "int64", "2-d", "object"],
+        "value", [b"\x00" * 7, b"", "text", 7], ids=["7-bytes", "empty", "text", "integer"]
     )
-    def test_entry_not_1d_float64_is_fetched_again(self, fake_server, tmp_path, caplog, entry):
+    def test_unreadable_value_is_fetched_again(self, fake_server, tmp_path, caplog, value):
         fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
         spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
         want = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])[0]
-        (path,) = tmp_path.iterdir()
-        with open(path, "wb") as fh:
-            np.save(fh, entry, allow_pickle=True)
+        set_cache_values(tmp_path, value)
         fake_server.requests.clear()
         with caplog.at_level(logging.WARNING, logger="causeway.embed"):
             out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(["hello"])
@@ -371,18 +398,62 @@ class TestRemoteEmbedder:
         fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
         spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
         texts = ["a", "bb", "ccc"]
-        # the layout of the JSON cache: the same key, a .json suffix
-        cache = VectorCache(tmp_path, spec.endpoint, spec.dim)
+        # the per-text layouts of older versions: <sha256 of the key>.npy or .json
         old = {}
-        for text in texts:
-            path = cache._path(spec.model, text, None).with_suffix(".json")
-            path.write_text(json.dumps({"vector": [9.0] * spec.dim}), encoding="utf-8")
+        for text, suffix in zip(texts, [".npy", ".json", ".npy"]):
+            path = tmp_path / (VectorCache(tmp_path, spec.endpoint, spec.dim)._key(spec.model, text, None).hex() + suffix)
+            if suffix == ".npy":
+                with open(path, "wb") as fh:
+                    np.save(fh, np.full(spec.dim, 9.0), allow_pickle=False)
+            else:
+                path.write_text(json.dumps({"vector": [9.0] * spec.dim}), encoding="utf-8")
             old[path] = path.read_bytes()
         out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(texts)
         assert [t for r in fake_server.requests for t in r["body"]["texts"]] == texts
         assert [v.tolist() for v in out] == _vectors_payload(texts)["vectors"]
-        assert sorted(p.name for p in tmp_path.glob("*.npy")) == sorted(p.with_suffix(".npy").name for p in old)
-        assert {p: p.read_bytes() for p in tmp_path.glob("*.json")} == old
+        assert len(cache_rows(tmp_path)) == 3
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.suffix in (".npy", ".json")} == old
+
+    def test_unusable_database_is_one_warning_and_an_uncached_run(self, fake_server, tmp_path, caplog):
+        fake_server.set_responder(lambda path, body, headers: (200, _vectors_payload(body["texts"])))
+        spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
+        db = tmp_path / "vectors.sqlite"
+        db.write_bytes(b"not a database" * 100)
+        texts = ["a", "bb", "ccc"]
+        for _ in range(2):
+            caplog.clear()
+            fake_server.requests.clear()
+            with caplog.at_level(logging.WARNING, logger="causeway.embed"):
+                out = RemoteEmbedder(spec, sleep=lambda s: None).embed_texts(texts)
+            assert [v.tolist() for v in out] == _vectors_payload(texts)["vectors"]
+            assert [r["body"]["texts"] for r in fake_server.requests] == [["a", "bb"], ["ccc"]]
+            assert len(caplog.records) == 1
+            assert "vector cache" in caplog.text and "is unusable" in caplog.text
+        assert db.read_bytes() == b"not a database" * 100
+
+    @pytest.mark.parametrize("entry", [None, float("nan"), float("inf")], ids=["null", "nan", "infinity"])
+    def test_non_finite_vector_raises_and_caches_nothing_of_its_batch(self, fake_server, tmp_path, entry):
+        def responder(path, body, headers):
+            vectors = _vectors_payload(body["texts"])["vectors"]
+            if "bad" in body["texts"]:
+                vectors[body["texts"].index("bad")][0] = entry
+            return 200, {"vectors": vectors}
+
+        fake_server.set_responder(responder)
+        spec = self._spec(fake_server.url, cache_dir=str(tmp_path))
+        embedder = RemoteEmbedder(spec, sleep=lambda s: None)
+        with pytest.raises(EmbedError, match="embedding of text 3 has a non-finite entry"):
+            embedder.embed_texts(["a", "bb", "ccc", "bad"])
+        # the first batch was cached, nothing of the second
+        fake_server.requests.clear()
+        embedder.embed_texts(["a", "bb", "ccc"])
+        assert [r["body"]["texts"] for r in fake_server.requests] == [["ccc"]]
+
+    def test_vector_of_non_numbers_raises(self, fake_server):
+        fake_server.set_responder(lambda path, body, headers: (200, {"vectors": [["x", 1, 2, 3]]}))
+        embedder = RemoteEmbedder(self._spec(fake_server.url), sleep=lambda s: None)
+        with pytest.raises(EmbedError, match="embedding of text 0 is not a list of numbers"):
+            embedder.embed_texts(["a"])
 
     def test_missing_vector_raises_instead_of_shifting(self, fake_server, monkeypatch):
         embedder = RemoteEmbedder(self._spec(fake_server.url), sleep=lambda s: None)
