@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import sys
 from collections import abc
 from concurrent.futures import ThreadPoolExecutor
@@ -222,14 +223,15 @@ def _read_listed(out_dir: Path, manifest: dict | None, rel: str) -> bytes | None
 @dataclass
 class StageInput:
     """What run_stage hands a stage body: the config, the config files the
-    stage reads, loaded, with their content hashes, and the preds argument
-    (postprocess and score: one optional path; agree: name=path specs)."""
+    stage reads, loaded, with their content hashes, the path and lines of the
+    earlier stage's file or --preds it reads, and the preds argument."""
 
     config: RunConfig
     questions: list[QuestionRecord] | None
     topics: dict[int, list[DocumentRecord]] | None
     hashes: dict[str, str]
-    preds: str | Sequence[str] | None
+    upstream: tuple[str | Path, io.TextIOWrapper] | None
+    preds: str | Sequence[str] | None  # agree's name=path specs
 
 
 @dataclass
@@ -472,28 +474,15 @@ def _make_llm_client(config: RunConfig):
     return make_client(spec)
 
 
-def _upstream(run: StageInput, stage: str, rel: str) -> tuple[Path, io.TextIOWrapper, str]:
-    """rel's path, its lines and its hash, as the latest manifest of stage
-    lists it. Refuses a missing or unreadable manifest, a file that is not the
-    listed one, and a stage run on other config files than this stage reads."""
-    out_dir = Path(run.config.out)
-    manifest = _read_manifest(out_dir, stage)
-    data = _read_listed(out_dir, manifest, rel)
-    if data is None:
-        raise StageError(f"{rel} is missing or not the file its manifest lists: run the {stage} stage")
-    if any(manifest["inputs"].get(name) != digest for name, digest in run.hashes.items()):
-        raise StageError(f"{stage} ran on other questions or documents: run the {stage} stage again")
-    return out_dir / rel, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), manifest["outputs"][rel]
-
-
-def _retrieved_docs(run: StageInput) -> tuple[dict[str, list[DocumentRecord]], str]:
-    """Each question's retrieved documents, by id, and retrieval.jsonl's hash.
-    A row of no question or of ids not in its question's topic is refused."""
-    path, lines, digest = _upstream(run, "retrieve", "retrieval.jsonl")
-    topic_of = {q.id: q.topic_id for q in run.questions}
+def _infer(run: StageInput) -> StageResult:
+    config, questions = run.config, run.questions
+    # each question's retrieved documents; a row of no question or of ids not
+    # in its question's topic, and a missing trace, are refused before any LLM
+    # call is paid for
+    topic_of = {q.id: q.topic_id for q in questions}
     docs = {topic_id: {d.id: d for d in topic} for topic_id, topic in run.topics.items()}
     contexts: dict[str, list[DocumentRecord]] = {}
-    for where, row in _rows(path, lines, ("id", "selected")):
+    for where, row in _rows(*run.upstream, ("id", "selected")):
         qid, selected = str(row["id"]), row["selected"]
         if qid not in topic_of:
             raise CorpusError(f"{where}: no question {qid!r} in the questions file")
@@ -501,13 +490,6 @@ def _retrieved_docs(run: StageInput) -> tuple[dict[str, list[DocumentRecord]], s
         if not isinstance(selected, list) or not all(isinstance(d, str) and d in topic for d in selected):
             raise CorpusError(f"{where}: selected {selected!r} is not a list of topic {topic_of[qid]}'s document ids")
         contexts[qid] = [topic[doc_id] for doc_id in selected]
-    return contexts, digest
-
-
-def _infer(run: StageInput) -> StageResult:
-    config, questions = run.config, run.questions
-    contexts, retrieval_hash = _retrieved_docs(run)
-    # a missing trace is refused before any LLM call is paid for
     for q in questions:
         if q.id not in contexts:
             raise CorpusError(f"no retrieval trace for question {q.id!r}")
@@ -545,29 +527,18 @@ def _infer(run: StageInput) -> StageResult:
         "theta": config.theta,
         "invalid_samples": n_invalid,
     }
-    inputs = {"retrieval": retrieval_hash}
     script = config.script_hash()
-    if script:
-        inputs["script"] = script
     return StageResult(
         {"samples.jsonl": sample_rows, "predictions.jsonl": pred_rows},
         counts,
-        inputs,
+        {"script": script} if script else {},
         lines=[f"infer: {len(questions)} questions, {n_invalid} invalid samples"],
     )
 
 
-def _predictions(run: StageInput, stage: str, rel: str) -> tuple[dict[str, frozenset[str]], str]:
-    """The --preds file as it is, or else rel as stage's manifest lists it, parsed, and its hash."""
-    if run.preds:
-        return load_predictions(run.preds), _sha256_file(run.preds)
-    path, lines, digest = _upstream(run, stage, rel)
-    return parse_predictions(path, lines), digest
-
-
 def _postprocess(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
-    preds, preds_hash = _predictions(run, "infer", "predictions.jsonl")
+    preds = parse_predictions(*run.upstream)
     scoped = [q for q in questions if q.id in preds]
     dropped = len(questions) - len(scoped)
     if dropped:
@@ -600,14 +571,11 @@ def _postprocess(run: StageInput) -> StageResult:
         "consistency.json": summary,
     }
     counts = {k: v for k, v in summary.items() if k in ("enabled", "iterations", "converged", "n_changes")}
-    return StageResult(outputs, counts, {"predictions": preds_hash}, lines=[line])
+    return StageResult(outputs, counts, lines=[line])
 
 
 def _score(run: StageInput) -> StageResult:
-    if (Path(run.config.out) / "manifests" / "postprocess.json").exists():
-        preds, preds_hash = _predictions(run, "postprocess", "predictions.final.jsonl")
-    else:
-        preds, preds_hash = _predictions(run, "infer", "predictions.jsonl")
+    preds = parse_predictions(*run.upstream)
     golds = {q.id: q.gold for q in run.questions if q.gold is not None}
     if not golds:
         raise StageError("the questions file carries no gold answers")
@@ -625,7 +593,6 @@ def _score(run: StageInput) -> StageResult:
     return StageResult(
         {"score_report.json": report},
         {"mean": report.mean, "n": report.n},
-        {"predictions": preds_hash},
         lines=lines,
     )
 
@@ -646,7 +613,7 @@ def _agree(run: StageInput) -> StageResult:
             raise StageError(f"duplicate model name {name!r}")
         model_preds[name] = load_predictions(path)
         inputs[f"predictions:{name}"] = _sha256_file(path)
-    questions = load_questions(run.config.questions) if run.config.questions else []
+    questions = run.questions or []
     report = agreement_report(model_preds, {q.id: q.topic_id for q in questions})
     outputs = {"agreement_report.json": report.to_json()}
     lines = [
@@ -680,14 +647,17 @@ def _report(run: StageInput) -> StageResult:
         ("oracle", "agree", "oracle_report.json"),
         ("bias", "agree", "bias_report.json"),
         ("consistency", "postprocess", "consistency.json"),
+        ("retrieve", "retrieve", "retrieval.jsonl"),
+        ("infer", "infer", "predictions.jsonl"),
     ):
-        data = _read_listed(out_dir, _read_manifest(out_dir, stage), rel)
-        if data is not None:
+        try:
+            data = _serving(out_dir, {}, ((stage, rel, name),))[2]
+        except StageError:
+            continue
+        if name in ("retrieve", "infer"):
+            report.setdefault("stages", {})[stage] = _read_manifest(out_dir, stage)["counts"]
+        else:
             report[name] = json.loads(data)
-    for stage in ("retrieve", "infer"):
-        manifest = _read_manifest(out_dir, stage)
-        if manifest is not None:
-            report.setdefault("stages", {})[stage] = manifest["counts"]
     lines = [f"report: wrote {out_dir / 'report.json'}"]
     if "score" in report:
         lines.append(f"  mean score     {report['score']['mean']:.4f}")
@@ -701,26 +671,65 @@ def _report(run: StageInput) -> StageResult:
     return StageResult({"report.json": report}, None, lines=lines)
 
 
-# Each stage's body and the config files it reads, in the order they are
-# required. run_stage does the loading, writing and manifest for all of them.
-STAGES: dict[str, tuple[Callable[[StageInput], StageResult], tuple[str, ...]]] = {
-    "ingest": (_ingest, ("questions", "docs")),
-    "build-graph": (_build_graph, ("docs",)),
-    "retrieve": (_retrieve, ("questions", "docs")),
-    "infer": (_infer, ("questions", "docs")),
-    "postprocess": (_postprocess, ("questions",)),
-    "score": (_score, ("questions",)),
-    "agree": (_agree, ()),
-    "report": (_report, ()),
+# Each stage's body, the config files it requires, in that order, and those
+# it reads when given. run_stage does the loading, writing and manifest for
+# all of them.
+STAGES: dict[str, tuple[Callable[[StageInput], StageResult], tuple[str, ...], tuple[str, ...]]] = {
+    "ingest": (_ingest, ("questions", "docs"), ()),
+    "build-graph": (_build_graph, ("docs",), ()),
+    "retrieve": (_retrieve, ("questions", "docs"), ()),
+    "infer": (_infer, ("questions", "docs"), ()),
+    "postprocess": (_postprocess, ("questions",), ()),
+    "score": (_score, ("questions",), ()),
+    "agree": (_agree, (), ("questions",)),
+    "report": (_report, (), ()),
+}
+
+# Each stage that reads an earlier stage's file: the producing stage, the
+# file and the reader's input key for its hash. score reads infer's
+# predictions when postprocess has no manifest.
+UPSTREAM: dict[str, tuple[tuple[str, str, str], ...]] = {
+    "infer": (("retrieve", "retrieval.jsonl", "retrieval"),),
+    "postprocess": (("infer", "predictions.jsonl", "predictions"),),
+    "score": (("postprocess", "predictions.final.jsonl", "predictions"), ("infer", "predictions.jsonl", "predictions")),
 }
 
 
+def _serving(out_dir: Path, hashes: Mapping[str, str], reads) -> tuple[Path, str, bytes]:
+    """The path, key and bytes of the file of the first of reads, (stage,
+    file, key) entries, whose stage has a manifest, or else of the last, when
+    it serves a stage that read the config files of hashes: its stage's latest
+    manifest lists it as it is, and up the UPSTREAM chain each manifest read
+    those files and recorded the earlier stage's file as that stage's latest
+    manifest lists it. The walk stops at a missing or unreadable manifest and
+    at an input key it does not follow (--preds). Otherwise StageError names
+    the stage to run again."""
+    for stage, rel, key in reads:
+        if (manifest := _read_manifest(out_dir, stage)) is not None:
+            break
+    data = _read_listed(out_dir, manifest, rel)
+    if data is None:
+        raise StageError(f"{rel} is missing or not the file its manifest lists: run the {stage} stage")
+    path, read_key = out_dir / rel, key
+    while manifest is not None:
+        inputs = manifest["inputs"]
+        if any(inputs.get(name) != digest for name, digest in hashes.items()):
+            raise StageError(f"{stage} ran on other questions or documents: run the {stage} stage again")
+        reader, manifest = stage, None
+        for stage, rel, key in UPSTREAM.get(reader, ()):
+            if key in inputs and (manifest := _read_manifest(out_dir, stage)) is not None:
+                break
+        if manifest is not None and manifest["outputs"].get(rel) != inputs[key]:
+            raise StageError(f"{reader} read a {rel} that {stage} has since replaced: run the {reader} stage again")
+    return path, read_key, data
+
+
 def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = None) -> None:
-    """Loads the stage's config files, runs its body, writes each output
-    (an array as .npy, a list as JSONL, anything else as JSON) and the
-    manifest of exactly those files, then prints the stage's lines."""
-    body, reads = STAGES[name]
-    paths = {key: getattr(config, key) for key in reads}
+    """Loads the stage's config files and the earlier stage's file (or --preds)
+    it reads, runs its body, writes each output (an array as .npy, a list as
+    JSONL, else JSON) and the manifest of those files, and prints its lines."""
+    body, required, optional = STAGES[name]
+    paths = {key: getattr(config, key) for key in required + optional if getattr(config, key) or key in required}
     for key, path in paths.items():
         if not path:
             raise StageError(f"--{key} is required (flag or config file)")
@@ -729,8 +738,16 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
     questions = load_questions(paths["questions"]) if "questions" in paths else None
     topics = load_docs(paths["docs"]) if "docs" in paths else None
     hashes = {key: _sha256_file(path) for key, path in paths.items()}
-    result = body(StageInput(config, questions, topics, hashes, preds))
     out_dir = Path(config.out)
+    upstream, inputs = None, {}
+    if name in UPSTREAM:
+        if preds:
+            path, key, data = preds, "preds", Path(preds).read_bytes()
+        else:
+            path, key, data = _serving(out_dir, hashes, UPSTREAM[name])
+        inputs[key] = hashlib.sha256(data).hexdigest()
+        upstream = (path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    result = body(StageInput(config, questions, topics, hashes, upstream, preds))
     for rel, content in result.outputs.items():
         if isinstance(content, np.ndarray):
             (out_dir / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -741,7 +758,7 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
         else:
             _write_json(out_dir / rel, content)
     if result.counts is not None:
-        _write_manifest(config, name, {**hashes, **result.inputs}, result)
+        _write_manifest(config, name, {**hashes, **inputs, **result.inputs}, result)
     for line in result.lines:
         print(line)
 
@@ -873,6 +890,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = build_config(args)
         Path(config.out).mkdir(parents=True, exist_ok=True)
         run_stage(args.command, config, getattr(args, "preds", None))
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:  # stdout closed early, as by `| head`: end quietly, as Python's SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
     except (CorpusError, ConfigError, EvalError, StageError, RemoteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

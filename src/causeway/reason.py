@@ -188,7 +188,6 @@ class ScriptedMockClient:
         prompt: str,
         temperature: float = 1.0,
         question_id: str | None = None,
-        sample_index: int = 0,
     ) -> str:
         key = question_id or "__default__"
         responses = self._script.get(key, _SCRIPT_DEFAULT)
@@ -215,7 +214,6 @@ class OverlapMockClient:
         prompt: str,
         temperature: float = 1.0,
         question_id: str | None = None,
-        sample_index: int = 0,
     ) -> str:
         docs_match = _PROMPT_DOCS_RE.search(prompt)
         doc_tokens = set(tokenize(unescape(docs_match.group(1)))) if docs_match else set()
@@ -246,7 +244,6 @@ class RemoteChatClient(RemoteClient):
         prompt: str,
         temperature: float = 1.0,
         question_id: str | None = None,
-        sample_index: int = 0,
     ) -> str:
         payload = {
             "model": self.spec.model,
@@ -286,7 +283,6 @@ def sample_question(
                     prompt.text,
                     temperature=params.temperature,
                     question_id=q.id,
-                    sample_index=i,
                 )
             except Exception as exc:  # transport failure: keep the placeholder
                 logger.error("question %s sample %d failed: %s", q.id, i, exc)

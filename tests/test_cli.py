@@ -69,7 +69,7 @@ TOY_TREE_SHA256 = {
     "consistency.json": "7259479d507c5eef2d3709e42206518bbf0bfe7442d09548f0eb21d7918657ce",
     "ingest/siblings.jsonl": "7bdc4cd797b17b694a5d22bbb4bd261411cd559c5bd754820468e85ebe9324d9",
     "ingest/structure.json": "a6ed43304c14f20f7439c06334dbef2b598f394783903080630640bbd7861581",
-    "manifests/agree.json": "f970621510e6e58e6549ab08f41dcf96c55a8409eb745d4b5beb3d4e8804b9be",
+    "manifests/agree.json": "baacc4e50d8bf4aac8e2c162232146472d796d6370f768f36c8f080a6f23f703",
     "manifests/infer.json": "a22d1b1f6ce902ab254d6c6fc213a59d219d7a20bf736878aff85db6526b0b14",
     "manifests/ingest.json": "dbd54d2af294c018906eb77ace15a68078318ca7ea867656b09ae7711231d037",
     "manifests/postprocess.json": "3c280a5681f6276e3f013316c946c6e55df877c3dcf3616b5a0fefef15259282",
@@ -121,12 +121,21 @@ def stale(stage: str) -> str:
     return f"error: {stage} ran on other questions or documents: run the {stage} stage again\n"
 
 
+def replaced(stage: str, rel: str, producer: str) -> str:
+    """The refusal of a stage whose input file a later run of its producer replaced."""
+    return f"error: {stage} read a {rel} that {producer} has since replaced: run the {stage} stage again\n"
+
+
 def read_jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -382,6 +391,14 @@ class TestAgree:
         bias = read_json(agree_dir / "bias_report.json")
         assert bias["under_selection"] == 3
         assert bias["over_selection"] == 1
+
+    def test_questions_hash_is_recorded_only_when_given(self, run_dir, agree_dir, tmp_path):
+        inputs = read_json(agree_dir / "manifests" / "agree.json")["inputs"]
+        assert inputs["questions"] == _sha256(FIXTURE_DIR / "questions.jsonl")
+        out = tmp_path / "out"
+        preds = (f"raw={run_dir / 'predictions.jsonl'}", f"final={run_dir / 'predictions.final.jsonl'}")
+        assert main(["agree", "--out", str(out), *preds]) == 0
+        assert sorted(read_json(out / "manifests" / "agree.json")["inputs"]) == ["predictions:final", "predictions:raw"]
 
     def test_agree_requires_two_files(self, run_dir, capsys):
         argv = ["agree", "--out", str(run_dir), str(run_dir / "predictions.jsonl")]
@@ -1434,6 +1451,28 @@ class TestErrors:
         argv = ["infer", "--config", "config.json", "--out", str(out)]
         assert refusal(capsys, argv) == unlisted("retrieval.jsonl", "retrieve")
 
+    def test_closed_stdout_ends_the_run_without_an_error(self, run_dir, tmp_path, capsys, monkeypatch):
+        # as `causeway score ... | head -c 10` does once head has exited: the
+        # files and the manifest are written, then printing finds the pipe closed
+        out = _copy_run(run_dir, tmp_path)
+        for rel in ("score_report.json", "manifests/score.json"):
+            (out / rel).unlink()
+
+        def closed_pipe(text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.chdir(FIXTURE_DIR)
+        capsys.readouterr()
+        with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(stdout, "write", closed_pipe)
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["score", "--config", "config.json", "--out", str(out)])
+            monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        for rel in ("score_report.json", "manifests/score.json"):
+            assert (out / rel).read_bytes() == (run_dir / rel).read_bytes()
+
 
 class TestLoadPredictions:
     def test_round_trip(self, run_dir):
@@ -1478,6 +1517,42 @@ class TestPredictionsChecked:
         _drop_first_line(out / "predictions.final.jsonl")
         argv = ["score", "--config", "config.json", "--out", str(out)]
         assert refusal(capsys, argv) == unlisted("predictions.final.jsonl", "postprocess")
+
+    def test_score_after_a_newer_infer_is_refused_naming_postprocess(self, run_dir, tmp_path, capsys):
+        # every stage through score, then infer at another theta: score used to
+        # score the older predictions.final.jsonl again (mean 1.0)
+        out = _copy_run(run_dir, tmp_path)
+        run_stages(out, stages=("infer",), extra=("--theta", "0.99"))
+        before = (out / "score_report.json").read_bytes()
+        argv = ["score", "--config", "config.json", "--out", str(out)]
+        assert refusal(capsys, argv) == replaced("postprocess", "predictions.jsonl", "infer")
+        assert (out / "score_report.json").read_bytes() == before
+        run_stages(out, stages=("postprocess", "score"))
+        inputs = read_json(out / "manifests" / "score.json")["inputs"]
+        assert inputs["predictions"] == hashlib.sha256((out / "predictions.final.jsonl").read_bytes()).hexdigest()
+
+    def test_stale_stage_two_steps_up_is_named(self, run_dir, tmp_path, capsys):
+        # a retrieve at another threshold replaces retrieval.jsonl under the
+        # infer that postprocess and score read through
+        out = _copy_run(run_dir, tmp_path)
+        run_stages(out, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        assert (out / "retrieval.jsonl").read_bytes() != (run_dir / "retrieval.jsonl").read_bytes()
+        for stage in ("postprocess", "score"):
+            argv = [stage, "--config", "config.json", "--out", str(out)]
+            assert refusal(capsys, argv) == replaced("infer", "retrieval.jsonl", "retrieve")
+
+    def test_score_after_postprocess_of_a_preds_file_reads_its_final_predictions(self, run_dir, tmp_path):
+        # a --preds file is recorded under a key the walk does not follow, so
+        # infer's manifest does not decide whether postprocess's output serves
+        out = _copy_run(run_dir, tmp_path)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "q103a", "prediction": "A,D"}) + "\n", encoding="utf-8")
+        run_stages(out, stages=("postprocess",), extra=("--preds", str(preds)))
+        run_stages(out, stages=("score",))
+        assert read_json(out / "manifests" / "score.json")["inputs"]["predictions"] == _sha256(
+            out / "predictions.final.jsonl"
+        )
+        assert read_json(out / "score_report.json")["missing_prediction_ids"] == sorted(set(RAW_PREDICTIONS) - {"q103a"})
 
     def test_score_without_postprocess_manifest_reads_infer_predictions(self, run_dir, tmp_path):
         out = _copy_run(run_dir, tmp_path)
@@ -1532,6 +1607,22 @@ class TestReportReadsListedFiles:
         assert report["agreement"] == read_json(out / "agreement_report.json")
         assert "oracle" not in report
         assert "bias" not in report
+
+    def test_report_after_a_newer_infer_leaves_out_postprocess_and_score(self, run_dir, tmp_path, capsys):
+        out = _copy_run(run_dir, tmp_path)
+        run_stages(out, stages=("infer",), extra=("--theta", "0.99"))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        report = read_json(out / "report.json")
+        assert "consistency" not in report
+        assert "score" not in report
+        assert report["stages"]["infer"] == read_json(out / "manifests" / "infer.json")["counts"]
+        assert report["stages"]["infer"]["theta"] == 0.99
+        assert report["stages"]["retrieve"] == read_json(out / "manifests" / "retrieve.json")["counts"]
+        assert report["ingest"] == read_json(out / "ingest" / "structure.json")
+        printed = capsys.readouterr().out
+        assert "mean score" not in printed
+        assert "rule changes" not in printed
 
     def test_manifest_that_is_not_an_object_is_left_out(self, run_dir, tmp_path):
         out = _copy_run(run_dir, tmp_path)
