@@ -308,23 +308,23 @@ def _topic_rows(vectors: np.ndarray, topics, topic_ids: Sequence[int]) -> dict[i
 
 def _topic_graphs(
     config: RunConfig, topics, rows: Mapping[int, np.ndarray]
-) -> tuple[list[DocGraph], dict[str, list[str]], dict[int, LexIndex]]:
+) -> tuple[dict[int, DocGraph], dict[str, list[str]], dict[int, LexIndex]]:
     """The graph, the sorted entity list and the lexical index of each topic
     of rows, whose document vectors rows gives; the lists keyed by topic id
-    as a string, the indexes by topic id."""
+    as a string, the graphs and indexes by topic id."""
+    graphs: dict[int, DocGraph] = {}
     entities: dict[str, list[str]] = {}
     indexes: dict[int, LexIndex] = {}
-
-    def topic_inputs():
-        """Each topic's build_graphs input, made as it is consumed."""
-        for topic_id, doc_vecs in rows.items():
-            texts = {d.id: document_text(d) for d in topics[topic_id]}
-            topic_entities = graphrag.extract_entities(texts.values())
-            entities[str(topic_id)] = sorted(topic_entities)
-            indexes[topic_id] = LexIndex.build(texts)
-            yield topic_id, list(texts), indexes[topic_id], topic_entities, doc_vecs
-
-    return graphrag.build_graphs(topic_inputs(), config.bm25, config.hybrid), entities, indexes
+    for topic_id, doc_vecs in rows.items():
+        texts = {d.id: document_text(d) for d in topics[topic_id]}
+        topic_entities = graphrag.extract_entities(texts.values())
+        entities[str(topic_id)] = sorted(topic_entities)
+        index = indexes[topic_id] = LexIndex.build(texts)
+        embeddings = dict(zip(texts, doc_vecs))
+        graphs[topic_id] = graphrag.build_graph(
+            topic_id, topics[topic_id], embeddings, index, config.bm25, topic_entities, config.hybrid
+        )
+    return graphs, entities, indexes
 
 
 def _build_graph(run: StageInput) -> StageResult:
@@ -332,8 +332,8 @@ def _build_graph(run: StageInput) -> StageResult:
     topic_ids = sorted(topics)
     vectors = _embed_documents(config, make_embedder(config.embedder), topics, topic_ids)
     graphs, entities, indexes = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
-    outputs: dict[str, object] = {f"graphs/topic_{g.topic_id}.json": g.to_json() for g in graphs}
-    n_edges = sum(len(g.edges) for g in graphs)
+    outputs: dict[str, object] = {f"graphs/topic_{t}.json": g.to_json() for t, g in graphs.items()}
+    n_edges = sum(len(g.edges) for g in graphs.values())
     outputs[DOC_VECTORS] = vectors
     outputs[ENTITIES] = entities
     outputs[TERM_COUNTS] = {str(topic_id): index.term_freqs for topic_id, index in indexes.items()}
@@ -382,10 +382,11 @@ def _build_retrievers(
 ) -> dict[int, TopicRetriever]:
     """Each needed topic's retriever, from build-graph's outputs at two
     levels. The document vectors serve when build-graph read the same docs
-    file with the same embedder; the entity lists, the term counts and the
-    needed topics' graphs serve when the vectors do and the graph parameters
-    match too. A level that does not serve is computed as build-graph
-    computes it, for the needed topics only, with one warning."""
+    file with the same embedder and the file reads back as the float64
+    matrix it writes; the entity lists, the term counts and the needed
+    topics' graphs serve when the vectors do and the graph parameters match
+    too. A level that does not serve is computed as build-graph computes it,
+    for the needed topics only, with one warning."""
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
         if topic_id not in topics:
@@ -396,8 +397,12 @@ def _build_retrievers(
     vectors = None
     if inputs.get("docs") == docs_hash and keys.get("vectors") == config.vectors_key():
         data = _read_listed(out_dir, manifest, DOC_VECTORS)
-        vectors = None if data is None else load_vectors(io.BytesIO(data))
-    if vectors is not None and vectors.shape != (sum(map(len, topics.values())), config.embedder.dim):
+        try:
+            vectors = None if data is None else load_vectors(io.BytesIO(data))
+        except ValueError:  # not an .npy array
+            pass
+    shape = (sum(map(len, topics.values())), config.embedder.dim)
+    if vectors is not None and (vectors.shape != shape or vectors.dtype != np.float64):
         vectors = None
     saved = None
     if vectors is not None and keys.get("graph") == config.graph_key():
@@ -410,11 +415,7 @@ def _build_retrievers(
     if vectors is None:
         vectors = _embed_documents(config, embedder, topics, order)
     rows = _topic_rows(vectors, topics, order)
-    if saved is None:
-        built, entities, indexes = _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
-        graphs = {g.topic_id: g for g in built}
-    else:
-        graphs, entities, indexes = saved
+    graphs, entities, indexes = saved or _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
     return {
         t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)], indexes[t])
         for t in topic_ids

@@ -109,8 +109,9 @@ def save_vectors(fh: BinaryIO, vectors) -> None:
 
 
 def load_vectors(fh: BinaryIO) -> np.ndarray:
-    """The .npy array in fh; one holding pickled objects is a ValueError."""
-    return np.load(fh, allow_pickle=False)
+    """The .npy array in fh. Anything else, an .npz archive or an array of
+    pickled objects included, is a ValueError."""
+    return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 class VectorCache:

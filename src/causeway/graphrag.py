@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,54 +113,6 @@ def _unit_clamp(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x, 1.0)
 
 
-def build_graphs(
-    topics: Iterable[tuple[int, Sequence[str], LexIndex, AbstractSet[str], Sequence[np.ndarray]]],
-    bm25_params: Bm25Params,
-    params: HybridParams,
-) -> list[DocGraph]:
-    """One graph per topic of topics, each given as (topic id, document ids,
-    lexical index, entity set, one vector per document in id order).
-
-    Every pair's weight blends its cosine and its lexical similarity, each
-    clamped into [0, 1], and the pair is an edge when its weight reaches the
-    threshold (inclusive). A topic's scores are computed as it arrives; the
-    clamps, blend, threshold and edge list then run once over every pair of
-    every topic, pairs in row-major order."""
-    nodes: list[tuple[int, tuple[str, ...]]] = []
-    # per topic, per pair: both documents' positions in the ids of all
-    # topics, their cosine and their lexical similarity
-    topic_pairs = []
-    offset = 0
-    for topic_id, doc_ids, index, entities, vectors in topics:
-        ids = tuple(doc_ids)
-        if len(vectors) != len(ids):
-            raise GraphError(f"{len(vectors)} document vectors for {len(ids)} documents in topic {topic_id}")
-        vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-        norms = _norms(vecs)
-        first, second = np.nonzero(~np.tri(len(ids), dtype=bool))  # i < j, row-major
-        pairs = ([vecs[a] for a in first.tolist()], [vecs[b] for b in second.tolist()])
-        cos = cosine(*pairs, norms[first], norms[second])
-        lexical = lexical_similarity(ids, index, bm25_params, entities)[first, second]
-        topic_pairs.append((first + offset, second + offset, cos, lexical))
-        nodes.append((topic_id, ids))
-        offset += len(ids)
-    if not nodes:
-        return []
-    first, second, cos, lexical = map(np.concatenate, zip(*topic_pairs))
-    weights = hybrid_weight(_unit_clamp(cos), _unit_clamp(lexical), params.alpha)
-    kept = np.flatnonzero(weights >= params.edge_threshold)
-    all_ids = [doc_id for _, ids in nodes for doc_id in ids]
-    edges = [
-        (all_ids[a], all_ids[b], w)
-        for a, b, w in zip(first[kept].tolist(), second[kept].tolist(), weights[kept].tolist())
-    ]
-    bounds = np.searchsorted(kept, np.cumsum([0] + [len(topic[0]) for topic in topic_pairs])).tolist()
-    return [
-        DocGraph(topic_id=topic_id, nodes=ids, edges=edges[lo:hi])
-        for (topic_id, ids), lo, hi in zip(nodes, bounds, bounds[1:])
-    ]
-
-
 def build_graph(
     topic_id: int,
     docs: Sequence[DocumentRecord],
@@ -170,12 +122,30 @@ def build_graph(
     entities: frozenset[str],
     params: HybridParams,
 ) -> DocGraph:
-    """`build_graphs` of one topic, its vectors looked up by document id."""
-    ids = [d.id for d in docs]
+    """The graph of one topic's documents, whose vectors embeddings holds by
+    document id.
+
+    Every pair's weight blends its cosine and its lexical similarity, each
+    clamped into [0, 1], and the pair is an edge when its weight reaches the
+    threshold (inclusive); edges follow the pairs in row-major order. The
+    clamps, blend and threshold act on each pair alone, so a pass over one
+    topic's pairs gives the bits a pass over many topics' pairs would."""
+    ids = tuple(d.id for d in docs)
     for doc_id in ids:
         if doc_id not in embeddings:
             raise GraphError(f"missing embedding for document {doc_id!r}")
-    return build_graphs([(topic_id, ids, index, entities, [embeddings[d] for d in ids])], bm25_params, params)[0]
+    vecs = [np.asarray(embeddings[doc_id], dtype=np.float64) for doc_id in ids]
+    norms = _norms(vecs)
+    first, second = np.nonzero(~np.tri(len(ids), dtype=bool))  # i < j, row-major
+    pairs = ([vecs[a] for a in first.tolist()], [vecs[b] for b in second.tolist()])
+    cos = cosine(*pairs, norms[first], norms[second])
+    lexical = lexical_similarity(ids, index, bm25_params, entities)[first, second]
+    weights = hybrid_weight(_unit_clamp(cos), _unit_clamp(lexical), params.alpha)
+    kept = np.flatnonzero(weights >= params.edge_threshold)
+    edges = [
+        (ids[a], ids[b], w) for a, b, w in zip(first[kept].tolist(), second[kept].tolist(), weights[kept].tolist())
+    ]
+    return DocGraph(topic_id=topic_id, nodes=ids, edges=edges)
 
 
 def make_query(q: QuestionRecord) -> str:

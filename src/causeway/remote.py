@@ -55,8 +55,8 @@ class RemoteClient:
     def _post(self, payload: dict, read: Callable[[dict], T]) -> T:
         """POSTs payload to spec.endpoint with the token and settings the
         client read when it was made, and returns read(response body). A
-        transport error, an HTTP error status, a body that is not JSON or a
-        read that raises KeyError or ValueError uses up one of
+        transport error, an HTTP error status, a body that is not a JSON
+        object or a read that raises KeyError or ValueError uses up one of
         spec.max_retries attempts, and failed attempt n sleeps
         spec.backoff_base * 2**(n-1)."""
         spec = self.spec
@@ -69,7 +69,10 @@ class RemoteClient:
                 request.prepare_cookies(self.session.cookies)
                 resp = self.session.send(request, timeout=self.timeout, **self._settings)
                 resp.raise_for_status()
-                return read(resp.json())
+                body = resp.json()
+                if not isinstance(body, dict):
+                    raise ValueError(f"response body is a JSON {type(body).__name__}, not an object")
+                return read(body)
             except (requests.RequestException, KeyError, ValueError) as exc:
                 last = exc
                 logger.warning("%s request attempt %d failed: %s", self.label, attempt, exc)

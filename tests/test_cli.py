@@ -593,6 +593,16 @@ def _wrong_shape_vectors_listed(out: Path) -> None:
     _relist(out, "graphs/doc_vectors.npy")
 
 
+def _garbage_vectors_listed(out: Path) -> None:
+    (out / "graphs" / "doc_vectors.npy").write_bytes(b"garbage")
+    _relist(out, "graphs/doc_vectors.npy")
+
+
+def _text_vectors_listed(out: Path) -> None:
+    np.save(out / "graphs" / "doc_vectors.npy", np.full((18, 64), "x"), allow_pickle=False)
+    _relist(out, "graphs/doc_vectors.npy")
+
+
 def _emptied_graph(out: Path) -> None:
     path = out / "graphs" / "topic_101.json"
     graph = read_json(path)
@@ -681,6 +691,20 @@ def built(monkeypatch) -> list[int]:
         return build(texts)
 
     monkeypatch.setattr(LexIndex, "build", classmethod(counting))
+    return counts
+
+
+@pytest.fixture
+def graphed(monkeypatch) -> list[int]:
+    """The document count of every graphrag.build_graph call from here on."""
+    counts: list[int] = []
+    build_graph = graphrag.build_graph
+
+    def counting(topic_id, docs, *args):
+        counts.append(len(docs))
+        return build_graph(topic_id, docs, *args)
+
+    monkeypatch.setattr(graphrag, "build_graph", counting)
     return counts
 
 
@@ -788,6 +812,19 @@ class TestBuildGraphReuse:
         del built[:]
         run_stages(out, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
         assert built == [6, 6, 6]
+
+    def test_graphs_are_built_one_topic_at_a_time(self, run_dir, tmp_path, graphed):
+        # through graphrag.build_graph, the name bench/layers.py traces
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        assert graphed == [6, 6, 6]
+        assert tree_digest(stale / "graphs") == tree_digest(run_dir / "graphs")
+        del graphed[:]
+        run_stages(stale, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        assert graphed == [6, 6, 6]
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--edge-threshold", "0.05"))
+        assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
 
     def test_retrieve_extracts_no_entities(self, run_dir, tmp_path, extracted, built):
         # and builds no lexical index: the saved term counts serve
@@ -904,6 +941,8 @@ class TestBuildGraphReuse:
             (_drop_vectors, True),
             (_wrong_shape_vectors, True),
             (_wrong_shape_vectors_listed, True),
+            (_garbage_vectors_listed, True),
+            (_text_vectors_listed, True),
             (_emptied_graph, False),
             (_other_docs, True),
             (_no_manifest, True),
@@ -1010,6 +1049,14 @@ class TestOneEmbeddingPass:
         assert remote("build-graph", tmp_path / "out", code=2, max_retries=2, backoff_base=0) == [18, 18]
         err = capsys.readouterr().err
         assert "error: embedding request failed after 2 attempts: 500 Server Error" in err
+        assert "Traceback" not in err
+
+    def test_body_not_an_object_exits_2(self, tmp_path, fake_server, remote, capsys):
+        fake_server.set_responder(lambda path, body, headers: (200, [1, 2]))
+        capsys.readouterr()
+        assert remote("build-graph", tmp_path / "out", code=2, max_retries=2, backoff_base=0) == [18, 18]
+        err = capsys.readouterr().err
+        assert "error: embedding request failed after 2 attempts: response body is a JSON list, not an object" in err
         assert "Traceback" not in err
 
     def test_vector_cache_is_shared_across_processes(self, tmp_path, fake_server):

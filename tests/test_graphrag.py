@@ -21,7 +21,6 @@ from causeway.graphrag import (
     RetrievalResult,
     TopicRetriever,
     build_graph,
-    build_graphs,
     cosine as graphrag_cosine,
     entry_points,
     hybrid_weight,
@@ -277,32 +276,17 @@ class TestBuildGraphs:
         st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_each_graph_matches_reference_and_build_graph(self, topics, alpha, threshold, seed):
+    def test_each_topic_graph_matches_reference(self, topics, alpha, threshold, seed):
         embedder = MockEmbedder(dim=8, seed=seed)
         params = HybridParams(alpha=alpha, edge_threshold=threshold)
-        cases = []
         for topic_id, (contents, entities) in enumerate(topics):
             docs = [make_doc(topic_id, f"t{topic_id}d{i}", "", content) for i, content in enumerate(contents)]
             texts = {d.id: document_text(d) for d in docs}
-            vectors = embedder.embed_texts(list(texts.values()))
-            cases.append((topic_id, docs, texts, LexIndex.build(texts), entities, vectors))
-        inputs = ((topic_id, list(texts), index, ents, vecs) for topic_id, _, texts, index, ents, vecs in cases)
-        graphs = build_graphs(inputs, Bm25Params(), params)
-        assert len(graphs) == len(cases)
-        for graph, (topic_id, docs, texts, index, entities, vectors) in zip(graphs, cases):
-            embeddings = dict(zip(texts, vectors))
+            embeddings = dict(zip(texts, embedder.embed_texts(list(texts.values()))))
+            graph = build_graph(topic_id, docs, embeddings, LexIndex.build(texts), Bm25Params(), entities, params)
             tokens = {doc_id: tokenize(text) for doc_id, text in texts.items()}
             assert (graph.topic_id, graph.nodes) == (topic_id, tuple(texts))
             assert graph.edges == graph_edges_reference(tokens, embeddings, entities, alpha, threshold)
-            assert graph.edges == build_graph(topic_id, docs, embeddings, index, Bm25Params(), entities, params).edges
-
-    def test_no_topics(self):
-        assert build_graphs(iter(()), Bm25Params(), HybridParams()) == []
-
-    def test_vector_count_mismatch(self):
-        index = LexIndex.build({"d1": "rain", "d2": "dam"})
-        with pytest.raises(GraphError, match="1 document vectors for 2 documents"):
-            build_graphs([(1, ["d1", "d2"], index, frozenset(), [np.ones(4)])], Bm25Params(), HybridParams())
 
 
 def norms(vecs) -> np.ndarray:

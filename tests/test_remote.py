@@ -79,6 +79,18 @@ def test_ok_status_without_result_is_retried_then_raises(kind, fake_server, capl
     ]
 
 
+@pytest.mark.parametrize("body", [[1, 2], "ok", 3, None], ids=["list", "string", "number", "null"])
+def test_ok_status_with_a_body_not_an_object_is_retried_then_raises(kind, fake_server, body):
+    fake_server.set_responder(lambda path, request, headers: (200, body))
+    sleeps: list[float] = []
+    client = kind.make(fake_server.url, sleeps.append, max_retries=3, backoff_base=0.5)
+    with pytest.raises(kind.error, match="not an object") as err:
+        kind.call(client)
+    assert err.value.attempts == 3
+    assert len(fake_server.requests) == 3
+    assert sleeps == [0.5, 1.0]
+
+
 def test_ok_after_failed_attempts(kind, fake_server):
     calls = []
 
