@@ -16,11 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from . import graphrag
 from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
     LETTERS,
@@ -35,17 +32,8 @@ from .corpus import (
     parse_predictions,
     sibling_groups,
 )
-from .embed import EmbedderSpec, load_vectors, make_embedder, save_vectors
 from .evaluate import EvalError, agreement_report, bias_stats, oracle_report, score_run
-from .graphrag import (
-    Bm25Params,
-    DocGraph,
-    HybridParams,
-    RetrievalResult,
-    TopicRetriever,
-    make_query,
-)
-from .lexindex import LexIndex
+from .params import Bm25Params, EmbedderSpec, HybridParams
 from .reason import (
     LlmClientSpec,
     SamplingParams,
@@ -55,6 +43,12 @@ from .reason import (
     tally,
 )
 from .remote import ConfigError, RemoteError
+
+if TYPE_CHECKING:  # numpy and the graph modules load when a graph stage runs
+    import numpy as np
+
+    from .graphrag import DocGraph, RetrievalResult, TopicRetriever
+    from .lexindex import LexIndex
 
 logger = logging.getLogger(__name__)
 
@@ -291,6 +285,8 @@ class _DocumentTexts(Sequence[str]):
 def _embed_documents(config: RunConfig, embedder, topics, topic_ids: Sequence[int]) -> np.ndarray:
     """One vector per document of topic_ids, topics in that order and
     documents in docs-file order, from one embed_texts call."""
+    import numpy as np
+
     texts = _DocumentTexts([d for topic_id in topic_ids for d in topics[topic_id]])
     vectors = embedder.embed_texts(texts, input_type=config.embedder.document_input_type)
     return np.reshape(vectors, (len(texts), config.embedder.dim))
@@ -312,6 +308,8 @@ def _topic_graphs(
     """The graph, the sorted entity list and the lexical index of each topic
     of rows, whose document vectors rows gives; the lists keyed by topic id
     as a string, the graphs and indexes by topic id."""
+    from . import graphrag, lexindex
+
     graphs: dict[int, DocGraph] = {}
     entities: dict[str, list[str]] = {}
     indexes: dict[int, LexIndex] = {}
@@ -319,7 +317,7 @@ def _topic_graphs(
         texts = {d.id: document_text(d) for d in topics[topic_id]}
         topic_entities = graphrag.extract_entities(texts.values())
         entities[str(topic_id)] = sorted(topic_entities)
-        index = indexes[topic_id] = LexIndex.build(texts)
+        index = indexes[topic_id] = lexindex.LexIndex.build(texts)
         embeddings = dict(zip(texts, doc_vecs))
         graphs[topic_id] = graphrag.build_graph(
             topic_id, topics[topic_id], embeddings, index, config.bm25, topic_entities, config.hybrid
@@ -328,13 +326,17 @@ def _topic_graphs(
 
 
 def _build_graph(run: StageInput) -> StageResult:
+    from . import embed
+
     config, topics = run.config, run.topics
     topic_ids = sorted(topics)
-    vectors = _embed_documents(config, make_embedder(config.embedder), topics, topic_ids)
+    vectors = _embed_documents(config, embed.make_embedder(config.embedder), topics, topic_ids)
     graphs, entities, indexes = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
     outputs: dict[str, object] = {f"graphs/topic_{t}.json": g.to_json() for t, g in graphs.items()}
     n_edges = sum(len(g.edges) for g in graphs.values())
-    outputs[DOC_VECTORS] = vectors
+    saved = io.BytesIO()
+    embed.save_vectors(saved, vectors)
+    outputs[DOC_VECTORS] = saved.getvalue()
     outputs[ENTITIES] = entities
     outputs[TERM_COUNTS] = {str(topic_id): index.term_freqs for topic_id, index in indexes.items()}
     return StageResult(
@@ -353,13 +355,15 @@ def _saved_graph_level(
     None when a file is not listed, not the listed one or not of the shape
     build-graph writes. Containers are checked, and a term count that is not
     a number fails the level."""
+    from . import graphrag, lexindex
+
     rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
     files = [_read_listed(out_dir, manifest, rel) for rel in rels]
     if None in files:
         return None
     try:
         entities, term_counts, *saved = map(json.loads, files)
-        graphs = {t: DocGraph.from_json(graph) for t, graph in zip(topic_ids, saved)}
+        graphs = {t: graphrag.DocGraph.from_json(graph) for t, graph in zip(topic_ids, saved)}
         lists = {str(t): entities[str(t)] for t in topic_ids}
         # the saved counts are in sorted order; each index takes the docs file's
         counts = {t: {d.id: term_counts[str(t)][d.id] for d in topics[t]} for t in topic_ids}
@@ -371,7 +375,7 @@ def _saved_graph_level(
             for t in topic_ids
         ):
             return None
-        indexes = {t: LexIndex.from_counts(counts[t]) for t in topic_ids}
+        indexes = {t: lexindex.LexIndex.from_counts(counts[t]) for t in topic_ids}
     except (KeyError, TypeError, ValueError):  # malformed JSON, a missing key, a wrong container or count
         return None
     return graphs, lists, indexes
@@ -387,6 +391,10 @@ def _build_retrievers(
     topics' graphs serve when the vectors do and the graph parameters match
     too. A level that does not serve is computed as build-graph computes it,
     for the needed topics only, with one warning."""
+    import numpy as np
+
+    from . import embed, graphrag
+
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
         if topic_id not in topics:
@@ -398,7 +406,7 @@ def _build_retrievers(
     if inputs.get("docs") == docs_hash and keys.get("vectors") == config.vectors_key():
         data = _read_listed(out_dir, manifest, DOC_VECTORS)
         try:
-            vectors = None if data is None else load_vectors(io.BytesIO(data))
+            vectors = None if data is None else embed.load_vectors(io.BytesIO(data))
         except ValueError:  # not an .npy array
             pass
     shape = (sum(map(len, topics.values())), config.embedder.dim)
@@ -417,14 +425,18 @@ def _build_retrievers(
     rows = _topic_rows(vectors, topics, order)
     graphs, entities, indexes = saved or _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
     return {
-        t: TopicRetriever(t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)], indexes[t])
+        t: graphrag.TopicRetriever(
+            t, topics[t], rows[t], config.bm25, config.hybrid, graphs[t], entities[str(t)], indexes[t]
+        )
         for t in topic_ids
     }
 
 
 def _retrieve(run: StageInput) -> StageResult:
+    from . import embed, graphrag
+
     config, questions = run.config, run.questions
-    embedder = make_embedder(config.embedder)
+    embedder = embed.make_embedder(config.embedder)
     needed = {q.topic_id for q in questions}
     retrievers = _build_retrievers(config, embedder, run.hashes["docs"], run.topics, needed)
     # the questions that pay for a retrieval, their queries embedded in one
@@ -436,7 +448,7 @@ def _retrieve(run: StageInput) -> StageResult:
         for q in questions:
             firsts.setdefault(q.topic_id, q)
         paying = list(firsts.values())
-    texts = [make_query(q) for q in paying]
+    texts = [graphrag.make_query(q) for q in paying]
     vectors = embedder.embed_texts(texts, input_type=config.embedder.query_input_type)
     queries = {q.id: (text, v) for q, text, v in zip(paying, texts, vectors)}
     contexts: dict[int, RetrievalResult] = {}
@@ -727,7 +739,7 @@ def _serving(out_dir: Path, hashes: Mapping[str, str], reads) -> tuple[Path, str
 
 def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = None) -> None:
     """Loads the stage's config files and the earlier stage's file (or --preds)
-    it reads, runs its body, writes each output (an array as .npy, a list as
+    it reads, runs its body, writes each output (bytes as they are, a list as
     JSONL, else JSON) and the manifest of those files, and prints its lines."""
     body, required, optional = STAGES[name]
     paths = {key: getattr(config, key) for key in required + optional if getattr(config, key) or key in required}
@@ -750,10 +762,9 @@ def run_stage(name: str, config: RunConfig, preds: str | Sequence[str] | None = 
         upstream = (path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     result = body(StageInput(config, questions, topics, hashes, upstream, preds))
     for rel, content in result.outputs.items():
-        if isinstance(content, np.ndarray):
+        if isinstance(content, bytes):
             (out_dir / rel).parent.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / rel, "wb") as fh:
-                save_vectors(fh, content)
+            (out_dir / rel).write_bytes(content)
         elif isinstance(content, list):
             _write_jsonl(out_dir / rel, content)
         else:

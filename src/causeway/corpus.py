@@ -1,5 +1,6 @@
 """Question and document corpus loading, plus the text canonicalization that
-every equality check in the pipeline relies on."""
+every equality check in the pipeline relies on and the tokenizer that every
+lexical match relies on."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ logger = logging.getLogger(__name__)
 LETTERS = ("A", "B", "C", "D")
 
 _WS_RE = re.compile(r"\s+")
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _GOLD_SPLIT_RE = re.compile(r"[,\s]+")
 _TRAILING_PUNCT = ".!?…"
 _NONE_PREFIX = "none of the"
@@ -126,6 +128,11 @@ def normalize_text(text: str) -> str:
     while nxt != out:
         out, nxt = nxt, _normalize_pass(nxt)
     return nxt
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased alphanumeric tokens; underscores and punctuation split."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 def sibling_groups(questions: list[QuestionRecord]) -> list[SiblingGroup]:

@@ -7,12 +7,12 @@ import hashlib
 import logging
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .params import EmbedderSpec
 from .remote import ConfigError, RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
@@ -24,22 +24,6 @@ _SQL_VARIABLES = 999
 
 class EmbedError(RemoteError):
     """An embedding request that failed, or vectors that do not fit the spec."""
-
-
-@dataclass(frozen=True)
-class EmbedderSpec:
-    kind: str = "mock"
-    dim: int = 256
-    seed: int = 0
-    endpoint: str | None = None
-    model: str | None = None
-    auth_env: str | None = None
-    batch_size: int = 32
-    cache_dir: str | None = None
-    query_input_type: str | None = None
-    document_input_type: str | None = None
-    max_retries: int = 3
-    backoff_base: float = 0.5
 
 
 class MockEmbedder:
@@ -303,6 +287,8 @@ class RemoteEmbedder(RemoteClient):
 
         def read(body: dict) -> list[list[float]]:
             vectors = body["vectors"]
+            if not isinstance(vectors, list):
+                raise ValueError(f"vectors is a JSON {type(vectors).__name__}, not a list")
             if len(vectors) != len(batch):
                 raise KeyError("vector count does not match batch size")
             return vectors

@@ -10,15 +10,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LETTERS, DocumentRecord, QuestionRecord
+from .corpus import LETTERS, DocumentRecord, QuestionRecord, tokenize
 from .lexindex import (
-    Bm25Params,
     LexIndex,
     bm25_plus,
     extract_entities,  # noqa: F401  (cli calls it as graphrag.extract_entities, which bench/layers.py traces)
     lexical_similarity,
-    tokenize,
 )
+from .params import Bm25Params, HybridParams
 
 logger = logging.getLogger(__name__)
 
@@ -29,14 +28,6 @@ TRAVERSAL = "traversal"
 
 class GraphError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class HybridParams:
-    alpha: float = 0.7
-    edge_threshold: float = 0.4
-    k_dense: int = 3
-    k_sparse: int = 2
 
 
 def hybrid_weight(

@@ -1,4 +1,4 @@
-"""Lexical scoring layer: tokenizer, capitalization-based entity detection,
+"""Lexical scoring layer: capitalization-based entity detection,
 a BM25+ scorer with entity boosting, and document-to-document similarity."""
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+from .corpus import tokenize
+from .params import Bm25Params
 
 # Small fixed list of English function words; deliberately not a full NLP
 # stopword inventory.
@@ -36,19 +37,6 @@ _AFTER_SENTENCE_END = re.compile("[.!?…][" + re.escape(_TAIL_TRIM) + r"]*\s+(?
 
 class LexIndexError(KeyError):
     """Raised when a document id is not present in the index."""
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.5
-    b: float = 0.75
-    delta: float = 1.0
-    entity_boost: float = 3.0
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased alphanumeric tokens; underscores and punctuation split."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 def extract_entities(texts: Iterable[str]) -> frozenset[str]:

@@ -9,10 +9,8 @@ import re
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape, unescape
 
-from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text
-from .lexindex import tokenize
+from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, tokenize
 from .remote import ConfigError, RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
@@ -134,6 +132,16 @@ class LlmClientSpec:
     script_path: str | None = None  # a JSON file the CLI reads into script
     max_retries: int = 3
     backoff_base: float = 0.5
+
+
+def escape(text: str) -> str:
+    """xml.sax.saxutils.escape's replacements, without importing xml.sax."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def unescape(text: str) -> str:
+    """xml.sax.saxutils.unescape's replacements, without importing xml.sax."""
+    return text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
 
 
 def render_prompt(q: QuestionRecord, docs: Sequence[DocumentRecord]) -> RenderedPrompt:

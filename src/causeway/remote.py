@@ -9,8 +9,6 @@ import os
 import time
 from typing import Callable, TypeVar
 
-import requests
-
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
@@ -41,6 +39,9 @@ class RemoteClient:
     def __init__(self, spec, sleep: Callable[[float], None] = time.sleep):
         if not spec.endpoint:
             raise ConfigError(f"remote {self.label} client requires an endpoint")
+        # imported here, not with the module: only a stage with a remote client pays for it
+        import requests
+
         self.spec = spec
         self.session = requests.Session()
         self._sleep = sleep
@@ -59,6 +60,8 @@ class RemoteClient:
         object or a read that raises KeyError or ValueError uses up one of
         spec.max_retries attempts, and failed attempt n sleeps
         spec.backoff_base * 2**(n-1)."""
+        import requests
+
         spec = self.spec
         last: Exception | None = None
         for attempt in range(1, spec.max_retries + 1):

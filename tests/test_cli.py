@@ -559,8 +559,8 @@ DOC_TEXTS = {document_text(d) for docs in load_docs(FIXTURE_DIR / "docs.jsonl").
 def embedded(monkeypatch) -> list[str]:
     """Every text the CLI stages embed from here on, in order."""
     texts: list[str] = []
-    make_embedder = cli.make_embedder
-    monkeypatch.setattr(cli, "make_embedder", lambda spec: record_texts(make_embedder(spec), texts))
+    make_embedder = embed.make_embedder
+    monkeypatch.setattr(embed, "make_embedder", lambda spec: record_texts(make_embedder(spec), texts))
     return texts
 
 
@@ -973,6 +973,11 @@ def _remote_config(fake_server) -> dict:
     return config
 
 
+# modules that a stage without a graph, a remote client or a vector cache
+# has no use for
+UNUSED_MODULES = ("numpy", "requests", "urllib.request", "xml.sax", "sqlite3")
+
+
 def _run_module(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
     """Runs a fresh interpreter with args and the package on its path; it must
     exit 0."""
@@ -1059,6 +1064,14 @@ class TestOneEmbeddingPass:
         assert "error: embedding request failed after 2 attempts: response body is a JSON list, not an object" in err
         assert "Traceback" not in err
 
+    def test_vectors_not_a_list_exits_2(self, tmp_path, fake_server, remote, capsys):
+        fake_server.set_responder(lambda path, body, headers: (200, {"vectors": 5}))
+        capsys.readouterr()
+        assert remote("build-graph", tmp_path / "out", code=2, max_retries=2, backoff_base=0) == [18, 18]
+        err = capsys.readouterr().err
+        assert "error: embedding request failed after 2 attempts: vectors is a JSON int, not a list" in err
+        assert "Traceback" not in err
+
     def test_vector_cache_is_shared_across_processes(self, tmp_path, fake_server):
         fake_server.set_responder(_mock_vectors)
         config = _remote_config(fake_server)
@@ -1076,10 +1089,34 @@ class TestOneEmbeddingPass:
         assert (tmp_path / "cold" / rel).read_bytes() == (tmp_path / "warm" / rel).read_bytes()
 
     def test_cli_import_leaves_sqlite_unloaded(self):
-        # sqlite3 costs every CLI process its import time; only a run with a
-        # vector cache should pay it
-        code = "import sys, causeway.cli; print('sqlite3' in sys.modules)"
-        assert _run_module(["-c", code]).stdout == "False\n"
+        # each of these costs every CLI process its import time; only a run
+        # with a vector cache should pay for sqlite3, only the graph stages
+        # for numpy and only a remote client for requests
+        code = f"import sys, causeway.cli; print([m for m in {UNUSED_MODULES!r} if m in sys.modules])"
+        assert _run_module(["-c", code]).stdout == "[]\n"
+
+    def test_score_process_leaves_numpy_and_requests_unloaded(self, run_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        code = (
+            "import sys; from causeway import cli; "
+            f"assert cli.main(['score', '--config', 'config.json', '--out', {str(out)!r}]) == 0; "
+            f"print([m for m in {UNUSED_MODULES!r} if m in sys.modules])"
+        )
+        assert _run_module(["-c", code], cwd=FIXTURE_DIR).stdout.splitlines()[-1] == "[]"
+        assert (out / "score_report.json").read_bytes() == (run_dir / "score_report.json").read_bytes()
+
+    def test_build_graph_process_writes_the_in_process_bytes(self, run_dir, tmp_path):
+        out = tmp_path / "out"
+        argv = ["build-graph", "--config", "config.json", "--out", str(out)]
+        _run_module(["-m", "causeway.cli", *argv], cwd=FIXTURE_DIR)
+        written = tree_digest(out)
+        assert sorted(written) == [
+            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/term_counts.json",
+            "graphs/topic_101.json", "graphs/topic_102.json", "graphs/topic_103.json",
+            "manifests/build-graph.json",
+        ]
+        assert written == {rel: h for rel, h in tree_digest(run_dir).items() if rel in written}
 
     def test_recomputed_documents_take_one_request(self, run_dir, tmp_path, remote):
         out = tmp_path / "out"

@@ -455,6 +455,15 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbedError, match="embedding of text 0 is not a list of numbers"):
             embedder.embed_texts(["a"])
 
+    @pytest.mark.parametrize("vectors", [5, None, {"a": [1.0] * 4}])
+    def test_vectors_not_a_list_is_a_failed_attempt(self, fake_server, vectors):
+        fake_server.set_responder(lambda path, body, headers: (200, {"vectors": vectors}))
+        embedder = RemoteEmbedder(self._spec(fake_server.url, max_retries=2), sleep=lambda s: None)
+        with pytest.raises(EmbedError, match="after 2 attempts: vectors is a JSON .*, not a list") as err:
+            embedder.embed_texts(["a"])
+        assert err.value.attempts == 2
+        assert len(fake_server.requests) == 2
+
     def test_missing_vector_raises_instead_of_shifting(self, fake_server, monkeypatch):
         embedder = RemoteEmbedder(self._spec(fake_server.url), sleep=lambda s: None)
         # a transport that drops the last vector of a batch without an error

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +19,19 @@ from causeway.reason import (
     ScriptedMockClient,
     VoteTally,
     aggregate,
+    escape,
     make_client,
     parse_response,
     render_prompt,
     sample_question,
     tally,
     threshold_votes,
+    unescape,
 )
 from helpers import NONE_TEXT, make_question, model_responses, reference_answer_letters
+
+
+ESCAPE_PIECES = ["&", "<", ">", "&lt;", "&gt;", "&amp;", "&amp;lt;", "&&lt;", "a", ";"]
 
 
 def make_doc(doc_id: str, title: str, content: str) -> DocumentRecord:
@@ -105,6 +111,15 @@ class TestRenderPrompt:
     def test_byte_stable(self):
         q, docs = self._inputs()
         assert render_prompt(q, docs).text == render_prompt(q, docs).text
+
+    # besides arbitrary text, text built from the pieces escaping turns on,
+    # already-escaped entities among them, so that the order of the
+    # replacements shows
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(ESCAPE_PIECES)).map("".join)))
+    def test_escape_and_unescape_match_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+        assert unescape(text) == saxutils.unescape(text)
+        assert unescape(escape(text)) == text
 
 
 class TestParseResponse:
