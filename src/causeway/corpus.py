@@ -17,7 +17,6 @@ logger = logging.getLogger(__name__)
 
 LETTERS = ("A", "B", "C", "D")
 
-_WS_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _GOLD_SPLIT_RE = re.compile(r"[,\s]+")
 _TRAILING_PUNCT = ".!?…"
@@ -111,7 +110,7 @@ def _normalize_pass(text: str) -> str:
     out = out.casefold()
     # casefolding can decompose characters, so recompose before comparing
     out = unicodedata.normalize("NFC", out)
-    out = _WS_RE.sub(" ", out).strip()
+    out = " ".join(out.split())
     out = out.rstrip(_TRAILING_PUNCT).rstrip()
     return out
 
@@ -121,8 +120,12 @@ def normalize_text(text: str) -> str:
     stripped of edge whitespace and trailing sentence punctuation.
 
     The pass is re-applied until the string stops changing, so the result is a
-    fixed point and the function is idempotent by construction.
+    fixed point and the function is idempotent by construction. On ASCII text
+    NFC is the identity, casefold is lower and "…" cannot occur, so the fixed
+    point is the collapsed text stripped of trailing ".", "!", "?" and spaces.
     """
+    if text.isascii():
+        return " ".join(text.lower().split()).rstrip(".!? ")
     out = _normalize_pass(text)
     nxt = _normalize_pass(out)
     while nxt != out:
@@ -180,6 +183,14 @@ def _topic_id(where: str, row: dict) -> int:
         raise CorpusError(f"{where}: topic_id is not an integer: {value!r}") from exc
 
 
+def _text(where: str, row: dict, field: str) -> str:
+    """The row's field, which must be a JSON string."""
+    value = row[field]
+    if not isinstance(value, str):
+        raise CorpusError(f"{where}: {field} is not a string: {value!r}")
+    return value
+
+
 def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
     """Each non-blank JSONL line of the file at path, parsed, with its "<path>:
     line N" for messages. Bytes that are not UTF-8, malformed JSON, a row that
@@ -202,8 +213,9 @@ def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iter
 def load_questions(path: str | Path) -> list[QuestionRecord]:
     """Read one question per JSONL line.
 
-    Malformed JSON and missing required fields are fatal and carry the line
-    number. Unknown fields are ignored with a log note. The gold answer is
+    Malformed JSON, missing required fields and a target event or option
+    that is not a string are fatal and carry the line number. Unknown fields
+    are ignored with a log note. The gold answer is
     optional; when present it must be a non-empty comma-separated subset of
     A-D.
     """
@@ -226,8 +238,8 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
                 QuestionRecord(
                     topic_id=_topic_id(where, row),
                     id=qid,
-                    target_event=str(row["target_event"]),
-                    options={l: str(row[f"option_{l}"]) for l in LETTERS},
+                    target_event=_text(where, row, "target_event"),
+                    options={l: _text(where, row, f"option_{l}") for l in LETTERS},
                     gold=gold,
                 )
             )
@@ -238,8 +250,9 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
     """Read one topic per JSONL line, each carrying a document array.
 
     Documents with whitespace-only content are skipped with a warning; the
-    rest of the topic still loads. Duplicate document ids within a topic are
-    fatal. The imageUrl field is accepted and discarded.
+    rest of the topic still loads. Duplicate document ids within a topic and
+    a title or content that is not a string are fatal. The imageUrl field is
+    accepted and discarded.
     """
     topics: dict[int, list[DocumentRecord]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -252,11 +265,13 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
             if not isinstance(row["docs"], list):
                 raise CorpusError(f"{where}: docs is not an array")
             for pos, item in enumerate(row["docs"]):
-                _require(f"{where}: doc #{pos}", item, _DOC_FIELDS)
+                doc_where = f"{where}: doc #{pos}"
+                _require(doc_where, item, _DOC_FIELDS)
                 doc_id = str(item["id"])
                 if doc_id in seen_ids:
                     raise CorpusError(f"{where}: duplicate doc id {doc_id!r} in topic {topic_id}")
-                if not str(item["content"]).strip():
+                title, content = _text(doc_where, item, "title"), _text(doc_where, item, "content")
+                if not content.strip():
                     logger.warning("%s: doc %s has whitespace-only content, skipped", where, doc_id)
                     continue
                 seen_ids.add(doc_id)
@@ -264,11 +279,11 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
                     DocumentRecord(
                         topic_id=topic_id,
                         id=doc_id,
-                        title=str(item["title"]),
+                        title=title,
                         snippet=str(item["snippet"]),
                         source=str(item["source"]),
                         link=str(item["link"]),
-                        content=str(item["content"]),
+                        content=content,
                     )
                 )
             if not docs:

@@ -11,6 +11,7 @@ import math
 import random
 import re
 import sqlite3
+import unicodedata
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -171,6 +172,52 @@ entity_texts = st.lists(
     st.lists(st.tuples(_entity_word, st.sampled_from(_SPACES)).map("".join), max_size=30).map("".join),
     max_size=4,
 )
+
+
+# ---------------------------------------------------------------------------
+# Text normalization reference: every pass normalizes, casefolds, collapses
+# whitespace with a regex and strips trailing punctuation, until a fixed point.
+
+_WS_RE = re.compile(r"\s+")
+_TRAILING_PUNCT = ".!?…"
+
+
+def _normalize_pass(text: str) -> str:
+    out = unicodedata.normalize("NFC", text)
+    out = out.casefold()
+    # casefolding can decompose characters, so recompose before comparing
+    out = unicodedata.normalize("NFC", out)
+    out = _WS_RE.sub(" ", out).strip()
+    out = out.rstrip(_TRAILING_PUNCT).rstrip()
+    return out
+
+
+def normalize_text_reference(text: str) -> str:
+    out = _normalize_pass(text)
+    nxt = _normalize_pass(out)
+    while nxt != out:
+        out, nxt = nxt, _normalize_pass(nxt)
+    return nxt
+
+
+# Every code point for which str.isspace holds.
+WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + (
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+# Normalization input: any character, or one weighted toward what the
+# function treats specially: whitespace, sentence punctuation, characters
+# whose casefold or composition changes their length (sharp s, dotted
+# capital I, the fi ligature, combining ypogegrammeni, decomposed accents,
+# the Kelvin sign) and trailing runs of punctuation and spaces.
+_normalize_pieces = st.one_of(
+    st.characters(),
+    st.sampled_from(WHITESPACE),
+    st.sampled_from(".!?…"),
+    st.sampled_from(["ß", "İ", "ﬁ", "\u0345", "α\u0345", "e\u0301", "A\u030a", "\u212a", "Σ", "ǅ"]),
+    st.sampled_from(["a . .", " .", "! ", "… .", "?\u3000!", ".\x85"]),
+)
+unicode_texts = st.lists(_normalize_pieces, max_size=30).map("".join)
+ascii_texts = st.text(st.one_of(st.characters(max_codepoint=0x7F), st.sampled_from(" \t\n\x1c\x1f.!?")), max_size=60)
 
 
 # ---------------------------------------------------------------------------

@@ -1307,6 +1307,17 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
         assert not (out / "manifests" / "ingest.json").exists()
 
+    def test_doc_content_not_a_string_exits_2(self, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        rows = [json.loads(line) for line in (FIXTURE_DIR / "docs.jsonl").read_text(encoding="utf-8").splitlines()]
+        rows[0]["docs"][0]["content"] = None
+        docs.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["ingest", "--questions", str(FIXTURE_DIR / "questions.jsonl"), "--docs", str(docs), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {docs}: line 1: doc #0: content is not a string: None\n"
+        assert not (out / "manifests" / "ingest.json").exists()
+
     def test_question_topic_absent_from_docs_exits_2(self, tmp_path, capsys, monkeypatch):
         docs = tmp_path / "docs.jsonl"
         lines = (FIXTURE_DIR / "docs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)

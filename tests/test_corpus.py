@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import unicodedata
 
 import pytest
@@ -21,7 +22,15 @@ from causeway.corpus import (
     parse_gold,
     sibling_groups,
 )
-from helpers import jsonl_bytes, make_question, question_to_row
+from helpers import (
+    WHITESPACE,
+    ascii_texts,
+    jsonl_bytes,
+    make_question,
+    normalize_text_reference,
+    question_to_row,
+    unicode_texts,
+)
 
 
 class TestNormalizeText:
@@ -58,6 +67,27 @@ class TestNormalizeText:
     def test_idempotent(self, text):
         once = normalize_text(text)
         assert normalize_text(once) == once
+
+    @given(unicode_texts)
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_regex_fixed_point_reference(self, text):
+        assert normalize_text(text) == normalize_text_reference(text)
+
+    @given(ascii_texts)
+    @settings(max_examples=1000, deadline=None)
+    def test_ascii_fast_path_matches_reference(self, text):
+        assert normalize_text(text) == normalize_text_reference(text)
+
+    def test_whitespace_premise_holds_on_every_code_point(self):
+        # normalize_text collapses whitespace with str.split where the old
+        # pass used re's \s, and lexindex.extract_entities counts str.split
+        # words beside a regex; both are exact only while these agree
+        ws = re.compile(r"\s")
+        chars = [chr(code) for code in range(0x110000)]
+        disagree = [c for c in chars if not (ws.fullmatch(c) is not None) == c.isspace() == (len(f"a{c}b".split()) == 2)]
+        assert disagree == []
+        # unicode_texts draws its whitespace from WHITESPACE
+        assert {c for c in chars if c.isspace()} == set(WHITESPACE)
 
 
 class TestNoneOption:
@@ -315,6 +345,25 @@ class TestLoaders:
         with caplog.at_level(logging.WARNING):
             docs = load_docs(path)
         assert docs[7] == []
+
+    @pytest.mark.parametrize("field", ["target_event", *(f"option_{l}" for l in LETTERS)])
+    @pytest.mark.parametrize("value", [None, ["x"], 3], ids=["null", "list", "number"])
+    def test_question_text_not_a_string_fatal(self, tmp_path, field, value):
+        path = tmp_path / "q.jsonl"
+        self._write(path, [self._question_row(), self._question_row(id="q-2", **{field: value})])
+        with pytest.raises(CorpusError) as info:
+            load_questions(path)
+        assert str(info.value) == f"{path}: line 2: {field} is not a string: {value!r}"
+
+    @pytest.mark.parametrize("field", ["title", "content"])
+    @pytest.mark.parametrize("value", [None, ["x"], 3], ids=["null", "list", "number"])
+    def test_doc_text_not_a_string_fatal(self, tmp_path, field, value):
+        path = tmp_path / "d.jsonl"
+        docs = [self._doc_row(), self._doc_row(id="d-2", **{field: value})]
+        self._write(path, [{"topic_id": 1, "docs": [self._doc_row(id="d-0")]}, {"topic_id": 2, "docs": docs}])
+        with pytest.raises(CorpusError) as info:
+            load_docs(path)
+        assert str(info.value) == f"{path}: line 2: doc #1: {field} is not a string: {value!r}"
 
     @pytest.mark.parametrize(
         "load, line, problem",
