@@ -58,8 +58,11 @@ class StageError(Exception):
 
 
 # build-graph's document vectors (topics sorted, documents in docs-file order),
-# each topic's sorted entity list and per-document term counts, relative to --out
+# each document pair's clamped cosine and lexical score (row 0 and row 1;
+# topics sorted, pairs in graphrag's order), each topic's sorted entity list
+# and per-document term counts, relative to --out
 DOC_VECTORS = "graphs/doc_vectors.npy"
+PAIR_SCORES = "graphs/pair_scores.npy"
 ENTITIES = "graphs/entities.json"
 TERM_COUNTS = "graphs/term_counts.json"
 
@@ -123,10 +126,10 @@ class RunConfig:
         fields = ("kind", "dim", "seed", "model", "endpoint", "document_input_type")
         return _digest({name: getattr(self.embedder, name) for name in fields})
 
-    def graph_key(self) -> str:
-        """Hash of everything a topic graph depends on besides the documents."""
-        hybrid = {"alpha": self.hybrid.alpha, "edge_threshold": self.hybrid.edge_threshold}
-        return _digest({"vectors": self.vectors_key(), "bm25": vars(self.bm25), **hybrid})
+    def pairs_key(self) -> str:
+        """Hash of everything the pair scores depend on besides the documents;
+        alpha and the edge threshold act on the scores only afterwards."""
+        return _digest({"vectors": self.vectors_key(), "bm25": vars(self.bm25)})
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -292,13 +295,14 @@ def _embed_documents(config: RunConfig, embedder, topics, topic_ids: Sequence[in
     return np.reshape(vectors, (len(texts), config.embedder.dim))
 
 
-def _topic_rows(vectors: np.ndarray, topics, topic_ids: Sequence[int]) -> dict[int, np.ndarray]:
-    """vectors, one row per document of topic_ids in that order, split by topic."""
+def _topic_rows(array: np.ndarray, sizes: Mapping[int, int]) -> dict[int, np.ndarray]:
+    """array split into blocks of consecutive rows, sizes[t] rows for each
+    topic t of sizes in turn."""
     rows: dict[int, np.ndarray] = {}
     start = 0
-    for topic_id in topic_ids:
-        rows[topic_id] = vectors[start : start + len(topics[topic_id])]
-        start += len(topics[topic_id])
+    for topic_id, size in sizes.items():
+        rows[topic_id] = array[start : start + size]
+        start += size
     return rows
 
 
@@ -326,50 +330,75 @@ def _topic_graphs(
 
 
 def _build_graph(run: StageInput) -> StageResult:
+    import numpy as np
+
     from . import embed
 
     config, topics = run.config, run.topics
     topic_ids = sorted(topics)
     vectors = _embed_documents(config, embed.make_embedder(config.embedder), topics, topic_ids)
-    graphs, entities, indexes = _topic_graphs(config, topics, _topic_rows(vectors, topics, topic_ids))
+    rows = _topic_rows(vectors, {t: len(topics[t]) for t in topic_ids})
+    graphs, entities, indexes = _topic_graphs(config, topics, rows)
     outputs: dict[str, object] = {f"graphs/topic_{t}.json": g.to_json() for t, g in graphs.items()}
     n_edges = sum(len(g.edges) for g in graphs.values())
-    saved = io.BytesIO()
-    embed.save_vectors(saved, vectors)
-    outputs[DOC_VECTORS] = saved.getvalue()
+    # the empty block first, for a docs file of no topics
+    scores = np.concatenate([np.empty((2, 0)), *(graphs[t].scores for t in topic_ids)], 1)
+    for rel, array in ((DOC_VECTORS, vectors), (PAIR_SCORES, scores)):
+        saved = io.BytesIO()
+        embed.save_vectors(saved, array)
+        outputs[rel] = saved.getvalue()
     outputs[ENTITIES] = entities
     outputs[TERM_COUNTS] = {str(topic_id): index.term_freqs for topic_id, index in indexes.items()}
     return StageResult(
         outputs,
         {"n_topics": len(topics), "n_edges": n_edges},
-        keys={"vectors": config.vectors_key(), "graph": config.graph_key()},
+        keys={"vectors": config.vectors_key(), "pairs": config.pairs_key()},
         lines=[f"build-graph: {len(topics)} topics, {n_edges} edges"],
     )
 
 
+def _saved_array(out_dir: Path, manifest: dict | None, rel: str, shape: tuple[int, int]) -> np.ndarray | None:
+    """The float64 array of shape that the manifest lists as rel, or None
+    when the file is not listed, not the listed one or not such an .npy
+    array."""
+    import numpy as np
+
+    from . import embed
+
+    data = _read_listed(out_dir, manifest, rel)
+    try:
+        array = None if data is None else embed.load_vectors(io.BytesIO(data))
+    except ValueError:  # not an .npy array
+        return None
+    return array if array is not None and array.shape == shape and array.dtype == np.float64 else None
+
+
 def _saved_graph_level(
-    out_dir: Path, manifest: dict | None, topics, topic_ids: Sequence[int]
+    out_dir: Path, manifest: dict | None, topics, topic_ids: Sequence[int], hybrid: HybridParams
 ) -> tuple[dict[int, DocGraph], dict[str, list[str]], dict[int, LexIndex]] | None:
     """The graph, the entity list and the lexical index of each topic of
-    topic_ids as build-graph saved them, keyed as _topic_graphs keys them, or
-    None when a file is not listed, not the listed one or not of the shape
-    build-graph writes. Containers are checked, and a term count that is not
-    a number fails the level."""
+    topic_ids from build-graph's saved files, keyed as _topic_graphs keys
+    them, or None when a file is not listed, not the listed one or not of
+    the shape build-graph writes. Each graph is made from the topic's slice
+    of the pair scores, every one of which must lie in [0, 1], at hybrid's
+    alpha and edge threshold. Containers are checked, and a term count that
+    is not a number fails the level."""
+    import numpy as np
+
     from . import graphrag, lexindex
 
-    rels = [ENTITIES, TERM_COUNTS, *(f"graphs/topic_{topic_id}.json" for topic_id in topic_ids)]
-    files = [_read_listed(out_dir, manifest, rel) for rel in rels]
-    if None in files:
+    pair_counts = {t: len(topics[t]) * (len(topics[t]) - 1) // 2 for t in sorted(topics)}
+    scores = _saved_array(out_dir, manifest, PAIR_SCORES, (2, sum(pair_counts.values())))
+    files = [_read_listed(out_dir, manifest, rel) for rel in (ENTITIES, TERM_COUNTS)]
+    if scores is None or not np.all((scores >= 0.0) & (scores <= 1.0)) or None in files:
         return None
     try:
-        entities, term_counts, *saved = map(json.loads, files)
-        graphs = {t: graphrag.DocGraph.from_json(graph) for t, graph in zip(topic_ids, saved)}
+        entities, term_counts = map(json.loads, files)
         lists = {str(t): entities[str(t)] for t in topic_ids}
         # the saved counts are in sorted order; each index takes the docs file's
         counts = {t: {d.id: term_counts[str(t)][d.id] for d in topics[t]} for t in topic_ids}
         if not all(
-            graphs[t].nodes == tuple(d.id for d in topics[t])
-            and isinstance(lists[str(t)], list)
+            isinstance(lists[str(t)], list)
             and all(isinstance(entity, str) for entity in lists[str(t)])
             and all(isinstance(doc_counts, dict) for doc_counts in counts[t].values())
             for t in topic_ids
@@ -378,6 +407,9 @@ def _saved_graph_level(
         indexes = {t: lexindex.LexIndex.from_counts(counts[t]) for t in topic_ids}
     except (KeyError, TypeError, ValueError):  # malformed JSON, a missing key, a wrong container or count
         return None
+    pairs = _topic_rows(scores.T, pair_counts)
+    nodes = {t: tuple(d.id for d in topics[t]) for t in topic_ids}
+    graphs = {t: graphrag.graph_from_scores(t, nodes[t], pairs[t].T, hybrid) for t in topic_ids}
     return graphs, lists, indexes
 
 
@@ -387,13 +419,11 @@ def _build_retrievers(
     """Each needed topic's retriever, from build-graph's outputs at two
     levels. The document vectors serve when build-graph read the same docs
     file with the same embedder and the file reads back as the float64
-    matrix it writes; the entity lists, the term counts and the needed
-    topics' graphs serve when the vectors do and the graph parameters match
-    too. A level that does not serve is computed as build-graph computes it,
-    for the needed topics only, with one warning."""
-    import numpy as np
-
-    from . import embed, graphrag
+    matrix it writes; the pair scores, the entity lists and the term counts
+    serve when the vectors do and the BM25 parameters match too, at any
+    alpha and edge threshold. A level that does not serve is computed as
+    build-graph computes it, for the needed topics only, with one warning."""
+    from . import graphrag
 
     topic_ids = sorted(needed)
     for topic_id in topic_ids:
@@ -402,19 +432,11 @@ def _build_retrievers(
     out_dir = Path(config.out)
     manifest = _read_manifest(out_dir, "build-graph")
     inputs, keys = ({}, {}) if manifest is None else (manifest["inputs"], manifest["keys"])
-    vectors = None
+    vectors = saved = None
     if inputs.get("docs") == docs_hash and keys.get("vectors") == config.vectors_key():
-        data = _read_listed(out_dir, manifest, DOC_VECTORS)
-        try:
-            vectors = None if data is None else embed.load_vectors(io.BytesIO(data))
-        except ValueError:  # not an .npy array
-            pass
-    shape = (sum(map(len, topics.values())), config.embedder.dim)
-    if vectors is not None and (vectors.shape != shape or vectors.dtype != np.float64):
-        vectors = None
-    saved = None
-    if vectors is not None and keys.get("graph") == config.graph_key():
-        saved = _saved_graph_level(out_dir, manifest, topics, topic_ids)
+        vectors = _saved_array(out_dir, manifest, DOC_VECTORS, (sum(map(len, topics.values())), config.embedder.dim))
+    if vectors is not None and keys.get("pairs") == config.pairs_key():
+        saved = _saved_graph_level(out_dir, manifest, topics, topic_ids, config.hybrid)
     if saved is None:
         redo = "building the graphs" if vectors is not None else "embedding the documents and building the graphs"
         logger.warning("build-graph's outputs do not serve this run: %s again", redo)
@@ -422,7 +444,7 @@ def _build_retrievers(
     order = sorted(topics) if vectors is not None else topic_ids
     if vectors is None:
         vectors = _embed_documents(config, embedder, topics, order)
-    rows = _topic_rows(vectors, topics, order)
+    rows = _topic_rows(vectors, {t: len(topics[t]) for t in order})
     graphs, entities, indexes = saved or _topic_graphs(config, topics, {t: rows[t] for t in topic_ids})
     return {
         t: graphrag.TopicRetriever(

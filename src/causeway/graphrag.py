@@ -46,6 +46,9 @@ class DocGraph:
     topic_id: int
     nodes: tuple[str, ...]
     edges: list[tuple[str, str, float]]
+    # the clamped cosine (row 0) and clamped lexical score (row 1) of each
+    # pair of nodes, in `_pair_index` order, when the graph was made from them
+    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
     _adjacency: dict[str, list[tuple[str, float]]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,6 +107,30 @@ def _unit_clamp(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x, 1.0)
 
 
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair (i, j), i < j, of n documents in row-major order, as the
+    array of its i and the array of its j."""
+    return np.nonzero(~np.tri(n, dtype=bool))
+
+
+def graph_from_scores(topic_id: int, nodes: tuple[str, ...], scores: np.ndarray, params: HybridParams) -> DocGraph:
+    """The graph of nodes whose pairs, in `_pair_index` order, have the
+    clamped cosines scores[0] and the clamped lexical scores scores[1].
+
+    A pair's weight blends its two scores, and the pair is an edge when its
+    weight reaches the threshold (inclusive); edges follow the pairs. The
+    blend and threshold act on each pair alone, so a slice of many topics'
+    scores gives the edges build_graph gave from that topic's, at any alpha
+    and threshold."""
+    first, second = _pair_index(len(nodes))
+    weights = hybrid_weight(scores[0], scores[1], params.alpha)
+    kept = np.flatnonzero(weights >= params.edge_threshold)
+    edges = [
+        (nodes[a], nodes[b], w) for a, b, w in zip(first[kept].tolist(), second[kept].tolist(), weights[kept].tolist())
+    ]
+    return DocGraph(topic_id, nodes, edges, scores)
+
+
 def build_graph(
     topic_id: int,
     docs: Sequence[DocumentRecord],
@@ -114,29 +141,20 @@ def build_graph(
     params: HybridParams,
 ) -> DocGraph:
     """The graph of one topic's documents, whose vectors embeddings holds by
-    document id.
-
-    Every pair's weight blends its cosine and its lexical similarity, each
-    clamped into [0, 1], and the pair is an edge when its weight reaches the
-    threshold (inclusive); edges follow the pairs in row-major order. The
-    clamps, blend and threshold act on each pair alone, so a pass over one
-    topic's pairs gives the bits a pass over many topics' pairs would."""
+    document id, made by `graph_from_scores` from every pair's cosine and
+    lexical similarity, each clamped into [0, 1]; the graph keeps those
+    scores."""
     ids = tuple(d.id for d in docs)
     for doc_id in ids:
         if doc_id not in embeddings:
             raise GraphError(f"missing embedding for document {doc_id!r}")
     vecs = [np.asarray(embeddings[doc_id], dtype=np.float64) for doc_id in ids]
     norms = _norms(vecs)
-    first, second = np.nonzero(~np.tri(len(ids), dtype=bool))  # i < j, row-major
+    first, second = _pair_index(len(ids))
     pairs = ([vecs[a] for a in first.tolist()], [vecs[b] for b in second.tolist()])
     cos = cosine(*pairs, norms[first], norms[second])
     lexical = lexical_similarity(ids, index, bm25_params, entities)[first, second]
-    weights = hybrid_weight(_unit_clamp(cos), _unit_clamp(lexical), params.alpha)
-    kept = np.flatnonzero(weights >= params.edge_threshold)
-    edges = [
-        (ids[a], ids[b], w) for a, b, w in zip(first[kept].tolist(), second[kept].tolist(), weights[kept].tolist())
-    ]
-    return DocGraph(topic_id=topic_id, nodes=ids, edges=edges)
+    return graph_from_scores(topic_id, ids, np.stack([_unit_clamp(cos), _unit_clamp(lexical)]), params)
 
 
 def make_query(q: QuestionRecord) -> str:

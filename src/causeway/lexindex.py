@@ -7,6 +7,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class LexIndex:
     vocabulary term's idf computed once, when the index is built."""
 
     doc_ids: tuple[str, ...]
-    term_freqs: dict[str, Counter]
+    term_freqs: dict[str, Mapping[str, int]]
     doc_lens: dict[str, int]
     doc_freq: Counter
     n_docs: int
@@ -88,17 +89,15 @@ class LexIndex:
     def from_counts(cls, term_freqs: Mapping[str, Mapping[str, int]]) -> "LexIndex":
         """The index of documents given by their term counts, documents in
         the order given. Each length is the sum of its counts, which is its
-        token count, so saved term counts rebuild the index `build` made."""
-        term_freqs = {doc_id: Counter(counts) for doc_id, counts in term_freqs.items()}
+        token count, so saved term counts rebuild the index `build` made.
+        Each document's counts are held as given, not copied."""
         doc_lens = {doc_id: sum(counts.values()) for doc_id, counts in term_freqs.items()}
-        doc_freq: Counter = Counter()
-        for counts in term_freqs.values():
-            doc_freq.update(counts.keys())
+        doc_freq = Counter(chain.from_iterable(term_freqs.values()))  # each document's terms, once each
         n = len(term_freqs)
         avgdl = sum(doc_lens.values()) / n if n else 0.0
         return cls(
             doc_ids=tuple(term_freqs),
-            term_freqs=term_freqs,
+            term_freqs=dict(term_freqs),
             doc_lens=doc_lens,
             doc_freq=doc_freq,
             n_docs=n,

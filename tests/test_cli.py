@@ -508,7 +508,7 @@ class TestDeterminism:
         run_stages(out, stages=("report",))
         digests = tree_digest(out)
         assert sorted(rel for rel in digests if rel.startswith("graphs/")) == [
-            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/term_counts.json",
+            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/pair_scores.npy", "graphs/term_counts.json",
             "graphs/topic_101.json", "graphs/topic_102.json", "graphs/topic_103.json",
         ]
         del digests["manifests/build-graph.json"]
@@ -603,13 +603,6 @@ def _text_vectors_listed(out: Path) -> None:
     _relist(out, "graphs/doc_vectors.npy")
 
 
-def _emptied_graph(out: Path) -> None:
-    path = out / "graphs" / "topic_101.json"
-    graph = read_json(path)
-    graph["edges"] = []
-    path.write_text(json.dumps(graph), encoding="utf-8")
-
-
 def _other_docs(out: Path) -> None:
     manifest_path = out / "manifests" / "build-graph.json"
     manifest = read_json(manifest_path)
@@ -669,15 +662,6 @@ def _entities_lacking_a_topic(out: Path) -> None:
 def _entities_not_an_object(out: Path) -> None:
     (out / "graphs" / "entities.json").write_text('["101", "102", "103"]', encoding="utf-8")
     _relist(out, "graphs/entities.json")
-
-
-def _graph_lacking_a_node(out: Path) -> None:
-    path = out / "graphs" / "topic_101.json"
-    graph = read_json(path)
-    node = graph["nodes"].pop()
-    graph["edges"] = [e for e in graph["edges"] if node not in (e["a"], e["b"])]
-    path.write_text(json.dumps(graph), encoding="utf-8")
-    _relist(out, "graphs/topic_101.json")
 
 
 @pytest.fixture
@@ -758,6 +742,75 @@ def _term_count_is_a_string(out: Path) -> None:
     _relist(out, "graphs/term_counts.json")
 
 
+PAIR_SCORES = "graphs/pair_scores.npy"
+
+
+def _saved_pair_scores(out: Path) -> np.ndarray:
+    return np.load(out / PAIR_SCORES, allow_pickle=False)
+
+
+def _drop_pair_scores(out: Path) -> None:
+    (out / PAIR_SCORES).unlink()
+
+
+def _unlisted_pair_scores(out: Path) -> None:
+    manifest_path = out / "manifests" / "build-graph.json"
+    manifest = read_json(manifest_path)
+    del manifest["outputs"][PAIR_SCORES]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _edited_pair_scores(out: Path) -> None:
+    # scores in range, every pair an edge: only the manifest's hash tells
+    np.save(out / PAIR_SCORES, np.ones_like(_saved_pair_scores(out)), allow_pickle=False)
+
+
+def _garbage_pair_scores_listed(out: Path) -> None:
+    (out / PAIR_SCORES).write_bytes(b"garbage")
+    _relist(out, PAIR_SCORES)
+
+
+def _npz_pair_scores_listed(out: Path) -> None:
+    scores = _saved_pair_scores(out)
+    with open(out / PAIR_SCORES, "wb") as fh:
+        np.savez(fh, scores=scores)
+    _relist(out, PAIR_SCORES)
+
+
+def _float32_pair_scores_listed(out: Path) -> None:
+    np.save(out / PAIR_SCORES, _saved_pair_scores(out).astype(np.float32), allow_pickle=False)
+    _relist(out, PAIR_SCORES)
+
+
+def _pair_scores_short_of_a_pair_listed(out: Path) -> None:
+    np.save(out / PAIR_SCORES, _saved_pair_scores(out)[:, 1:], allow_pickle=False)
+    _relist(out, PAIR_SCORES)
+
+
+def _nan_pair_score_listed(out: Path) -> None:
+    scores = _saved_pair_scores(out)
+    scores[1, 0] = np.nan
+    np.save(out / PAIR_SCORES, scores, allow_pickle=False)
+    _relist(out, PAIR_SCORES)
+
+
+def _pair_score_above_1_listed(out: Path) -> None:
+    scores = _saved_pair_scores(out)
+    scores[0, 0] = 1.5
+    np.save(out / PAIR_SCORES, scores, allow_pickle=False)
+    _relist(out, PAIR_SCORES)
+
+
+def _other_bm25_config(tmp_path: Path) -> Path:
+    """The fixture's config with another BM25 k1; its paths resolve from the
+    fixture directory, as run_stages runs."""
+    config = read_json(FIXTURE_DIR / "config.json")
+    config["bm25"] = {"k1": 1.2}
+    path = tmp_path / "bm25.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
 def _keys_not_an_object(out: Path) -> None:
     manifest_path = out / "manifests" / "build-graph.json"
     manifest = read_json(manifest_path)
@@ -773,10 +826,10 @@ def _other_embedder(out: Path) -> None:
 
 
 class TestBuildGraphReuse:
-    """retrieve takes the document vectors, entity lists and graphs from
-    build-graph only when they came from the current docs file and config;
-    otherwise it recomputes them and its output matches a run that never had
-    them."""
+    """retrieve takes the document vectors, pair scores, entity lists and
+    term counts from build-graph only when they came from the current docs
+    file and the config settings they depend on; otherwise it recomputes them
+    and its output matches a run that never had them."""
 
     def test_saved_vectors_layout(self, run_dir):
         vectors = np.load(run_dir / "graphs" / "doc_vectors.npy", allow_pickle=False)
@@ -806,11 +859,15 @@ class TestBuildGraphReuse:
         assert "graphs/term_counts.json" in read_json(run_dir / "manifests" / "build-graph.json")["outputs"]
 
     def test_changed_edge_threshold_builds_each_index_once(self, tmp_path, built):
-        # the indexes that rebuilding the graphs makes serve the retrievers too
+        # at another edge threshold the saved term counts serve and no index
+        # is built; at other BM25 parameters, which rebuild the graphs, the
+        # indexes built for the graphs serve the retrievers too
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph",))
         del built[:]
         run_stages(out, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        assert built == []
+        run_stages(out, stages=("retrieve",), extra=("--config", str(_other_bm25_config(tmp_path))))
         assert built == [6, 6, 6]
 
     def test_graphs_are_built_one_topic_at_a_time(self, run_dir, tmp_path, graphed):
@@ -822,8 +879,11 @@ class TestBuildGraphReuse:
         assert tree_digest(stale / "graphs") == tree_digest(run_dir / "graphs")
         del graphed[:]
         run_stages(stale, stages=("retrieve",), extra=("--edge-threshold", "0.05"))
+        assert graphed == []  # the saved pair scores serve
+        bm25 = ("--config", str(_other_bm25_config(tmp_path)))
+        run_stages(stale, stages=("retrieve",), extra=bm25)
         assert graphed == [6, 6, 6]
-        run_stages(fresh, stages=("build-graph", "retrieve"), extra=("--edge-threshold", "0.05"))
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=bm25)
         assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
 
     def test_retrieve_extracts_no_entities(self, run_dir, tmp_path, extracted, built):
@@ -851,7 +911,7 @@ class TestBuildGraphReuse:
             (_term_counts_lacking_a_document, 3),
             (_term_counts_not_objects, 3),
             (_term_count_is_a_string, 3),
-            (_graph_lacking_a_node, 3),
+            (_drop_pair_scores, 3),
             (_other_docs, 3),
             (_other_embedder, 3),
         ],
@@ -859,8 +919,9 @@ class TestBuildGraphReuse:
     def test_unusable_entities_are_extracted_again(
         self, run_dir, tmp_path, extracted, built, caplog, tamper, n_extracted
     ):
-        # the entity lists and term counts serve together with the graphs or
-        # not at all; the indexes built for the graphs serve the retrievers
+        # the entity lists and term counts serve together with the pair
+        # scores or not at all; the indexes built for the graphs serve the
+        # retrievers
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph",))
         tamper(out)
@@ -870,6 +931,40 @@ class TestBuildGraphReuse:
         assert built == [6, 6, 6]
         assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("flag", [("--edge-threshold", "0.05"), ("--alpha", "0.5")])
+    def test_other_alpha_or_edge_threshold_recomputes_nothing(
+        self, run_dir, tmp_path, embedded, extracted, built, graphed, caplog, flag
+    ):
+        # the pair scores, entity lists and term counts hold no alpha and no
+        # threshold, and no graph JSON is read back
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        run_stages(stale, stages=("build-graph",))
+        for path in (stale / "graphs").glob("topic_*.json"):
+            path.unlink()
+        del embedded[:], extracted[:], built[:], graphed[:]
+        run_stages(stale, stages=("retrieve",), extra=flag)
+        assert graphed == built == extracted == []
+        assert not DOC_TEXTS & set(embedded)
+        assert not [r for r in caplog.records if r.name == "causeway.cli"]
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=flag)
+        retrieval = (stale / "retrieval.jsonl").read_bytes()
+        assert retrieval == (fresh / "retrieval.jsonl").read_bytes()
+        assert retrieval != (run_dir / "retrieval.jsonl").read_bytes()
+
+    def test_other_bm25_parameters_recompute_the_pair_scores(self, run_dir, tmp_path, embedded, graphed, caplog):
+        stale = tmp_path / "stale"
+        fresh = tmp_path / "fresh"
+        bm25 = ("--config", str(_other_bm25_config(tmp_path)))
+        run_stages(stale, stages=("build-graph",))
+        del embedded[:], graphed[:]
+        run_stages(stale, stages=("retrieve",), extra=bm25)
+        assert graphed == [6, 6, 6]
+        assert not DOC_TEXTS & set(embedded)
+        assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
+        run_stages(fresh, stages=("build-graph", "retrieve"), extra=bm25)
+        assert (stale / "retrieval.jsonl").read_bytes() == (fresh / "retrieval.jsonl").read_bytes()
 
     def test_unneeded_topic_graph_is_not_read(self, tmp_path, embedded, extracted, caplog):
         # retrieve reads the graphs of the topics its questions need only, so
@@ -943,20 +1038,31 @@ class TestBuildGraphReuse:
             (_wrong_shape_vectors_listed, True),
             (_garbage_vectors_listed, True),
             (_text_vectors_listed, True),
-            (_emptied_graph, False),
+            (_drop_pair_scores, False),
+            (_unlisted_pair_scores, False),
+            (_edited_pair_scores, False),
+            (_garbage_pair_scores_listed, False),
+            (_npz_pair_scores_listed, False),
+            (_float32_pair_scores_listed, False),
+            (_pair_scores_short_of_a_pair_listed, False),
+            (_nan_pair_score_listed, False),
+            (_pair_score_above_1_listed, False),
             (_other_docs, True),
             (_no_manifest, True),
             (_truncated_manifest, True),
             (_keys_not_an_object, True),
         ],
     )
-    def test_unusable_artifacts_are_recomputed(self, run_dir, tmp_path, embedded, caplog, tamper, embeds_docs):
+    def test_unusable_artifacts_are_recomputed(
+        self, run_dir, tmp_path, embedded, graphed, caplog, tamper, embeds_docs
+    ):
         out = tmp_path / "out"
         run_stages(out, stages=("build-graph",))
         tamper(out)
-        del embedded[:]
+        del embedded[:], graphed[:]
         run_stages(out, stages=("retrieve",))
         assert (DOC_TEXTS <= set(embedded)) == embeds_docs
+        assert graphed == [6, 6, 6]
         assert [r.levelname for r in caplog.records if r.name == "causeway.cli"] == ["WARNING"]
         assert (out / "retrieval.jsonl").read_bytes() == (run_dir / "retrieval.jsonl").read_bytes()
 
@@ -1112,7 +1218,7 @@ class TestOneEmbeddingPass:
         _run_module(["-m", "causeway.cli", *argv], cwd=FIXTURE_DIR)
         written = tree_digest(out)
         assert sorted(written) == [
-            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/term_counts.json",
+            "graphs/doc_vectors.npy", "graphs/entities.json", "graphs/pair_scores.npy", "graphs/term_counts.json",
             "graphs/topic_101.json", "graphs/topic_102.json", "graphs/topic_103.json",
             "manifests/build-graph.json",
         ]

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import copy
+import io
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causeway.corpus import DocumentRecord, document_text
-from causeway.embed import MockEmbedder
+from causeway.embed import MockEmbedder, load_vectors, save_vectors
 from causeway.graphrag import (
     DENSE_ENTRY,
     SPARSE_ENTRY,
@@ -23,6 +24,7 @@ from causeway.graphrag import (
     build_graph,
     cosine as graphrag_cosine,
     entry_points,
+    graph_from_scores,
     hybrid_weight,
     make_query,
     retrieve,
@@ -287,6 +289,51 @@ class TestBuildGraphs:
             tokens = {doc_id: tokenize(text) for doc_id, text in texts.items()}
             assert (graph.topic_id, graph.nodes) == (topic_id, tuple(texts))
             assert graph.edges == graph_edges_reference(tokens, embeddings, entities, alpha, threshold)
+
+
+class TestGraphFromScores:
+    @given(
+        many_topics,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=0),
+        st.integers(min_value=0, max_value=3),
+    )
+    # topics of 0 and 1 document, and an empty document
+    @example(
+        [([], set()), (["dam rain"], set()), (["", "Dam rain valley", "the dam of Lagos"], {"dam"})], 0.7, None, 1, 0
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_saved_scores_give_build_graph_exactly(self, topics, alpha, threshold, pick, seed):
+        # every topic's scores from build_graph at the default alpha and
+        # threshold, saved in one array as build-graph saves them and sliced
+        # back out, give build_graph's graph at any alpha and threshold; a
+        # threshold of None puts it exactly on one pair's weight
+        embedder = MockEmbedder(dim=8, seed=seed)
+        cases = []
+        for topic_id, (contents, entities) in enumerate(topics):
+            docs = [make_doc(topic_id, f"t{topic_id}d{i}", "", content) for i, content in enumerate(contents)]
+            texts = {d.id: document_text(d) for d in docs}
+            embeddings = dict(zip(texts, embedder.embed_texts(list(texts.values()))))
+            index = LexIndex.build(texts)
+            graph = build_graph(topic_id, docs, embeddings, index, Bm25Params(), entities, HybridParams())
+            cases.append((docs, embeddings, index, entities, graph))
+        saved = io.BytesIO()
+        save_vectors(saved, np.concatenate([np.empty((2, 0)), *(graph.scores for *_, graph in cases)], 1))
+        scores = load_vectors(io.BytesIO(saved.getvalue()))
+        start = 0
+        for topic_id, (docs, embeddings, index, entities, graph) in enumerate(cases):
+            tokens = {d.id: tokenize(document_text(d)) for d in docs}
+            all_pairs = graph_edges_reference(tokens, embeddings, entities, alpha, -1.0)
+            at = None if threshold is not None or not all_pairs else all_pairs[pick % len(all_pairs)]
+            params = HybridParams(alpha=alpha, edge_threshold=at[2] if at else threshold or 0.0)
+            end = start + len(docs) * (len(docs) - 1) // 2
+            made = graph_from_scores(topic_id, graph.nodes, scores[:, start:end], params)
+            assert made == build_graph(topic_id, docs, embeddings, index, Bm25Params(), entities, params)
+            assert made.edges == graph_edges_reference(tokens, embeddings, entities, alpha, params.edge_threshold)
+            assert at is None or at in made.edges
+            start = end
+        assert start == scores.shape[1]
 
 
 def norms(vecs) -> np.ndarray:
