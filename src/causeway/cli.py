@@ -6,23 +6,23 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import logging
 import os
 import sys
 from collections import abc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .consist import output_validity_violations, run_to_fixed_point
 from .corpus import (
     LETTERS,
     CorpusError,
     DocumentRecord,
+    EvalError,
     QuestionRecord,
     _rows,
     document_text,
@@ -32,16 +32,7 @@ from .corpus import (
     parse_predictions,
     sibling_groups,
 )
-from .evaluate import EvalError, agreement_report, bias_stats, oracle_report, score_run
-from .params import Bm25Params, EmbedderSpec, HybridParams
-from .reason import (
-    LlmClientSpec,
-    SamplingParams,
-    aggregate,
-    make_client,
-    sample_question,
-    tally,
-)
+from .params import Bm25Params, EmbedderSpec, HybridParams, LlmClientSpec, SamplingParams
 from .remote import ConfigError, RemoteError
 
 if TYPE_CHECKING:  # numpy and the graph modules load when a graph stage runs
@@ -51,6 +42,32 @@ if TYPE_CHECKING:  # numpy and the graph modules load when a graph stage runs
     from .lexindex import LexIndex
 
 logger = logging.getLogger(__name__)
+
+# The stage modules' names that this module serves as its own, each with its
+# module. reason, consist and evaluate load only in the stages that call them:
+# a name loads its module on first access (__getattr__) and is bound here,
+# and a stage body reads it from this module's globals when it runs, so a
+# name patched on this module is the one called. The benchmark's tracer
+# patches these names here; once it patches the defining modules instead,
+# the stages can import their names directly and this shim can go.
+_STAGE_NAMES = {
+    **dict.fromkeys(("sample_question", "tally", "aggregate", "make_client"), "reason"),
+    **dict.fromkeys(("run_to_fixed_point", "output_validity_violations"), "consist"),
+    **dict.fromkeys(("agreement_report", "oracle_report", "bias_stats", "score_run"), "evaluate"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _STAGE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_STAGE_NAMES[name]}", __package__), name)
+    return globals()[name]
+
+
+def _stage_names(*names: str) -> list:
+    """Each of names as this module's attribute now, patched or not."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
 
 
 class StageError(Exception):
@@ -501,6 +518,7 @@ def _retrieve(run: StageInput) -> StageResult:
 
 def _make_llm_client(config: RunConfig):
     """The config's LLM client; a script file is held to llm.script's rule."""
+    (make_client,) = _stage_names("make_client")
     spec = config.llm
     if spec.script_path:
         script = _read_json_file(spec.script_path)
@@ -529,12 +547,15 @@ def _infer(run: StageInput) -> StageResult:
         if q.id not in contexts:
             raise CorpusError(f"no retrieval trace for question {q.id!r}")
     client = _make_llm_client(config)
+    sample_question, tally, aggregate = _stage_names("sample_question", "tally", "aggregate")
 
     def run_one(q: QuestionRecord):
         samples = sample_question(q, contexts[q.id], client, config.sampling)
         return samples, aggregate(tally(samples), q, config.theta)
 
     if config.max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
             results = list(pool.map(run_one, questions))
     else:
@@ -573,6 +594,7 @@ def _infer(run: StageInput) -> StageResult:
 
 def _postprocess(run: StageInput) -> StageResult:
     config, questions = run.config, run.questions
+    run_to_fixed_point, output_validity_violations = _stage_names("run_to_fixed_point", "output_validity_violations")
     preds = parse_predictions(*run.upstream)
     scoped = [q for q in questions if q.id in preds]
     dropped = len(questions) - len(scoped)
@@ -610,6 +632,7 @@ def _postprocess(run: StageInput) -> StageResult:
 
 
 def _score(run: StageInput) -> StageResult:
+    (score_run,) = _stage_names("score_run")
     preds = parse_predictions(*run.upstream)
     golds = {q.id: q.gold for q in run.questions if q.gold is not None}
     if not golds:
@@ -635,6 +658,7 @@ def _score(run: StageInput) -> StageResult:
 def _agree(run: StageInput) -> StageResult:
     if len(run.preds) < 2:
         raise StageError("agree needs at least two prediction files")
+    agreement_report, oracle_report, bias_stats = _stage_names("agreement_report", "oracle_report", "bias_stats")
     model_preds: dict[str, dict[str, frozenset[str]]] = {}
     inputs: dict[str, str] = {}
     for spec in run.preds:

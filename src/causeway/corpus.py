@@ -38,6 +38,10 @@ class CorpusError(ValueError):
     """Raised when an input file violates the corpus contract."""
 
 
+class EvalError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class QuestionRecord:
     """One question. The facts the stages read about it are computed from
@@ -191,23 +195,31 @@ def _text(where: str, row: dict, field: str) -> str:
     return value
 
 
-def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
-    """Each non-blank JSONL line of the file at path, parsed, with its "<path>:
-    line N" for messages. Bytes that are not UTF-8, malformed JSON, a row that
-    is not an object and missing fields are fatal."""
+def _numbered_rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Each non-blank JSONL line of the file at path, parsed, with its line
+    number. Bytes that are not UTF-8, malformed JSON, a row that is not an
+    object and missing fields are fatal; only their messages name the line
+    as "<path>: line N"."""
+    required = frozenset(fields)
     try:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            where = f"{path}: line {lineno}"
             try:
                 row = json.loads(line)
             except (ValueError, RecursionError) as exc:  # also an integer too long, nesting too deep
-                raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
-            _require(where, row, fields)
-            yield where, row
+                raise CorpusError(f"{path}: line {lineno}: malformed JSON: {exc}") from exc
+            if not (isinstance(row, dict) and row.keys() >= required):
+                _require(f"{path}: line {lineno}", row, fields)
+            yield lineno, row
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _rows(path: str | Path, lines: Iterable[str], fields: Sequence[str]) -> Iterator[tuple[str, dict]]:
+    """_numbered_rows, each row with its "<path>: line N" for messages."""
+    for lineno, row in _numbered_rows(path, lines, fields):
+        yield f"{path}: line {lineno}", row
 
 
 def load_questions(path: str | Path) -> list[QuestionRecord]:
@@ -294,10 +306,15 @@ def load_docs(path: str | Path) -> dict[int, list[DocumentRecord]]:
 
 def parse_predictions(path: str | Path, lines: Iterable[str]) -> dict[str, frozenset[str]]:
     """{"id": ..., "prediction": "A,C"} rows, read from the lines of the
-    file at path."""
+    file at path. Each distinct prediction string is parsed once."""
     preds: dict[str, frozenset[str]] = {}
-    for where, row in _rows(path, lines, ("id", "prediction")):
-        preds[str(row["id"])] = parse_gold(str(row["prediction"]), f"{where}: ")
+    letter_sets: dict[str, frozenset[str]] = {}
+    for lineno, row in _numbered_rows(path, lines, ("id", "prediction")):
+        raw = str(row["prediction"])
+        letters = letter_sets.get(raw)
+        if letters is None:
+            letters = letter_sets[raw] = parse_gold(raw, f"{path}: line {lineno}: ")
+        preds[str(row["id"])] = letters
     return preds
 
 

@@ -9,13 +9,9 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import AbstractSet, Callable, Hashable, Mapping, Sequence
 
-from .corpus import LETTERS
+from .corpus import LETTERS, EvalError
 
 _LETTER_SET = frozenset(LETTERS)
-
-
-class EvalError(ValueError):
-    pass
 
 
 def score_question(pred: AbstractSet[str], gold: AbstractSet[str]) -> float:

@@ -1,9 +1,11 @@
-"""The config schema's embedder, graph and BM25 sections. They live apart
-from embed, graphrag and lexindex so that reading a config imports no numpy."""
+"""The config schema's embedder, graph, BM25, sampling and LLM client
+sections. They live apart from embed, graphrag, lexindex and reason so that
+reading a config imports neither numpy nor the stage modules."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -36,3 +38,22 @@ class Bm25Params:
     b: float = 0.75
     delta: float = 1.0
     entity_boost: float = 3.0
+
+
+@dataclass(frozen=True)
+class SamplingParams:
+    k: int = 3
+    temperature: float = 1.0
+    max_retries_on_parse_failure: int = 2
+
+
+@dataclass(frozen=True)
+class LlmClientSpec:
+    kind: str = "mock-overlap"
+    endpoint: str | None = None
+    model: str | None = None
+    auth_env: str | None = None
+    script: Mapping[str, Sequence[str]] | None = None
+    script_path: str | None = None  # a JSON file the CLI reads into script
+    max_retries: int = 3
+    backoff_base: float = 0.5

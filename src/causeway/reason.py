@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import LETTERS, DocumentRecord, QuestionRecord, document_text, tokenize
+from .params import LlmClientSpec, SamplingParams
 from .remote import ConfigError, RemoteClient, RemoteError
 
 logger = logging.getLogger(__name__)
@@ -113,25 +114,6 @@ class ParsedPrediction:
     analysis: str
     valid: bool
     raw: str
-
-
-@dataclass(frozen=True)
-class SamplingParams:
-    k: int = 3
-    temperature: float = 1.0
-    max_retries_on_parse_failure: int = 2
-
-
-@dataclass(frozen=True)
-class LlmClientSpec:
-    kind: str = "mock-overlap"
-    endpoint: str | None = None
-    model: str | None = None
-    auth_env: str | None = None
-    script: Mapping[str, Sequence[str]] | None = None
-    script_path: str | None = None  # a JSON file the CLI reads into script
-    max_retries: int = 3
-    backoff_base: float = 0.5
 
 
 def escape(text: str) -> str:

@@ -1239,6 +1239,79 @@ class TestOneEmbeddingPass:
         assert (out / "retrieval.jsonl").read_bytes() == (mock / "retrieval.jsonl").read_bytes()
 
 
+# the stage modules and the thread pool: a CLI process loads each only when
+# its stage runs it
+STAGE_MODULES = ("causeway.reason", "causeway.consist", "causeway.evaluate", "concurrent.futures")
+
+# the names the benchmark's tracer patches on cli, each with its defining module
+PATCHED_NAMES = {
+    **dict.fromkeys(("sample_question", "tally", "aggregate", "make_client"), "reason"),
+    **dict.fromkeys(("run_to_fixed_point", "output_validity_violations"), "consist"),
+    **dict.fromkeys(("agreement_report", "oracle_report", "bias_stats", "score_run"), "evaluate"),
+}
+
+AGREE_ARGS = ("raw={out}/predictions.jsonl", "final={out}/predictions.final.jsonl")
+
+
+class TestStageImports:
+    """import causeway.cli loads no stage module, each stage's process loads
+    only its own, and a name patched on cli is the one its stage calls."""
+
+    def test_cli_import_loads_no_stage_module(self):
+        code = f"import sys, causeway.cli; print([m for m in {STAGE_MODULES!r} if m in sys.modules])"
+        assert _run_module(["-c", code]).stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        ("argv", "loaded"),
+        [
+            (("ingest",), []),
+            (("build-graph",), []),
+            (("retrieve",), []),
+            (("report",), []),
+            (("score",), ["causeway.evaluate"]),
+            (("agree", *AGREE_ARGS), ["causeway.evaluate"]),
+            (("postprocess",), ["causeway.consist"]),
+            (("infer",), ["causeway.reason"]),
+            (("infer", "--max-workers", "2"), ["causeway.reason", "concurrent.futures"]),
+        ],
+        ids=["ingest", "build-graph", "retrieve", "report", "score", "agree", "postprocess", "infer", "infer-threaded"],
+    )
+    def test_stage_process_loads_only_its_stage_module(self, run_dir, tmp_path, argv, loaded):
+        out = _copy_run(run_dir, tmp_path)
+        args = [arg.format(out=out) for arg in argv] + ["--config", "config.json", "--out", str(out)]
+        code = (
+            "import sys; from causeway import cli; "
+            f"assert cli.main({args!r}) == 0; "
+            f"print([m for m in {STAGE_MODULES!r} if m in sys.modules])"
+        )
+        assert _run_module(["-c", code], cwd=FIXTURE_DIR).stdout.splitlines()[-1] == repr(loaded)
+
+    def test_patched_names_resolve_before_any_stage_runs(self):
+        code = (
+            "import importlib; from causeway import cli; "
+            f"print([name for name, module in {PATCHED_NAMES!r}.items() "
+            "if getattr(cli, name) is not getattr(importlib.import_module('causeway.' + module), name)])"
+        )
+        assert _run_module(["-c", code]).stdout == "[]\n"
+
+    def test_names_patched_on_cli_see_their_stages_calls(self, run_dir, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("sample_question", "run_to_fixed_point", "score_run", "agreement_report"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        out = _copy_run(run_dir, tmp_path)
+        run_stages(out, stages=("infer", "postprocess", "score"))
+        run_stages(out, stages=("agree",), extra=[arg.format(out=out) for arg in AGREE_ARGS])
+        assert calls == {"sample_question": 12, "run_to_fixed_point": 1, "score_run": 1, "agreement_report": 1}
+
+
 @pytest.fixture
 def llm_calls(monkeypatch) -> list[str]:
     """The question id of every LLM call the CLI stages make from here on."""
